@@ -35,8 +35,8 @@ from .poly import MultiPoly, VarContext
 from .quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
-    kernel_basis, perturbed_ring, presentation_report,
-    solve_three_point_invariants, spectral_report, standard_ring,
+    kernel_basis, perturbed_ring, presentation_report, ring_from_solve,
+    solve_three_point_invariants, spectral_report,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -221,7 +221,8 @@ class Workspace:
 
     @property
     def ring(self) -> QuantumRing:
-        return self._get("ring", standard_ring)
+        return self._get("ring", lambda: ring_from_solve(self.counts,
+                                                         self.solve))
 
     @property
     def operator(self) -> TruncatedOperator:

@@ -15,7 +15,11 @@ classes is therefore block diagonal.  `atom_statistics` certifies the
 Jordan structure of the eigenvalue -4qt of multiplicity 24: its
 generalized eigenspace E, the rank of the restriction (one, a single
 size-two block, living over the ambient block), and the overlap of E
-with the tagged slots of the model.  `irrationality_criterion` checks
+with the tagged slots of the model.  It first checks the block structure
+of the full operator exactly (no ambient/primitive entry, primitive
+block -4qt times the identity), then eliminates on the 6 x 6 shifted
+ambient block only; the 22 primitive slots enter as unit kernel lines
+of E with zero image.  `irrationality_criterion` checks
 the spectral condition on the undeformed operator: every eigenvalue
 multiplicity on the ambient block is at most two while the model keeps a
 nonzero (3, 1) slot.
@@ -29,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
@@ -302,39 +306,58 @@ def _columns_matrix(cols: Sequence[Sequence[MultiPoly]]) -> Matrix:
                    for i in range(len(cols[0]))])
 
 
-def _drop_rows(m: Matrix, rows: Sequence[int]) -> Matrix:
-    keep = [i for i in range(m.nrows) if i not in set(rows)]
-    return Matrix([m.rows[i] for i in keep])
+def _block_structure(op: TruncatedOperator) -> Tuple[Matrix, bool, bool]:
+    """Split the full operator into its ambient block and two exact checks.
+
+    Returns the 6 x 6 ambient block, whether every ambient/primitive
+    entry vanishes, and whether the primitive block equals eigenvalue(ctx)
+    times the identity.
+    """
+    if op.basis != FULL or op.dim != FULL_DIM:
+        raise ValueError("expected the full 28 dimensional operator")
+    lam = eigenvalue(op.ctx)
+    rows = op.matrix.rows
+    unmixed = all(rows[i][j].is_zero() and rows[j][i].is_zero()
+                  for i in range(DIM) for j in range(DIM, FULL_DIM))
+    scalar = all(rows[i][j] == lam if i == j else rows[i][j].is_zero()
+                 for i in range(DIM, FULL_DIM) for j in range(DIM, FULL_DIM))
+    return Matrix([r[:DIM] for r in rows[:DIM]]), unmixed, scalar
 
 
 def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     """Certify the Jordan data of the eigenvalue -4qt on the full operator.
 
-    The generalized eigenspace E is found at order zero over Q(q) and
-    lifted to first order by linear solving; dimensions and ranks away
-    from t = 0 are taken over Q(q, t) on the lifted representatives.
+    The block structure is certified first: no ambient/primitive entry
+    and a primitive block equal to -4qt times the identity.  The shifted
+    operator K - lambda is then zero on the 22 primitive slots, which
+    are unit kernel lines of E with zero image, and all elimination runs
+    on the 6 x 6 shifted ambient block: E_amb is found at order zero
+    over Q(q) and lifted to first order by linear solving; dimensions
+    and ranks away from t = 0 are taken over Q(q, t) on the lifted
+    representatives.  The primitive lines add 22 to dim E, lie in the
+    kernel, and meet the tagged rows of the model one line per slot.
     """
-    if op.basis != FULL:
-        raise ValueError("expected the full 28 dimensional operator")
+    amb_block, unmixed, scalar = _block_structure(op)
+    if not unmixed:
+        raise ValueError("the operator mixes ambient and primitive slots")
+    if not scalar:
+        raise ValueError("the primitive block is not -4*q*t times the identity")
     tctx = op.ctx
     plain = tctx.without_truncation()
     lam = eigenvalue(tctx)
-    n = op.dim
-    shifted = Matrix([[op.matrix[i, j] - (lam if i == j else tctx.zero())
-                       for j in range(n)] for i in range(n)])
+    amb = Matrix([[amb_block[i, j] - (lam if i == j else tctx.zero())
+                   for j in range(DIM)] for i in range(DIM)])
 
     # multiplicity through the shifted characteristic of the ambient block:
     # Y^0 and Y^1 coefficients vanish identically, Y^2 survives at t = 0,
     # so the ambient block carries the eigenvalue exactly twice and the
     # scalar primitive block adds twenty two
-    amb = Matrix([[shifted[i, j] for j in range(DIM)] for i in range(DIM)])
     hpoly = char_poly(amb, var="Y")
     h0 = hpoly.coefficient_of("Y", 0)
     h1 = hpoly.coefficient_of("Y", 1)
     h2 = hpoly.coefficient_of("Y", 2)
-    if not (h0.is_zero() and h1.is_zero()):
-        raise ValueError("eigenvalue multiplicity is not 24")
-    if h2.coefficient_of("t", 0).is_zero():
+    low_coeffs_vanish = h0.is_zero() and h1.is_zero()
+    if not low_coeffs_vanish or h2.coefficient_of("t", 0).is_zero():
         raise ValueError("eigenvalue multiplicity is not 24")
     multiplicity = 2 + PRIMITIVE_DIM
 
@@ -348,8 +371,8 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     # order zero eigenspace over Q(q), then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
     # N0^2 f = -(N0 N1 + N1 N0) e
-    n0 = shifted.map(lambda e: e.coefficient_of("t", 0))
-    n1 = shifted.map(lambda e: e.coefficient_of("t", 1))
+    n0 = amb.map(lambda e: e.coefficient_of("t", 0))
+    n1 = amb.map(lambda e: e.coefficient_of("t", 1))
     sq_rf = ratfunc_matrix(matmul(n0, n0), "q")
     cross_rf = ratfunc_matrix(mat_add(matmul(n0, n1), matmul(n1, n0)), "q")
     order0 = nullspace_field(sq_rf, RatFunc.one())
@@ -362,61 +385,45 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
         columns.append(_column_to_polys(e, f, plain))
 
     # exact check: (K - lambda)^2 annihilates every lifted column mod t^2
-    squares_vanish = True
     images = []
     for col in columns:
-        v = [c.substitute({}, tctx) for c in col]
-        w = matvec(shifted, v)
-        if any(not c.is_zero() for c in matvec(shifted, w)):
-            squares_vanish = False
+        w = matvec(amb, [c.substitute({}, tctx) for c in col])
+        if any(not c.is_zero() for c in matvec(amb, w)):
+            raise ValueError("lifted basis escapes the generalized eigenspace")
         images.append([c.substitute({}, plain) for c in w])
-    if not squares_vanish:
-        raise ValueError("lifted basis escapes the generalized eigenspace")
 
     rng = random.Random(RANK_SEED)
-    basis = _columns_matrix(columns)
-    e_dim = rank_checked(basis, rng)
+    e_amb = rank_checked(_columns_matrix(columns), rng)
+    e_dim = e_amb + PRIMITIVE_DIM
     if e_dim != multiplicity:
         raise ValueError("eigenvalue multiplicity is not 24")
 
     image_mat = _columns_matrix(images)
     gamma = rank_checked(image_mat, rng)
 
-    # image structure: contained in the ambient slots, on the beta line
-    # (t beta(t) agrees with t times the t = 0 part of beta modulo t^2)
-    image_in_ambient = all(image_mat[i, j].is_zero()
-                           for i in range(DIM, n)
-                           for j in range(image_mat.ncols))
-    _, beta = jordan_pair(tctx)
+    # image structure: on the beta line (t beta(t) agrees with t times
+    # the t = 0 part of beta modulo t^2); it stays in the ambient slots
+    # because the certified off-diagonal blocks vanish
+    alpha, beta = jordan_pair(tctx)
     beta_plain = [b.coefficient_of("t", 0).substitute({}, plain) for b in beta]
-    beta_full = beta_plain + [plain.zero()] * PRIMITIVE_DIM
     on_beta_line = True
     for j in range(image_mat.ncols):
-        col = [image_mat[i, j] for i in range(n)]
+        col = image_mat.col(j)
         if all(c.is_zero() for c in col):
             continue
-        span = Matrix([[col[i], beta_full[i]] for i in range(n)])
+        span = Matrix([[col[i], beta_plain[i]] for i in range(DIM)])
         if rank_checked(span, rng) != 1:
             on_beta_line = False
 
     # kernel of the restriction: the primitive slots and the beta line
-    beta_trunc = [b for b in beta] + [tctx.zero()] * PRIMITIVE_DIM
-    beta_killed = all(c.is_zero() for c in matvec(shifted, beta_trunc))
-    alpha, _ = jordan_pair(tctx)
-    alpha_trunc = [a for a in alpha] + [tctx.zero()] * PRIMITIVE_DIM
-    alpha_moves = any(not c.is_zero() for c in matvec(shifted, alpha_trunc))
-    primitive_killed = sum(
-        1 for j in range(len(columns))
-        if all(columns[j][i].is_zero() for i in range(DIM))
-        and all(image_mat[i, j].is_zero() for i in range(n)))
+    beta_killed = all(c.is_zero() for c in matvec(amb, beta))
+    alpha_moves = any(not c.is_zero() for c in matvec(amb, alpha))
 
-    # overlaps of E with the coordinate subspaces of the model
-    rho = e_dim - rank_checked(_drop_rows(basis, range(DIM)), rng)
-    h2_rows = model.rows_with_tag((3, 1))
-    if h2_rows:
-        nu = e_dim - rank_checked(_drop_rows(basis, h2_rows), rng)
-    else:
-        nu = 0
+    # overlaps of E = E_amb + (primitive slots) with the coordinate
+    # subspaces of the model: E meets the ambient slots in E_amb and
+    # contains every primitive slot, the (3, 1) ones included
+    rho = e_amb
+    nu = len(model.rows_with_tag((3, 1)))
     # odd cohomology is absent, so the second overlap is empty
     nu_prime = 0
 
@@ -425,15 +432,14 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
         "e_dimension": e_dim,
         "kernel_in_e_dimension": e_dim - gamma,
         "size_two_blocks": gamma,
-        "image_in_ambient": image_in_ambient,
+        "image_in_ambient": unmixed and scalar,
         "image_on_beta_line": on_beta_line,
         "beta_in_kernel": beta_killed,
         "alpha_has_nonzero_image": alpha_moves,
-        "primitive_columns_killed": primitive_killed,
+        "primitive_columns_killed": PRIMITIVE_DIM,
         "ambient_kernel_dim_t0": DIM - rank_checked(
-            Matrix([[n0[i, j].substitute({}, plain) for j in range(DIM)]
-                    for i in range(DIM)]), rng),
-        "ambient_char_low_coeffs_vanish": True,
+            n0.map(lambda e: e.substitute({}, plain)), rng),
+        "ambient_char_low_coeffs_vanish": low_coeffs_vanish,
         "cofactor_squarefree_profile_t0": cofactor_profile,
     }
     return AtomStatistics(lam, nu, nu_prime, gamma, rho, details)

@@ -77,10 +77,6 @@ def up_mul(a: Sequence, b: Sequence) -> List:
     return up_trim(out)
 
 
-def up_scale(a: Sequence, c) -> List:
-    return up_trim([x * c for x in a])
-
-
 def up_divmod(a: Sequence, b: Sequence) -> Tuple[List, List]:
     if not b:
         raise ZeroDivisionError("univariate division by zero")
@@ -302,13 +298,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return up_deg(list(self.den)) == 0
 
-    def constant_value(self) -> Fraction:
-        if not self.num:
-            return Fraction(0)
-        if not self.is_polynomial() or up_deg(list(self.num)) > 0:
-            raise ValueError("rational function is not constant: %s" % self)
-        return self.num[0]
-
     def evaluate(self, x: Fraction) -> Fraction:
         d = up_eval(list(self.den), Fraction(x))
         if not d:
@@ -356,12 +345,6 @@ def poly_to_ratfunc(p: MultiPoly, name: str) -> RatFunc:
     return RatFunc(coeffs)
 
 
-def univariate_coeff_map(p: MultiPoly, main: str) -> Dict[int, MultiPoly]:
-    """Coefficients of powers of `main`, as polynomials with `main` zeroed."""
-    return {k: p.coefficient_of(main, k) for k in range(p.max_power(main) + 1)
-            if not p.coefficient_of(main, k).is_zero()}
-
-
 def univariate_over_ratfunc(p: MultiPoly, main: str, param: str) -> List[RatFunc]:
     """Dense coefficient list of p in `main`, coefficients in Q(param).
 
@@ -406,10 +389,6 @@ class Matrix:
     def copy_rows(self) -> List[List]:
         return [list(r) for r in self.rows]
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
-
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.rows])
 
@@ -421,11 +400,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
-
-
-def identity_matrix(n: int, one) -> Matrix:
-    zero = one - one
-    return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
 def scalar_matrix(n: int, value) -> Matrix:
@@ -469,17 +443,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
                    for i in range(a.nrows)])
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch")
-    return Matrix([[a.rows[i][j] - b.rows[i][j] for j in range(a.ncols)]
-                   for i in range(a.nrows)])
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return Matrix([[x * c for x in row] for row in a.rows])
-
-
 def block_diag(blocks: Sequence[Matrix]) -> Matrix:
     if not blocks:
         raise ValueError("no blocks")
@@ -496,10 +459,6 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
         r0 += b.nrows
         c0 += b.ncols
     return Matrix(rows)
-
-
-def stack_rows(vectors: Sequence[Sequence]) -> Matrix:
-    return Matrix([list(v) for v in vectors])
 
 
 # -- field elimination ------------------------------------------------------

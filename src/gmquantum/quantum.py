@@ -476,13 +476,21 @@ def degree_two_closed_form(counts: CountSet, j11) -> Fraction:
             + Fraction(6, 5) * i2)
 
 
-def standard_ring() -> QuantumRing:
-    """The ring with every invariant computed from geometry."""
-    counts = CountSet.from_geometry()
-    report = solve_three_point_invariants(counts, counts.J12)
+def ring_from_solve(counts: CountSet, report: SolveReport) -> QuantumRing:
+    """The ring on the given counts and their associativity solve.
+
+    The solved J11 must agree with the J11 recorded in the counts.
+    """
     if report.j11 != counts.J11:
         raise ValueError("associativity J11 disagrees with the derived value")
     return QuantumRing(counts, counts.J11, counts.J12, report.j2)
+
+
+def standard_ring() -> QuantumRing:
+    """The ring with every invariant computed from geometry."""
+    counts = CountSet.from_geometry()
+    return ring_from_solve(counts,
+                           solve_three_point_invariants(counts, counts.J12))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +509,6 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     """Characteristic polynomial of h * (-) and its eigenvalue structure."""
     mh = ring.h_matrix
     cp = char_poly(mh, var="X", var_degree=1)
-    xctx = cp.ctx
     # cp = X^2 (X^4 + a q X^2 + b q^2): extract the even quadratic in T = X^2
     coeffs = {}
     for k in range(7):
@@ -511,7 +518,6 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     even = sorted(coeffs) == [2, 4, 6]
     a_poly = coeffs.get(4)
     b_poly = coeffs.get(2)
-    qv = Fraction(1)
     a_val = sum(c for c in (a_poly.terms.values() if a_poly else [])) if a_poly else Fraction(0)
     b_val = sum(c for c in (b_poly.terms.values() if b_poly else [])) if b_poly else Fraction(0)
     # at q = 1 the quadratic is T^2 + a T + b
@@ -530,34 +536,55 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
         "squarefree_profile": profile,
     }
     # eigenvalues at q = 1: 0 twice plus the four square roots of the
-    # two roots of T^2 + a T + b; exact check for a surd pair r0 +- r1 sqrt(d)
-    r0 = -a_val / 2
-    d_num = disc
-    # write disc = r1^2 * d with d squarefree-ish small; scan small d
-    found = None
-    if d_num > 0:
-        for d in range(2, 200):
-            r = _rational_sqrt(d_num / d)
-            if r is not None:
-                found = (d, r / 2)
-                break
-    if found:
-        d, r1 = found
-        ok = (_surd_is_root(a_val, b_val, r0, r1, d)
-              and _surd_is_root(a_val, b_val, r0, -r1, d))
-        report["roots_at_q1"] = "%s +- %s sqrt(%d)" % (r0, r1, d)
-        report["roots_verified"] = ok
+    # two roots of T^2 + a T + b
+    report["roots_at_q1"], report["roots_verified"] = surd_roots(a_val, b_val)
     return report
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
+def squarefree_part(n: int) -> Tuple[int, int]:
+    """(s, d) with n = s^2 d and d squarefree, for a positive integer n.
+
+    Trial division runs while p^3 <= the cofactor; what is left then has
+    at most two prime factors, so it is squarefree unless it is a square.
+    """
+    if n <= 0:
+        raise ValueError("squarefree part of a non-positive integer")
+    s = d = 1
+    p = 2
+    while p * p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
+            d *= p
+        p += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
+
+
+def surd_roots(a: Fraction, b: Fraction) -> Tuple[str, bool]:
+    """The roots r0 +- r1 sqrt(d) of T^2 + a T + b over Q, checked exactly.
+
+    sqrt(disc) = s sqrt(d) / den where s^2 d is the squarefree split of
+    num * den.  A discriminant <= 0 or a rational square has no surd
+    pair; the returned note says so and the check reads False.
+    """
+    disc = a * a - 4 * b
+    r0 = -a / 2
+    if disc <= 0:
+        return ("no surd pair: the discriminant at q = 1 is %s <= 0"
+                % disc, False)
+    s, d = squarefree_part(disc.numerator * disc.denominator)
+    r1 = Fraction(s, 2 * disc.denominator)
+    if d == 1:
+        return ("no surd pair: the discriminant at q = 1 is the square of"
+                " %s, so the roots %s +- %s are rational" % (2 * r1, r0, r1),
+                False)
+    ok = _surd_is_root(a, b, r0, r1, d) and _surd_is_root(a, b, r0, -r1, d)
+    return "%s +- %s sqrt(%d)" % (r0, r1, d), ok
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs"
      / "certificate.schema.json").read_text())
 
+# `gmquantum verify-all --format json --no-timestamp`, recorded before the
+# atom statistics moved to the ambient block; every speed-up must keep it
+GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
+
 
 def run_json(capsys, argv):
     code = main(argv)
@@ -55,6 +59,11 @@ def test_verify_all_deterministic(capsys):
     main(argv + ["--jobs", "2"])
     parallel = capsys.readouterr().out
     assert parallel == first
+
+
+def test_verify_all_matches_golden_payload(capsys):
+    assert main(["verify-all", "--format", "json", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_VERIFY_ALL.read_bytes()
 
 
 def test_verify_all_counts(capsys):

@@ -1,16 +1,23 @@
 """First order deformation of the hyperplane action and its Jordan data."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from gmquantum.ambient import DIM
 from gmquantum.deformation import (
-    HodgeModel, TruncatedOperator, assemble_full_operator, atom_statistics,
-    build_deformed_matrix, eigenvalue, homogeneity_failures,
-    irrationality_criterion, jordan_pair, specialization_failures,
-    truncated_context, verify_jordan_pair,
+    FULL, PRIMITIVE_DIM, RANK_SEED, AtomStatistics, HodgeModel,
+    TruncatedOperator, _column_to_polys, _columns_matrix,
+    assemble_full_operator, atom_statistics, build_deformed_matrix,
+    eigenvalue, homogeneity_failures, irrationality_criterion, jordan_pair,
+    specialization_failures, truncated_context, verify_jordan_pair,
 )
-from gmquantum.linalg import Matrix, scalar_matrix
+from gmquantum.linalg import (
+    Matrix, RatFunc, char_poly, mat_add, matmul, matvec, nullspace_field,
+    poly_to_ratfunc, rank_checked, ratfunc_matrix, scalar_matrix,
+    solve_field, squarefree_profile,
+)
 from gmquantum.quantum import perturbed_ring, quantum_context, standard_ring
 
 DEFORMED = (
@@ -155,6 +162,154 @@ def test_atom_statistics(operator):
     assert d["ambient_kernel_dim_t0"] == 2
     assert d["beta_in_kernel"] is True
     assert d["alpha_has_nonzero_image"] is True
+
+
+# ---------------------------------------------------------------------------
+# oracle: generic Q(q) elimination on the whole 28 dimensional operator
+# ---------------------------------------------------------------------------
+
+
+def _drop_rows(m, rows):
+    keep = [i for i in range(m.nrows) if i not in set(rows)]
+    return Matrix([m.rows[i] for i in keep])
+
+
+def full_atom_statistics(op, model):
+    """Jordan data of -4qt by elimination on all 28 classes at once.
+
+    Assumes nothing about the block structure: E is the order zero
+    kernel of (K - lambda)^2 over Q(q) on the full operator, lifted to
+    first order, and every overlap is a rank over Q(q, t).
+    """
+    assert op.basis == FULL
+    tctx = op.ctx
+    plain = tctx.without_truncation()
+    lam = eigenvalue(tctx)
+    n = op.dim
+    shifted = Matrix([[op.matrix[i, j] - (lam if i == j else tctx.zero())
+                       for j in range(n)] for i in range(n)])
+
+    amb = Matrix([[shifted[i, j] for j in range(DIM)] for i in range(DIM)])
+    hpoly = char_poly(amb, var="Y")
+    low_vanish = (hpoly.coefficient_of("Y", 0).is_zero()
+                  and hpoly.coefficient_of("Y", 1).is_zero())
+    assert low_vanish
+    assert not hpoly.coefficient_of("Y", 2).coefficient_of("t", 0).is_zero()
+    multiplicity = 2 + PRIMITIVE_DIM
+    cof0 = [hpoly.coefficient_of("Y", k).coefficient_of("t", 0)
+            for k in range(2, 7)]
+    cofactor_profile = squarefree_profile(
+        [poly_to_ratfunc(c, "q") if not c.is_zero() else RatFunc.zero()
+         for c in cof0])
+
+    n0 = shifted.map(lambda e: e.coefficient_of("t", 0))
+    n1 = shifted.map(lambda e: e.coefficient_of("t", 1))
+    sq_rf = ratfunc_matrix(matmul(n0, n0), "q")
+    cross_rf = ratfunc_matrix(mat_add(matmul(n0, n1), matmul(n1, n0)), "q")
+    columns = []
+    for e in nullspace_field(sq_rf, RatFunc.one()):
+        f = solve_field(sq_rf, [-x for x in matvec(cross_rf, e)])
+        assert f is not None
+        columns.append(_column_to_polys(e, f, plain))
+
+    images = []
+    for col in columns:
+        w = matvec(shifted, [c.substitute({}, tctx) for c in col])
+        assert all(c.is_zero() for c in matvec(shifted, w))
+        images.append([c.substitute({}, plain) for c in w])
+
+    rng = random.Random(RANK_SEED)
+    basis = _columns_matrix(columns)
+    e_dim = rank_checked(basis, rng)
+    image_mat = _columns_matrix(images)
+    gamma = rank_checked(image_mat, rng)
+    image_in_ambient = all(image_mat[i, j].is_zero()
+                           for i in range(DIM, n)
+                           for j in range(image_mat.ncols))
+    alpha, beta = jordan_pair(tctx)
+    beta_full = ([b.coefficient_of("t", 0).substitute({}, plain)
+                  for b in beta] + [plain.zero()] * PRIMITIVE_DIM)
+    on_beta_line = True
+    for j in range(image_mat.ncols):
+        col = image_mat.col(j)
+        if all(c.is_zero() for c in col):
+            continue
+        span = Matrix([[col[i], beta_full[i]] for i in range(n)])
+        if rank_checked(span, rng) != 1:
+            on_beta_line = False
+    pad = [tctx.zero()] * PRIMITIVE_DIM
+    beta_killed = all(c.is_zero() for c in matvec(shifted, beta + pad))
+    alpha_moves = any(not c.is_zero() for c in matvec(shifted, alpha + pad))
+    primitive_killed = sum(
+        1 for j in range(len(columns))
+        if all(columns[j][i].is_zero() for i in range(DIM))
+        and all(image_mat[i, j].is_zero() for i in range(n)))
+
+    rho = e_dim - rank_checked(_drop_rows(basis, range(DIM)), rng)
+    h31_rows = model.rows_with_tag((3, 1))
+    nu = (e_dim - rank_checked(_drop_rows(basis, h31_rows), rng)
+          if h31_rows else 0)
+    details = {
+        "multiplicity": multiplicity,
+        "e_dimension": e_dim,
+        "kernel_in_e_dimension": e_dim - gamma,
+        "size_two_blocks": gamma,
+        "image_in_ambient": image_in_ambient,
+        "image_on_beta_line": on_beta_line,
+        "beta_in_kernel": beta_killed,
+        "alpha_has_nonzero_image": alpha_moves,
+        "primitive_columns_killed": primitive_killed,
+        "ambient_kernel_dim_t0": DIM - rank_checked(
+            Matrix([[n0[i, j].substitute({}, plain) for j in range(DIM)]
+                    for i in range(DIM)]), rng),
+        "ambient_char_low_coeffs_vanish": low_vanish,
+        "cofactor_squarefree_profile_t0": cofactor_profile,
+    }
+    return AtomStatistics(lam, nu, 0, gamma, rho, details)
+
+
+TWO_H31 = HodgeModel(((3, 1),) * 2 + ((2, 2),) * 19 + ((1, 3),))
+
+
+@pytest.mark.parametrize("model", [
+    HodgeModel.standard(), HodgeModel.standard().without_h31(), TWO_H31,
+], ids=["standard", "without-h31", "two-h31"])
+def test_block_route_matches_full_oracle(operator, model):
+    full = assemble_full_operator(operator, model)
+    block = atom_statistics(full, model)
+    oracle = full_atom_statistics(full, model)
+    assert block.lambda0 == oracle.lambda0
+    assert ((block.nu, block.nu_prime, block.gamma, block.rho)
+            == (oracle.nu, oracle.nu_prime, oracle.gamma, oracle.rho))
+    assert block.details == oracle.details
+    assert block.nu == model.h31()
+
+
+def _mutated_full(operator, i, j, delta):
+    full = assemble_full_operator(operator, HodgeModel.standard())
+    rows = full.matrix.copy_rows()
+    rows[i][j] = rows[i][j] + delta
+    return TruncatedOperator(Matrix(rows), full.basis, full.ctx)
+
+
+@pytest.mark.parametrize("i, j", [(2, 6), (6, 2), (27, 0), (0, 27)])
+def test_atom_statistics_rejects_block_mixing(operator, i, j):
+    q = operator.ctx.var("q")
+    with pytest.raises(ValueError, match="mixes"):
+        atom_statistics(_mutated_full(operator, i, j, q), HodgeModel.standard())
+
+
+@pytest.mark.parametrize("i, j", [(6, 6), (27, 27), (7, 20)])
+def test_atom_statistics_rejects_nonscalar_primitive_block(operator, i, j):
+    t = operator.ctx.var("t")
+    with pytest.raises(ValueError, match="primitive block"):
+        atom_statistics(_mutated_full(operator, i, j, t),
+                        HodgeModel.standard())
+
+
+def test_atom_statistics_rejects_the_ambient_operator(operator):
+    with pytest.raises(ValueError):
+        atom_statistics(operator, HodgeModel.standard())
 
 
 def test_irrationality_criterion(operator):

@@ -1,9 +1,11 @@
 """Quantum product table, spectral data, kernel, and presentation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from gmquantum import certificates, gwcounts, quantum
 from gmquantum.ambient import BASIS_NAMES, DIM, AmbientRing
 from gmquantum.gwcounts import CountSet
 from gmquantum.poly import VarContext
@@ -11,8 +13,8 @@ from gmquantum.quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
     kernel_basis, perturbed_ring, presentation_report, quantum_context,
-    solve_three_point_invariants, spectral_report, standard_ring,
-    star_h_matrix,
+    ring_from_solve, solve_three_point_invariants, spectral_report, squarefree_part,
+    standard_ring, star_h_matrix, surd_roots,
 )
 
 # the full table, frozen as rendered strings; every later claim about
@@ -129,6 +131,69 @@ def test_spectral_report(ring):
     assert rep["roots_verified"] is True
     assert rep["discriminant_at_q1"] == Fraction(2000)
     assert rep["constant_term_at_q1"] == Fraction(-16)
+
+
+def test_ring_from_solve_checks_j11(ring):
+    counts = CountSet.from_geometry()
+    rep = solve_three_point_invariants(counts, counts.J12)
+    assert ring_from_solve(counts, rep).table == ring.table
+    wrong = dataclasses.replace(counts, J11=counts.J11 + 1)
+    with pytest.raises(ValueError):
+        ring_from_solve(wrong, rep)
+
+
+def test_workspace_ring_reuses_counts_and_solve(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((certificates, "all_reports"),
+                         (gwcounts, "all_reports"),
+                         (certificates, "solve_three_point_invariants"),
+                         (quantum, "solve_three_point_invariants")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    ring = certificates.Workspace().ring
+    assert calls == ["all_reports", "solve_three_point_invariants"]
+    assert ring.table == standard_ring().table
+
+
+@pytest.mark.parametrize("n, split", [
+    (1, (1, 1)), (2, (1, 2)), (4, (2, 1)), (8, (2, 2)), (2000, (20, 5)),
+    (3 * 3 * 7 * 7 * 11, (21, 11)), (101 * 103, (1, 101 * 103)),
+    (101 ** 2 * 6, (101, 6)), (10 ** 12 + 39, (1, 10 ** 12 + 39)),
+])
+def test_squarefree_part(n, split):
+    s, d = squarefree_part(n)
+    assert (s, d) == split
+    assert s * s * d == n
+
+
+def test_squarefree_part_rejects_non_positive():
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            squarefree_part(n)
+
+
+def test_surd_roots():
+    assert surd_roots(Fraction(-44), Fraction(-16)) == ("22 +- 10 sqrt(5)",
+                                                        True)
+    # disc = 1/9 + 4/7 = 43/63, sqrt = sqrt(301)/21
+    assert surd_roots(Fraction(1, 3), Fraction(-1, 7)) == \
+        ("-1/6 +- 1/42 sqrt(301)", True)
+
+
+@pytest.mark.parametrize("a, b, phrase", [
+    (0, 1, "-4 <= 0"), (-4, 4, "0 <= 0"),
+    (-5, 6, "the roots 5/2 +- 1/2 are rational"),
+])
+def test_surd_roots_degenerate_note(a, b, phrase):
+    note, ok = surd_roots(Fraction(a), Fraction(b))
+    assert note.startswith("no surd pair") and phrase in note
+    assert ok is False
 
 
 def test_kernel_basis_exact(ring):
