@@ -12,8 +12,8 @@ SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs"
      / "certificate.schema.json").read_text())
 
-# `gmquantum verify-all --format json --no-timestamp`, recorded before the
-# atom statistics moved to the ambient block; every speed-up must keep it
+# `gmquantum verify-all --format json --no-timestamp` of a verified build:
+# a change that moves a byte of it changes certified content
 GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
 
 
