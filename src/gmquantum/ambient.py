@@ -14,7 +14,7 @@ basis order (1, h, s2, s11, s3, s31).  The point class is s31 / 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import Matrix, inverse_field
 from .schubert import Grassmannian2
@@ -36,10 +36,6 @@ def vector(values: Sequence) -> Vec:
 
 def unit(index: int) -> Vec:
     return tuple(Fraction(1 if i == index else 0) for i in range(DIM))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_scale(a: Vec, c) -> Vec:
@@ -106,15 +102,6 @@ class AmbientRing:
             test = self.g.multiply(prod, self.lift(duals[k]))
             out.append(2 * self.g.integrate(self.g.multiply(test, self._hyper2)))
         return tuple(out)
-
-    def cup_table(self) -> Dict[Tuple[int, int], Vec]:
-        table = {}
-        for i in range(DIM):
-            for j in range(i, DIM):
-                prod = self.cup(unit(i), unit(j))
-                table[(i, j)] = prod
-                table[(j, i)] = prod
-        return table
 
     def point_class(self) -> Vec:
         return vec_scale(unit(self.index["s31"]), Fraction(1, 2))

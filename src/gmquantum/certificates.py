@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -193,14 +192,12 @@ class Workspace:
     """Lazily built shared objects behind the certificate builders."""
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._cache: Dict[str, object] = {}
 
     def _get(self, key: str, build: Callable[[], object]):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def reports(self):
@@ -223,6 +220,10 @@ class Workspace:
     def ring(self) -> QuantumRing:
         return self._get("ring", lambda: ring_from_solve(self.counts,
                                                          self.solve))
+
+    @property
+    def spectrum(self) -> Dict[str, object]:
+        return self._get("spectrum", lambda: spectral_report(self.ring))
 
     @property
     def operator(self) -> TruncatedOperator:
@@ -303,7 +304,7 @@ def matrix_certificates(ws: Workspace) -> List[Certificate]:
         trace=("columns list h * e_b in the basis (s0, s1, s2, s11, s3, s31)",
                "entries come from the divisor axiom applied to the two"
                " point counts"))]
-    sp = spectral_report(ring)
+    sp = ws.spectrum
     certs.append(make(
         "matrix.char-poly", sp["char_poly"], FROZEN_CHAR_POLY, FROZEN,
         trace=("characteristic polynomial of the h action over Q[q]",

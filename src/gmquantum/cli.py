@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,6 +45,10 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
             out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ValueError("--at value %r is not a rational" % value)
+        try:
+            str(out[name])
+        except ValueError:
+            raise ValueError("--at value %r has too many digits" % value)
     return out
 
 
@@ -131,10 +134,11 @@ def gw_summary(ws: Workspace) -> Dict[str, object]:
 
 
 def matrix_summary(ws: Workspace) -> Dict[str, object]:
+    sp = ws.spectrum
     return {
-        "char_poly": "-16*q^2*X^2 - 44*q*X^4 + X^6",
-        "kernel_dimension": 2,
-        "eigenvalue_squares_at_q1": "22 +- 10 sqrt(5)",
+        "char_poly": sp["char_poly"],
+        "kernel_dimension": sp["kernel_dimension"],
+        "eigenvalue_squares_at_q1": sp["roots_at_q1"],
     }
 
 
@@ -189,14 +193,8 @@ SUMMARIES = {
 }
 
 
-def verify_all_certificates(ws: Workspace, seed: int,
-                            jobs: int) -> List[Certificate]:
-    builders = [GROUP_BUILDERS[name] for name in sorted(GROUP_BUILDERS)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(lambda b: b(ws), builders))
-    else:
-        groups = [b(ws) for b in builders]
+def verify_all_certificates(ws: Workspace, seed: int) -> List[Certificate]:
+    groups = [GROUP_BUILDERS[name](ws) for name in sorted(GROUP_BUILDERS)]
     groups.append(property_certificates(ws, seed))
     return merge(groups)
 
@@ -299,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=0,
                            help="seed for the random property sample")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker threads for certificate groups")
         return p
 
     add("gw", "the seven Gromov-Witten numbers with derivation traces")
@@ -322,11 +318,11 @@ def run(args: argparse.Namespace) -> int:
     ws = Workspace()
     at = None
     at_report = None
-    if getattr(args, "at", None):
+    if getattr(args, "at", None) is not None:
         at = parse_at(args.at, args.at_vars)
     command = args.command
     if command == "verify-all":
-        certs = verify_all_certificates(ws, args.seed, args.jobs)
+        certs = verify_all_certificates(ws, args.seed)
         by_status = {VERIFIED: 0, MODEL_AXIOM: 0, FAILED: 0}
         for c in certs:
             by_status[c.status] = by_status.get(c.status, 0) + 1

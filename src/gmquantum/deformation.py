@@ -38,9 +38,9 @@ from typing import Dict, List, Sequence, Tuple
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
     Matrix, RatFunc, block_diag, char_poly, mat_add, matmul, matvec,
-    nullspace_field, poly_to_ratfunc, rank_checked, ratfunc_matrix,
-    scalar_matrix, solve_field, squarefree_profile, up_div_exact, up_gcd,
-    up_mul, yun_squarefree,
+    nullspace_field, rank_checked, ratfunc_matrix, scalar_matrix,
+    solve_field, squarefree_profile, univariate_over_ratfunc, up_div_exact,
+    up_gcd, up_mul, yun_squarefree,
 )
 from .poly import MultiPoly, VarContext
 from .quantum import QuantumRing, associativity_failures
@@ -362,11 +362,8 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     multiplicity = 2 + PRIMITIVE_DIM
 
     # the four moving eigenvalue branches stay simple at t = 0
-    cof0 = [hpoly.coefficient_of("Y", k).coefficient_of("t", 0)
-            for k in range(2, 7)]
-    cof_rf = [poly_to_ratfunc(c, "q") if not c.is_zero() else RatFunc.zero()
-              for c in cof0]
-    cofactor_profile = squarefree_profile(cof_rf)
+    cofactor_profile = squarefree_profile(univariate_over_ratfunc(
+        hpoly.coefficient_of("t", 0), "Y", "q")[2:])
 
     # order zero eigenspace over Q(q), then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
@@ -461,19 +458,6 @@ class CriterionReport:
     notes: Tuple[str, ...]
 
 
-def _char_coeffs(m: Matrix) -> List[RatFunc]:
-    cp = char_poly(m, var="X")
-    if "q" in cp.ctx.index:
-        coeffs = []
-        for k in range(cp.max_power("X") + 1):
-            ck = cp.coefficient_of("X", k)
-            coeffs.append(poly_to_ratfunc(ck, "q") if not ck.is_zero()
-                          else RatFunc.zero())
-        return coeffs
-    return [RatFunc.from_fraction(cp.coefficient_of("X", k).scalar_value())
-            for k in range(cp.max_power("X") + 1)]
-
-
 def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     """Spectral test on the ambient block of twice the hyperplane action.
 
@@ -482,7 +466,7 @@ def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     verified operator the spectrum is four simple nonzero branches plus
     a two dimensional kernel.
     """
-    coeffs = _char_coeffs(m)
+    coeffs = univariate_over_ratfunc(char_poly(m, var="X"), "X", "q")
     factors = yun_squarefree(coeffs)
     profile = {mult: len(fac) - 1 for mult, fac in factors}
     max_mult = max(profile) if profile else 0

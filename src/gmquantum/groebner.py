@@ -8,9 +8,9 @@ univariate rational functions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-from .poly import Exponent, MultiPoly, VarContext, weighted_grevlex_key
+from .poly import Exponent, MultiPoly, weighted_grevlex_key
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -157,13 +157,3 @@ class PolyIdeal:
 
     def quotient_dimension(self, cap: int = 1000) -> int:
         return len(self.standard_monomials(cap))
-
-    def multiplication_table(self, cap: int = 1000) -> Dict[Tuple[Exponent, Exponent], MultiPoly]:
-        """Products of standard monomials, reduced to normal form."""
-        sm = self.standard_monomials(cap)
-        table = {}
-        for a in sm:
-            for b in sm:
-                prod = self.ctx.monomial(tuple(x + y for x, y in zip(a, b)))
-                table[(a, b)] = self.reduce(prod)
-        return table

@@ -333,7 +333,12 @@ class RatFunc:
 
 
 def poly_to_ratfunc(p: MultiPoly, name: str) -> RatFunc:
-    """A polynomial involving only `name` becomes an element of Q(name)."""
+    """A polynomial involving only `name` becomes an element of Q(name).
+
+    In a context without `name` the polynomial must be a scalar.
+    """
+    if name not in p.ctx.index:
+        return RatFunc([p.scalar_value()])
     i = p.ctx.index[name]
     coeffs = [Fraction(0)] * (p.max_power(name) + 1)
     for exp, c in p.terms.items():
@@ -574,37 +579,6 @@ def _exact_div(a, b):
     return a / b
 
 
-def det_bareiss(m: Matrix):
-    """Determinant by fraction-free elimination; entries in an integral domain."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    a = m.copy_rows()
-    sample = a[0][0]
-    zero = sample - sample
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if a[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else _exact_div(num, prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def rank_bareiss(m: Matrix) -> int:
     """Rank over the fraction field, by fraction-free elimination.
 
@@ -699,17 +673,17 @@ def _det_cofactor(rows: List[List[MultiPoly]], ctx: VarContext) -> MultiPoly:
     return f[(1 << n) - 1]
 
 
-def char_poly(m: Matrix, var: str = "X", var_degree: int = 1,
-              method: Optional[str] = None) -> MultiPoly:
+def char_poly(m: Matrix, var: str = "X") -> MultiPoly:
     """det(var * I - m) as a MultiPoly in the entry context extended by var.
 
-    `method` is 'cofactor' (any commutative ring, n <= 12) or 'bareiss'
-    (integral domain entries, n <= 28); by default small matrices and
-    truncated rings take the cofactor route, larger ones Bareiss.
+    The determinant is the subset cofactor expansion, which works over any
+    commutative ring (truncated ones included) and is limited to n <= 12.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
+    if n > 12:
+        raise ValueError("cofactor expansion limited to 12 rows")
     base = None
     for row in m.rows:
         for x in row:
@@ -719,11 +693,11 @@ def char_poly(m: Matrix, var: str = "X", var_degree: int = 1,
         if base:
             break
     if base is None:
-        ext = VarContext((var,), (var_degree,))
+        ext = VarContext((var,), (1,))
     else:
         if var in base.index:
             raise ValueError("variable %r already used by the entries" % var)
-        ext = base.extended((var,), (var_degree,))
+        ext = base.extended((var,), (1,))
     x = ext.var(var)
 
     def lift(entry):
@@ -733,19 +707,7 @@ def char_poly(m: Matrix, var: str = "X", var_degree: int = 1,
 
     rows = [[(x - lift(m.rows[i][j])) if i == j else -lift(m.rows[i][j])
              for j in range(n)] for i in range(n)]
-    if method is None:
-        method = "cofactor" if (n <= 12 or ext.nilpotent) else "bareiss"
-    if method == "cofactor":
-        if n > 12:
-            raise ValueError("cofactor expansion limited to 12 rows")
-        return _det_cofactor(rows, ext)
-    if method == "bareiss":
-        if ext.nilpotent:
-            raise ValueError("Bareiss elimination needs an integral domain")
-        if n > 28:
-            raise ValueError("Bareiss characteristic polynomial limited to 28 rows")
-        return det_bareiss(Matrix(rows))
-    raise ValueError("unknown method %r" % method)
+    return _det_cofactor(rows, ext)
 
 
 def ratfunc_matrix(m: Matrix, name: str) -> Matrix:

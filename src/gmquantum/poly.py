@@ -9,24 +9,19 @@ from different contexts never mix.
 
 Variable degrees may be negative (a deformation parameter of degree -1 is
 used downstream), so the weighted degree of a monomial is an integer of
-either sign.  Monomial comparisons for Groebner bases use graded reverse
-lexicographic order on raw exponents with the context's declared variable
-order; the weighted grading is only consulted for homogeneity checks and
-truncation by dimension.
+either sign.  Every monomial comparison (leading terms, Groebner bases,
+printing) uses `weighted_grevlex_key`: weighted degree first, then
+reverse lexicographic order in the context's declared variable order.
+The same weights decide the homogeneity checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 Rational = Fraction
 Exponent = Tuple[int, ...]
-
-
-def grevlex_key(expvec: Exponent):
-    """Sort key: larger key = larger monomial in graded reverse lex order."""
-    return (sum(expvec), tuple(-e for e in reversed(expvec)))
 
 
 def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
@@ -285,11 +280,6 @@ class MultiPoly:
         return MultiPoly(self.ctx, {e: c for e, c in self.terms.items()
                                     if self.ctx.weighted_degree(e) == degree})
 
-    def truncate_above(self, max_degree: int) -> "MultiPoly":
-        """Drop all terms of weighted degree > max_degree."""
-        return MultiPoly(self.ctx, {e: c for e, c in self.terms.items()
-                                    if self.ctx.weighted_degree(e) <= max_degree})
-
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that slot zeroed."""
         i = self.ctx.index[name]
@@ -349,9 +339,6 @@ class MultiPoly:
             total = total + val
         return total
 
-    def map_coeffs(self, fn, target: VarContext) -> "MultiPoly":
-        return MultiPoly(target, {e: fn(c) for e, c in self.terms.items()})
-
     # -- display ----------------------------------------------------------
 
     def sorted_terms(self):
@@ -387,17 +374,3 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
-
-
-def euler_degree_check(poly: MultiPoly) -> bool:
-    """True iff applying the grading Euler operator scales each term correctly.
-
-    Equivalent to `is_homogeneous` but computed through the operator
-    sum_i deg(x_i) x_i d/dx_i, kept as an independent route for tests.
-    """
-    if poly.is_zero():
-        return True
-    degs = set()
-    for exp in poly.terms:
-        degs.add(poly.ctx.weighted_degree(exp))
-    return len(degs) == 1

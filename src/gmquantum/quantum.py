@@ -234,12 +234,6 @@ class QuantumRing:
                     out[k] = out[k] + coeff * entry[k]
         return tuple(out)
 
-    def power(self, x: QVec, n: int) -> QVec:
-        out = self.basis_element("s0")
-        for _ in range(n):
-            out = self.star(out, x)
-        return out
-
     def pairing(self, x: QVec, y: QVec) -> MultiPoly:
         gram = self.amb.gram()
         out = self.ctx.zero()
@@ -508,23 +502,15 @@ def _surd_is_root(b, c, r0, r1, d) -> bool:
 def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     """Characteristic polynomial of h * (-) and its eigenvalue structure."""
     mh = ring.h_matrix
-    cp = char_poly(mh, var="X", var_degree=1)
-    # cp = X^2 (X^4 + a q X^2 + b q^2): extract the even quadratic in T = X^2
-    coeffs = {}
-    for k in range(7):
-        c = cp.coefficient_of("X", k)
-        if not c.is_zero():
-            coeffs[k] = c
-    even = sorted(coeffs) == [2, 4, 6]
-    a_poly = coeffs.get(4)
-    b_poly = coeffs.get(2)
-    a_val = sum(c for c in (a_poly.terms.values() if a_poly else [])) if a_poly else Fraction(0)
-    b_val = sum(c for c in (b_poly.terms.values() if b_poly else [])) if b_poly else Fraction(0)
-    # at q = 1 the quadratic is T^2 + a T + b
+    cp = char_poly(mh, var="X")
+    coeffs = univariate_over_ratfunc(cp, "X", "q")
+    # cp = X^2 (X^4 + a q X^2 + b q^2): at q = 1 the quadratic in T = X^2
+    # is T^2 + a T + b
+    even = [k for k, c in enumerate(coeffs) if c] == [2, 4, 6]
+    a_val = coeffs[4].evaluate(1)
+    b_val = coeffs[2].evaluate(1)
     disc = a_val * a_val - 4 * b_val
     rk = rank_checked(mh, random.Random(20260822))
-    profile = squarefree_profile(
-        univariate_over_ratfunc(cp, "X", "q"))
     report = {
         "char_poly": str(cp),
         "only_even_powers": even,
@@ -533,7 +519,7 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
         "constant_term_at_q1": b_val,
         "rank": rk,
         "kernel_dimension": DIM - rk,
-        "squarefree_profile": profile,
+        "squarefree_profile": squarefree_profile(coeffs),
     }
     # eigenvalues at q = 1: 0 twice plus the four square roots of the
     # two roots of T^2 + a T + b

@@ -12,9 +12,24 @@ SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs"
      / "certificate.schema.json").read_text())
 
-# `gmquantum verify-all --format json --no-timestamp` of a verified build:
-# a change that moves a byte of it changes certified content
-GOLDEN_VERIFY_ALL = Path(__file__).resolve().parent / "data" / "verify_all.json"
+# `gmquantum <argv> --format json --no-timestamp` of a verified build, one
+# file per command line: a change that moves a byte of one changes
+# certified content or a report
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+GOLDEN_VERIFY_ALL = GOLDEN_DIR / "verify_all.json"
+GOLDEN_PAYLOADS = {
+    "verify_all_seed_7": ["verify-all", "--seed", "7"],
+    "gw": ["gw"],
+    "matrix": ["matrix"],
+    "table": ["table"],
+    "presentation": ["presentation"],
+    "deform": ["deform"],
+    "criterion": ["criterion"],
+    "matrix_at_q_3_2": ["matrix", "--at", "q=3/2"],
+    "deform_at_q_2_t_1_3": ["deform", "--at", "q=2,t=1/3"],
+    "criterion_at_q_-7_3": ["criterion", "--at", "q=-7/3"],
+    "criterion_at_q_0": ["criterion", "--at", "q=0"],
+}
 
 
 def run_json(capsys, argv):
@@ -56,14 +71,19 @@ def test_verify_all_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
-    main(argv + ["--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert parallel == first
 
 
 def test_verify_all_matches_golden_payload(capsys):
     assert main(["verify-all", "--format", "json", "--no-timestamp"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_VERIFY_ALL.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+def test_report_matches_golden_payload(capsys, name):
+    argv = GOLDEN_PAYLOADS[name] + ["--format", "json", "--no-timestamp"]
+    assert main(argv) == 0
+    golden = (GOLDEN_DIR / ("%s.json" % name)).read_bytes()
+    assert capsys.readouterr().out.encode() == golden
 
 
 def test_verify_all_counts(capsys):
@@ -119,12 +139,11 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_bad_at_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["matrix", "--at", "q=banana"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["matrix", "--at", "t=1"])
-    assert exc.value.code == 2
+    for spec in ("q=banana", "t=1", "", "q=1e5000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--at", spec])
+        assert exc.value.code == 2, spec
+    assert "too many digits" in capsys.readouterr().err
 
 
 def test_gw_rejects_at(capsys):
