@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,6 +23,7 @@ from .certificates import (
 )
 from .deformation import irrationality_criterion
 from .linalg import Matrix
+from .quantum import surd_pair_solves
 
 COMMANDS = ("gw", "matrix", "table", "presentation", "deform",
             "criterion", "verify-all")
@@ -33,23 +35,40 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
     for part in spec.split(","):
         part = part.strip()
         if "=" not in part:
-            raise ValueError("--at expects name=value pairs, got %r" % part)
+            raise ValueError("--at expects name=value pairs, got %r"
+                             % _clip(part))
         name, _, value = part.partition("=")
         name = name.strip()
         if name not in allowed:
             raise ValueError("--at variable %r is not one of %s"
-                             % (name, ", ".join(allowed)))
+                             % (_clip(name), ", ".join(allowed)))
         if name in out:
             raise ValueError("--at sets %r twice" % name)
+        value = value.strip()
+        # Fraction() and str() both refuse integers past Python's digit
+        # limit with a ValueError of their own
+        limit = sys.get_int_max_str_digits()
         try:
-            out[name] = Fraction(value.strip())
+            out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError("--at value %r is not a rational" % value)
+            if 0 < limit < sum(ch.isdigit() for ch in value):
+                raise ValueError(_too_many_digits(value, limit))
+            raise ValueError("--at value %r is not a rational"
+                             % _clip(value))
         try:
             str(out[name])
         except ValueError:
-            raise ValueError("--at value %r has too many digits" % value)
+            raise ValueError(_too_many_digits(value, limit))
     return out
+
+
+def _clip(value: str, width: int = 24) -> str:
+    return value if len(value) <= width else value[:width] + "..."
+
+
+def _too_many_digits(value: str, limit: int) -> str:
+    return "--at value %r has too many digits (more than %d)" % (
+        _clip(value), limit)
 
 
 def _format_numeric(values) -> str:
@@ -69,23 +88,31 @@ def _format_numeric(values) -> str:
 
 
 def matrix_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
+    """The h matrix at q = qval and its eigenvalue squares T = X^2.
+
+    T has degree 2 = deg q, so the quadratic T^2 + a T + b at q = 1 becomes
+    T^2 + a q T + b q^2, and its roots are q times the q = 1 roots.
+    """
     mh = ws.ring.h_matrix
     rows = [[str(mh.rows[i][j].evaluate({"q": qval})) for j in range(DIM)]
             for i in range(DIM)]
-    a = 44 * qval
-    b = 16 * qval * qval
-    r0 = 22 * qval
-    r1 = 10 * qval
-    # substitute r0 +- r1 sqrt(5) into T^2 - a T - b exactly
-    rational = r0 * r0 + 5 * r1 * r1 - a * r0 - b
-    irrational = 2 * r0 * r1 - a * r1
-    return {
+    sp = ws.spectrum
+    a1, b1 = sp["quadratic_at_q1"]
+    a, b = a1 * qval, b1 * qval * qval
+    report: Dict[str, object] = {
         "matrix": rows,
-        "eigenvalue_square_equation": "T^2 - %s*T - %s" % (a, b),
-        "eigenvalue_squares": ["%s + %s*sqrt(5)" % (r0, r1),
-                               "%s - %s*sqrt(5)" % (r0, r1)],
-        "roots_verified": rational == 0 and irrational == 0,
+        "eigenvalue_square_equation": "T^2 - %s*T - %s" % (-a, -b),
     }
+    if sp["surd_at_q1"] is None or sp["surd_at_q1"][2] == 1:
+        report["eigenvalue_squares"] = [sp["roots_at_q1"]]
+        report["roots_verified"] = False
+        return report
+    r0, r1, d = sp["surd_at_q1"]
+    r0, r1 = r0 * qval, r1 * qval
+    report["eigenvalue_squares"] = ["%s + %s*sqrt(%d)" % (r0, r1, d),
+                                    "%s - %s*sqrt(%d)" % (r0, r1, d)]
+    report["roots_verified"] = surd_pair_solves(a, b, r0, r1, d)
+    return report
 
 
 def table_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:

@@ -15,6 +15,19 @@ attached to sigma_11:
 The chains only ever divide by the integers 2 and 3, so the whole table
 is affine in any symbolic unknowns fed in for J11 and J2; that is what
 `solve_three_point_invariants` exploits to pin both from associativity.
+
+Products are computed from the table read as structure constants, in the
+WDVV framing of Kontsevich-Manin: e_i * e_j = sum_k c_ijk e_k, where each
+c_ijk is a polynomial whose monomials the grading fixes (a single power
+q^((deg i + deg j - deg k)/2) on the standard ring).  A `StructureTensor`
+stores, for each ordered pair (i, j), the (k, exponent, integer
+coefficient) entries of that pair over one denominator for the whole
+tensor.  `star` contracts two vectors against it, and `pairing` contracts
+them against the Gram matrix stored the same way: each input vector is put
+over the lcm of its coefficients' denominators, integer numerators are
+accumulated per exponent tuple, and every output coefficient is divided
+exactly once.  Exponent tuples are generic, so the symbolic (uJ11, uJ2)
+ring of the solver runs through the same code.
 """
 
 from __future__ import annotations
@@ -23,7 +36,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
@@ -32,10 +47,11 @@ from .linalg import (
     poly_to_ratfunc, rank_checked, rank_field, solve_field,
     squarefree_profile, univariate_over_ratfunc,
 )
-from .poly import MultiPoly, VarContext
+from .poly import Exponent, MultiPoly, VarContext
 from .gwcounts import CountSet
 
 QVec = Tuple[MultiPoly, ...]
+Table = Mapping[Tuple[int, int], QVec]
 
 
 def quantum_context(extra: Sequence[str] = ()) -> VarContext:
@@ -121,11 +137,76 @@ def sigma11_square(j11, j12, j2, amb: AmbientRing, ctx: VarContext) -> QVec:
     return tuple(out)
 
 
+def _integer_form(x: QVec) -> Tuple[List[List[Tuple[Exponent, int]]], int]:
+    """x as (exponent, integer numerator) terms per slot, and their common
+    denominator."""
+    den = math.lcm(*(c.denominator for p in x for c in p.terms.values()))
+    return [[(e, c.numerator * (den // c.denominator))
+             for e, c in p.terms.items()] for p in x], den
+
+
+class StructureTensor:
+    """A bilinear map Q[u]^DIM x Q[u]^DIM -> Q[u]^width in integer form.
+
+    `images[(i, j)]` is the image of (e_i, e_j), `width` polynomials; a
+    missing pair maps to zero.  The nonzero coefficients are stored as
+    rows[i][j] = [(k, exponent, numerator), ...] over the single
+    denominator `den`, the lcm of every coefficient's denominator.
+    """
+
+    def __init__(self, ctx: VarContext, width: int,
+                 images: Mapping[Tuple[int, int], Sequence[MultiPoly]]):
+        self.ctx = ctx
+        self.width = width
+        self.den = math.lcm(*(c.denominator for vec in images.values()
+                              for p in vec for c in p.terms.values()))
+        self.rows = [[[(k, e, c.numerator * (self.den // c.denominator))
+                       for k, p in enumerate(images.get((i, j), ()))
+                       for e, c in p.terms.items()]
+                      for j in range(DIM)] for i in range(DIM)]
+
+    def contract(self, x: QVec, y: QVec) -> QVec:
+        """The image of (x, y): sum over i, j of x_i y_j images[(i, j)].
+
+        Only Python ints are multiplied and added; each output coefficient
+        becomes one Fraction over den(x) den(y) den(tensor).
+        """
+        xs, xden = _integer_form(x)
+        ys, yden = _integer_form(y)
+        acc: List[Dict[Exponent, int]] = [{} for _ in range(self.width)]
+        for xi, row in zip(xs, self.rows):
+            if not xi:
+                continue
+            for yj, entries in zip(ys, row):
+                if not yj or not entries:
+                    continue
+                prod: Dict[Exponent, int] = {}
+                for ex, nx in xi:
+                    for ey, ny in yj:
+                        e = tuple(map(add, ex, ey))
+                        prod[e] = prod.get(e, 0) + nx * ny
+                for k, et, c in entries:
+                    slot = acc[k]
+                    for e, n in prod.items():
+                        e = tuple(map(add, e, et))
+                        slot[e] = slot.get(e, 0) + n * c
+        den = xden * yden * self.den
+        return tuple(MultiPoly(self.ctx, {e: Fraction(n, den)
+                                          for e, n in slot.items() if n})
+                     for slot in acc)
+
+
 class QuantumRing:
-    """The even quantum lattice with its full multiplication table."""
+    """The even quantum lattice with its full multiplication table.
+
+    The table is built from the counts unless one is given; either way it
+    is read-only, so the structure tensors derived from it here always
+    describe the product that `table` shows.
+    """
 
     def __init__(self, counts: CountSet, j11, j12, j2,
-                 ctx: Optional[VarContext] = None):
+                 ctx: Optional[VarContext] = None,
+                 table: Optional[Table] = None):
         self.counts = counts
         self.amb = AmbientRing()
         self.ctx = ctx if ctx is not None else quantum_context()
@@ -134,7 +215,16 @@ class QuantumRing:
         j12 = self._coerce(j12)
         j2 = self._coerce(j2)
         self.three_point = (j11, j12, j2)
-        self.table = self._build_table(j11, j12, j2)
+        if table is None:
+            table = self._build_table(j11, j12, j2)
+        self.table = MappingProxyType(dict(table))
+        self._product = StructureTensor(self.ctx, DIM, {
+            (i, j): self.table[(min(i, j), max(i, j))]
+            for i in range(DIM) for j in range(DIM)})
+        gram = self.amb.gram()
+        self._gram = StructureTensor(self.ctx, 1, {
+            (i, j): (self.ctx.scalar(gram.rows[i][j]),)
+            for i in range(DIM) for j in range(DIM)})
 
     def _coerce(self, v) -> MultiPoly:
         if isinstance(v, MultiPoly):
@@ -221,31 +311,12 @@ class QuantumRing:
         return t
 
     def star(self, x: QVec, y: QVec) -> QVec:
-        out = list(self.zero())
-        for i in range(DIM):
-            if x[i].is_zero():
-                continue
-            for j in range(DIM):
-                if y[j].is_zero():
-                    continue
-                entry = self.table[(min(i, j), max(i, j))]
-                coeff = x[i] * y[j]
-                for k in range(DIM):
-                    out[k] = out[k] + coeff * entry[k]
-        return tuple(out)
+        """x * y, contracted against the table's structure tensor."""
+        return self._product.contract(x, y)
 
     def pairing(self, x: QVec, y: QVec) -> MultiPoly:
-        gram = self.amb.gram()
-        out = self.ctx.zero()
-        for i in range(DIM):
-            if x[i].is_zero():
-                continue
-            for j in range(DIM):
-                g = gram.rows[i][j]
-                if not g or y[j].is_zero():
-                    continue
-                out = out + x[i] * y[j] * g
-        return out
+        """<x, y>, contracted against the Gram matrix as a width 1 tensor."""
+        return self._gram.contract(x, y)[0]
 
     def format(self, x: QVec) -> str:
         parts = []
@@ -332,12 +403,13 @@ def classical_limit_failures(ring: QuantumRing) -> List[str]:
 
 def perturbed_ring(ring: QuantumRing) -> QuantumRing:
     """Same data with s11*s11 shifted by q^2 s0; must break associativity."""
-    clone = QuantumRing(ring.counts, *ring.three_point, ctx=ring.ctx)
     i = BASIS_NAMES.index("s11")
-    entry = list(clone.table[(i, i)])
-    entry[0] = entry[0] + clone.ctx.var("q") ** 2
-    clone.table[(i, i)] = tuple(entry)
-    return clone
+    table = dict(ring.table)
+    entry = list(table[(i, i)])
+    entry[0] = entry[0] + ring.ctx.var("q") ** 2
+    table[(i, i)] = tuple(entry)
+    return QuantumRing(ring.counts, *ring.three_point, ctx=ring.ctx,
+                       table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +564,14 @@ def standard_ring() -> QuantumRing:
 # ---------------------------------------------------------------------------
 
 
-def _surd_is_root(b, c, r0, r1, d) -> bool:
-    """Whether r0 + r1 sqrt(d) solves x^2 + b x + c = 0 over Q."""
-    rat = r0 * r0 + d * r1 * r1 + b * r0 + c
-    irr = 2 * r0 * r1 + b * r1
+def surd_pair_solves(a, b, r0, r1, d) -> bool:
+    """Whether r0 +- r1 sqrt(d) both solve T^2 + a T + b = 0 over Q.
+
+    Substituting either sign gives rat +- irr sqrt(d), so one exact check
+    of both parts covers the pair.
+    """
+    rat = r0 * r0 + d * r1 * r1 + a * r0 + b
+    irr = 2 * r0 * r1 + a * r1
     return rat == 0 and irr == 0
 
 
@@ -524,6 +600,8 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     # eigenvalues at q = 1: 0 twice plus the four square roots of the
     # two roots of T^2 + a T + b
     report["roots_at_q1"], report["roots_verified"] = surd_roots(a_val, b_val)
+    report["quadratic_at_q1"] = (a_val, b_val)
+    report["surd_at_q1"] = surd_split(a_val, b_val)
     return report
 
 
@@ -551,26 +629,37 @@ def squarefree_part(n: int) -> Tuple[int, int]:
     return s, d * n
 
 
+def surd_split(a: Fraction, b: Fraction
+               ) -> Optional[Tuple[Fraction, Fraction, int]]:
+    """(r0, r1, d) with roots r0 +- r1 sqrt(d) of T^2 + a T + b, d squarefree.
+
+    sqrt(disc) = s sqrt(d) / den where s^2 d is the squarefree split of
+    num * den.  None when the discriminant is <= 0.
+    """
+    disc = a * a - 4 * b
+    if disc <= 0:
+        return None
+    s, d = squarefree_part(disc.numerator * disc.denominator)
+    return -a / 2, Fraction(s, 2 * disc.denominator), d
+
+
 def surd_roots(a: Fraction, b: Fraction) -> Tuple[str, bool]:
     """The roots r0 +- r1 sqrt(d) of T^2 + a T + b over Q, checked exactly.
 
-    sqrt(disc) = s sqrt(d) / den where s^2 d is the squarefree split of
-    num * den.  A discriminant <= 0 or a rational square has no surd
-    pair; the returned note says so and the check reads False.
+    A discriminant <= 0 or a rational square has no surd pair; the
+    returned note says so and the check reads False.
     """
-    disc = a * a - 4 * b
-    r0 = -a / 2
-    if disc <= 0:
+    split = surd_split(a, b)
+    if split is None:
         return ("no surd pair: the discriminant at q = 1 is %s <= 0"
-                % disc, False)
-    s, d = squarefree_part(disc.numerator * disc.denominator)
-    r1 = Fraction(s, 2 * disc.denominator)
+                % (a * a - 4 * b), False)
+    r0, r1, d = split
     if d == 1:
         return ("no surd pair: the discriminant at q = 1 is the square of"
                 " %s, so the roots %s +- %s are rational" % (2 * r1, r0, r1),
                 False)
-    ok = _surd_is_root(a, b, r0, r1, d) and _surd_is_root(a, b, r0, -r1, d)
-    return "%s +- %s sqrt(%d)" % (r0, r1, d), ok
+    return ("%s +- %s sqrt(%d)" % (r0, r1, d),
+            surd_pair_solves(a, b, r0, r1, d))
 
 
 # ---------------------------------------------------------------------------

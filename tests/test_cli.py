@@ -1,12 +1,17 @@
 """End to end checks of the command line interface."""
 
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from gmquantum.cli import main
+from gmquantum.certificates import Workspace
+from gmquantum.cli import main, matrix_at
+from gmquantum.gwcounts import CountSet
+from gmquantum.quantum import QuantumRing
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs"
@@ -112,6 +117,30 @@ def test_matrix_at_specialization(capsys):
     assert rep["matrix"][0] == ["0", "6", "0", "0", "24", "0"]
 
 
+def shifted_matrix_at(monkeypatch, name, delta, qval):
+    """matrix_at on the ring whose two point count `name` moved by delta."""
+    counts = CountSet.from_geometry()
+    counts = dataclasses.replace(counts,
+                                 **{name: getattr(counts, name) + delta})
+    ring = QuantumRing(counts, counts.J11, counts.J12, 32)
+    monkeypatch.setattr(Workspace, "ring", property(lambda ws: ring))
+    return matrix_at(Workspace(), qval)
+
+
+def test_matrix_at_reads_the_spectrum(monkeypatch):
+    # with I12 lowered by 3 the q = 1 eigenvalue squares are
+    # 19 +- 5 sqrt(17); the --at report follows the ring, scaled by q
+    rep = shifted_matrix_at(monkeypatch, "I12", -3, Fraction(2))
+    assert rep["eigenvalue_square_equation"] == "T^2 - 76*T - 256"
+    assert rep["eigenvalue_squares"] == ["38 + 10*sqrt(17)",
+                                         "38 - 10*sqrt(17)"]
+    assert rep["roots_verified"] is True
+    # with I2 lowered by 5 the roots are rational, which is reported
+    rep = shifted_matrix_at(monkeypatch, "I2", -5, Fraction(2))
+    assert rep["eigenvalue_squares"][0].startswith("no surd pair")
+    assert rep["roots_verified"] is False
+
+
 def test_deform_at_specialization(capsys):
     _, payload = run_json(capsys, ["deform", "--format", "json",
                                    "--no-timestamp", "--at", "q=2,t=1/3"])
@@ -144,6 +173,15 @@ def test_bad_at_exits_2(capsys):
             main(["matrix", "--at", spec])
         assert exc.value.code == 2, spec
     assert "too many digits" in capsys.readouterr().err
+    # a literal past Python's int parsing limit fails inside Fraction()
+    # itself; it is reported as too long, not as malformed, and not echoed
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--at", "q=" + "1" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "has too many digits" in err
+    assert "is not a rational" not in err
+    assert len(err) < 200
 
 
 def test_gw_rejects_at(capsys):

@@ -1,14 +1,16 @@
 """Quantum product table, spectral data, kernel, and presentation."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmquantum import certificates, gwcounts, quantum
 from gmquantum.ambient import BASIS_NAMES, DIM, AmbientRing
 from gmquantum.gwcounts import CountSet
-from gmquantum.poly import VarContext
+from gmquantum.poly import MultiPoly, VarContext
 from gmquantum.quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
@@ -131,6 +133,8 @@ def test_spectral_report(ring):
     assert rep["roots_verified"] is True
     assert rep["discriminant_at_q1"] == Fraction(2000)
     assert rep["constant_term_at_q1"] == Fraction(-16)
+    assert rep["quadratic_at_q1"] == (-44, -16)
+    assert rep["surd_at_q1"] == (22, 10, 5)
 
 
 def test_ring_from_solve_checks_j11(ring):
@@ -247,3 +251,142 @@ def test_random_identity_sampling(ring):
     from gmquantum.certificates import random_identity_failures
     rng = random.Random(7)
     assert random_identity_failures(ring, rng, 10) == []
+
+
+def test_table_is_read_only(ring):
+    with pytest.raises(TypeError):
+        ring.table[(0, 0)] = ring.basis_element("s1")
+
+
+# ---------------------------------------------------------------------------
+# the structure-constant engine against the slot-by-slot product
+# ---------------------------------------------------------------------------
+
+
+def reference_star(ring, x, y):
+    """x * y one table entry at a time, with MultiPoly arithmetic."""
+    out = list(ring.zero())
+    for i in range(DIM):
+        if x[i].is_zero():
+            continue
+        for j in range(DIM):
+            if y[j].is_zero():
+                continue
+            entry = ring.table[(min(i, j), max(i, j))]
+            coeff = x[i] * y[j]
+            for k in range(DIM):
+                out[k] = out[k] + coeff * entry[k]
+    return tuple(out)
+
+
+def reference_pairing(ring, x, y):
+    """<x, y> one Gram entry at a time, with MultiPoly arithmetic."""
+    gram = ring.amb.gram()
+    out = ring.ctx.zero()
+    for i in range(DIM):
+        if x[i].is_zero():
+            continue
+        for j in range(DIM):
+            g = gram.rows[i][j]
+            if not g or y[j].is_zero():
+                continue
+            out = out + x[i] * y[j] * g
+    return out
+
+
+def symbolic_ring():
+    """The solver's ring: uJ11 and uJ2 stand in for J11 and J2."""
+    counts = CountSet.from_geometry()
+    ctx = quantum_context(("uJ11", "uJ2"))
+    return QuantumRing(counts, ctx.var("uJ11"), counts.J12, ctx.var("uJ2"),
+                       ctx=ctx)
+
+
+RINGS = {
+    "standard": standard_ring,
+    "symbolic": symbolic_ring,
+    "perturbed": lambda: perturbed_ring(standard_ring()),
+}
+
+
+def draw_coefficient(rng, kind):
+    if kind == "long":
+        return Fraction(rng.randrange(-10 ** 24, 10 ** 24),
+                        rng.randrange(10 ** 11, 10 ** 12))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def draw_element(ring, rng, kind):
+    """A vector of the given kind; "poly" slots are polynomials in every
+    variable of the ring's context."""
+    ctx = ring.ctx
+    if kind == "zero":
+        return ring.zero()
+    if kind == "sparse":
+        slots = rng.sample(range(DIM), rng.randint(1, 2))
+        return tuple(ctx.scalar(draw_coefficient(rng, "small")) if k in slots
+                     else ctx.zero() for k in range(DIM))
+    if kind == "poly":
+        return tuple(MultiPoly(ctx, {
+            tuple(rng.randint(0, 2) for _ in ctx.names):
+                draw_coefficient(rng, "small") for _ in range(3)})
+            for _ in range(DIM))
+    return tuple(ctx.scalar(draw_coefficient(rng, kind)) for _ in range(DIM))
+
+
+ELEMENT_KINDS = ("small", "long", "sparse", "zero", "poly")
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_engine_matches_reference(name):
+    ring = RINGS[name]()
+    rng = random.Random(name)
+    for kx in ELEMENT_KINDS:
+        for ky in ELEMENT_KINDS:
+            x = draw_element(ring, rng, kx)
+            y = draw_element(ring, rng, ky)
+            assert ring.star(x, y) == reference_star(ring, x, y), (kx, ky)
+            assert ring.pairing(x, y) == reference_pairing(ring, x, y), \
+                (kx, ky)
+    # products of products carry several q powers per slot
+    x, y = (draw_element(ring, rng, "small") for _ in range(2))
+    xy = ring.star(x, y)
+    assert ring.star(xy, xy) == reference_star(ring, xy, xy)
+    assert ring.pairing(xy, y) == reference_pairing(ring, xy, y)
+
+
+fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 10 ** 15))
+slots = st.one_of(st.just(Fraction(0)), fractions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(slots, min_size=DIM, max_size=DIM),
+       st.lists(slots, min_size=DIM, max_size=DIM),
+       st.integers(0, 3), st.integers(0, 3))
+def test_engine_matches_reference_hypothesis(ring, xs, ys, dx, dy):
+    # each vector is scaled by a power of q so inputs of every degree occur
+    qx = ring.ctx.var("q") ** dx
+    qy = ring.ctx.var("q") ** dy
+    x = tuple(qx * c for c in xs)
+    y = tuple(qy * c for c in ys)
+    assert ring.star(x, y) == reference_star(ring, x, y)
+    assert ring.pairing(x, y) == reference_pairing(ring, x, y)
+
+
+def test_star_and_pairing_do_no_polynomial_multiplication(ring, monkeypatch):
+    rng = random.Random(11)
+    a, b, c = (draw_element(ring, rng, "small") for _ in range(3))
+    ab = ring.star(a, b)   # dense, with several q powers per slot
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    ring.star(ab, c)
+    ring.pairing(ab, c)
+    assert calls == []
