@@ -27,13 +27,6 @@ LIFT_PARTITIONS = ((0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (3, 1))
 DIM = 6
 
 
-def vector(values: Sequence) -> Vec:
-    vals = tuple(Fraction(v) for v in values)
-    if len(vals) != DIM:
-        raise ValueError("ambient vectors have six components")
-    return vals
-
-
 def unit(index: int) -> Vec:
     return tuple(Fraction(1 if i == index else 0) for i in range(DIM))
 

@@ -19,23 +19,24 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
+from .ambient import BASIS_NAMES, DIM
 from .deformation import (
-    HodgeModel, PRIMITIVE_DIM, TruncatedOperator, assemble_full_operator,
-    atom_statistics, build_deformed_matrix, eigenvalue,
-    homogeneity_failures, irrationality_criterion, specialization_failures,
-    truncated_context, verify_jordan_pair,
+    CriterionReport, HodgeModel, PRIMITIVE_DIM, TruncatedOperator,
+    assemble_full_operator, atom_statistics, build_deformed_matrix,
+    eigenvalue, homogeneity_failures, irrationality_criterion,
+    specialization_failures, verify_jordan_pair,
 )
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
-from .linalg import Matrix, scalar_matrix
-from .poly import MultiPoly, VarContext
+from .linalg import scalar_matrix
+from .poly import MultiPoly
 from .quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
-    kernel_basis, perturbed_ring, presentation_report, ring_from_solve,
-    solve_three_point_invariants, spectral_report,
+    kernel_basis, perturbed_ring, presentation_relations, presentation_report,
+    ring_from_solve, solve_three_point_invariants, spectral_report,
 )
 
 SCHEMA_VERSION = "1.0"
@@ -205,11 +206,8 @@ class Workspace:
 
     @property
     def counts(self) -> CountSet:
-        def build():
-            reps = self.reports
-            return CountSet(*(reps[k].value for k in
-                              ("I11", "I12", "I13", "I2", "J11", "J12")))
-        return self._get("counts", build)
+        return self._get("counts",
+                         lambda: CountSet.from_reports(self.reports))
 
     @property
     def solve(self):
@@ -224,6 +222,11 @@ class Workspace:
     @property
     def spectrum(self) -> Dict[str, object]:
         return self._get("spectrum", lambda: spectral_report(self.ring))
+
+    @property
+    def presentation(self) -> Dict[str, object]:
+        return self._get("presentation",
+                         lambda: presentation_report(self.ring))
 
     @property
     def operator(self) -> TruncatedOperator:
@@ -243,6 +246,11 @@ class Workspace:
         return self._get("statistics",
                          lambda: atom_statistics(self.full_operator,
                                                  self.model))
+
+    @property
+    def criterion(self) -> CriterionReport:
+        return self._get("criterion", lambda: irrationality_criterion(
+            self.operator.at_t_zero(), self.model))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +361,9 @@ def table_certificates(ws: Workspace) -> List[Certificate]:
         "table.products", computed, expected, FROZEN,
         inputs=(("entries", len(computed)),),
         trace=("all 21 unordered basis products of the quantum table",))]
-    comm_bad = []
-    for i in range(DIM):
-        for j in range(DIM):
-            a = ring.basis_element(BASIS_NAMES[i])
-            b = ring.basis_element(BASIS_NAMES[j])
-            if ring.star(a, b) != ring.star(b, a):
-                comm_bad.append("%s*%s" % (BASIS_NAMES[i], BASIS_NAMES[j]))
+    comm_bad = ["%s*%s" % (x, y) for x, y in product(BASIS_NAMES, repeat=2)
+                if ring.star(ring.basis_element(x), ring.basis_element(y))
+                != ring.star(ring.basis_element(y), ring.basis_element(x))]
     certs.append(make(
         "table.commutativity", len(comm_bad), 0, EXHAUSTIVE,
         inputs=(("ordered_pairs", DIM * DIM),),
@@ -402,8 +406,7 @@ def table_certificates(ws: Workspace) -> List[Certificate]:
 
 
 def presentation_certificates(ws: Workspace) -> List[Certificate]:
-    ring = ws.ring
-    rep = presentation_report(ring)
+    rep = ws.presentation
     certs = [make(
         "presentation.relations-vanish", rep["relations_vanish"],
         {"R1": True, "R2": True, "R3": True}, IDENTITY,
@@ -431,33 +434,22 @@ def presentation_certificates(ws: Workspace) -> List[Certificate]:
         IDENTITY,
         trace=("M^5 - 44*q*M^3 - 16*q^2*M = 0 for the h action matrix M",)))
     nec = rep["necessity"]
-    r1_rank = nec["without R1"]
-    certs.append(make(
-        "presentation.necessity.R1", "rank %s" % r1_rank, "rank above 6",
-        FROZEN,
-        ok=(r1_rank == "infinite"
-            or (isinstance(r1_rank, int) and r1_rank > 6)),
-        inputs=(("quotient_rank", r1_rank),),
-        trace=("dropping R1 leaves (R2, R3), whose quotient has rank %s"
-               % r1_rank,)))
-    r2_rank = nec["without R2"]
-    certs.append(make(
-        "presentation.necessity.R2", "rank %s" % r2_rank, "rank above 6",
-        FROZEN,
-        ok=(r2_rank == "infinite"
-            or (isinstance(r2_rank, int) and r2_rank > 6)),
-        inputs=(("quotient_rank", r2_rank),),
-        trace=("dropping R2 leaves (R1, R3), both multiples of h, so the"
-               " quotient contains a polynomial line and has rank %s"
-               % r2_rank,)))
+    for drop, left in (("R1", "(R2, R3), whose quotient"),
+                       ("R2", "(R1, R3), both multiples of h, so the"
+                              " quotient contains a polynomial line and")):
+        rank = nec["without " + drop]
+        certs.append(make(
+            "presentation.necessity." + drop, "rank %s" % rank,
+            "rank above 6", FROZEN,
+            ok=rank == "infinite" or (isinstance(rank, int) and rank > 6),
+            inputs=(("quotient_rank", rank),),
+            trace=("dropping %s leaves %s has rank %s" % (drop, left, rank),)))
     # R3 is not necessary: explicit cofactors place it inside (R1, R2)
-    ctx = VarContext(("q", "s11", "h"), (2, 2, 1))
+    rels = presentation_relations()
+    ctx = rels["R1"].ctx
     qv, sv, hv = ctx.var("q"), ctx.var("s11"), ctx.var("h")
-    rel1 = 5 * hv * sv - 2 * hv ** 3 + 14 * qv * hv
-    rel2 = (5 * sv ** 2 + 20 * qv * sv - hv ** 4 + 12 * qv * hv ** 2
-            + 20 * qv ** 2)
-    rel3 = hv ** 5 - 44 * qv * hv ** 3 - 16 * qv ** 2 * hv
-    residual = rel3 - ((5 * sv + 2 * hv ** 2 + 6 * qv) * rel1 - 5 * hv * rel2)
+    residual = rels["R3"] - ((5 * sv + 2 * hv ** 2 + 6 * qv) * rels["R1"]
+                             - 5 * hv * rels["R2"])
     certs.append(make(
         "presentation.dependence.R3", str(residual), "0", IDENTITY,
         inputs=(("quotient_rank_without_R3", nec["without R3"]),),
@@ -545,10 +537,8 @@ def deform_certificates(ws: Workspace) -> List[Certificate]:
 
 
 def criterion_certificates(ws: Workspace) -> List[Certificate]:
-    op = ws.operator
     model = ws.model
-    m = op.at_t_zero()
-    rep = irrationality_criterion(m, model)
+    rep = ws.criterion
     certs = [make(
         "criterion.squarefree-profile",
         {"profile": rep.profile, "simple_nonzero": rep.simple_nonzero,
@@ -578,7 +568,8 @@ def criterion_certificates(ws: Workspace) -> List[Certificate]:
         inputs=(("max_multiplicity", scalar.max_multiplicity),),
         trace=("control: 2 * identity has one eigenvalue of multiplicity"
                " 6 and must fail the multiplicity bound",)))
-    deaf = irrationality_criterion(m, model.without_h31())
+    deaf = irrationality_criterion(ws.operator.at_t_zero(),
+                                   model.without_h31())
     certs.append(make(
         "criterion.control.no-h31", deaf.satisfied, False, REDERIVED,
         inputs=(("h31", deaf.h31),),

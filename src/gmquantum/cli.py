@@ -14,14 +14,15 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .ambient import BASIS_NAMES, DIM
 from .certificates import (
-    Certificate, FAILED, GROUP_BUILDERS, MODEL_AXIOM, SCHEMA_VERSION,
-    VERIFIED, Workspace, certificate_to_dict, merge, property_certificates,
+    Certificate, FAILED, GROUP_BUILDERS, MODEL_AXIOM, R3_COFACTOR_IDENTITY,
+    SCHEMA_VERSION, VERIFIED, Workspace, certificate_to_dict, merge,
+    property_certificates,
 )
-from .deformation import irrationality_criterion
+from .deformation import eigenvalue, irrationality_criterion
 from .linalg import Matrix
 from .quantum import surd_pair_solves
 
@@ -32,6 +33,7 @@ COMMANDS = ("gw", "matrix", "table", "presentation", "deform",
 def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
     """Parse "q=3/2" or "q=1,t=1/7" into exact values."""
     out: Dict[str, Fraction] = {}
+    limit = sys.get_int_max_str_digits()
     for part in spec.split(","):
         part = part.strip()
         if "=" not in part:
@@ -46,8 +48,10 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
             raise ValueError("--at sets %r twice" % name)
         value = value.strip()
         # Fraction() and str() both refuse integers past Python's digit
-        # limit with a ValueError of their own
-        limit = sys.get_int_max_str_digits()
+        # limit with a ValueError of their own, but Fraction() expands a
+        # decimal exponent before either refusal, so that is checked first
+        if 0 < limit and _exponent_too_large(value, limit):
+            raise ValueError(_too_many_digits(value, limit))
         try:
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -64,6 +68,21 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
 
 def _clip(value: str, width: int = 24) -> str:
     return value if len(value) <= width else value[:width] + "..."
+
+
+def _exponent_too_large(value: str, limit: int) -> bool:
+    """Whether the decimal exponent e of a literal has |e| above `limit`
+    plus the mantissa's digit count: then the numerator or the
+    denominator has more than `limit` digits."""
+    mantissa, sep, exp = value.lower().partition("e")
+    exp = exp.strip().replace("_", "")
+    if exp.startswith(("+", "-")):
+        exp = exp[1:]
+    if not sep or not exp.isdecimal():
+        return False
+    bound = limit + sum(ch.isdigit() for ch in mantissa)
+    exp = exp.lstrip("0") or "0"
+    return len(exp) > len(str(bound)) or int(exp) > bound
 
 
 def _too_many_digits(value: str, limit: int) -> str:
@@ -133,7 +152,7 @@ def deform_at(ws: Workspace, qval: Fraction,
             for i in range(DIM)]
     return {
         "matrix": rows,
-        "eigenvalue": str(Fraction(-4) * qval * tval),
+        "eigenvalue": str(eigenvalue(op.ctx).evaluate(vals)),
         "note": "entries are reduced modulo t^2 before evaluation",
     }
 
@@ -182,18 +201,19 @@ def table_summary(ws: Workspace) -> Dict[str, object]:
 
 
 def presentation_summary(ws: Workspace) -> Dict[str, object]:
+    rep = ws.presentation
     return {
         "quotient": "Q(q)[h, s11] / (R1, R2, R3)",
-        "monomial_basis": "1, h, h^2, h^3, h^4, s11",
-        "rank": 6,
-        "dependence": "R3 = (5*s11 + 2*h^2 + 6*q)*R1 - 5*h*R2",
+        "monomial_basis": ", ".join(rep["standard_monomial_names"]),
+        "rank": rep["quotient_rank"],
+        "dependence": R3_COFACTOR_IDENTITY,
     }
 
 
 def deform_summary(ws: Workspace) -> Dict[str, object]:
     stats = ws.statistics
     return {
-        "eigenvalue": "-4*q*t",
+        "eigenvalue": str(stats.lambda0),
         "nu": stats.nu,
         "nu_prime": stats.nu_prime,
         "gamma": stats.gamma,
@@ -202,7 +222,7 @@ def deform_summary(ws: Workspace) -> Dict[str, object]:
 
 
 def criterion_summary(ws: Workspace) -> Dict[str, object]:
-    rep = irrationality_criterion(ws.operator.at_t_zero(), ws.model)
+    rep = ws.criterion
     return {
         "satisfied": rep.satisfied,
         "profile": {str(k): v for k, v in sorted(rep.profile.items())},
@@ -365,14 +385,23 @@ def run(args: argparse.Namespace) -> int:
         summary = SUMMARIES[command](ws)
         if at is not None:
             qval = at.get("q", Fraction(1))
-            if command == "matrix":
-                at_report = matrix_at(ws, qval)
-            elif command == "table":
-                at_report = table_at(ws, qval)
-            elif command == "deform":
-                at_report = deform_at(ws, qval, at.get("t", Fraction(0)))
-            elif command == "criterion":
-                at_report = criterion_at(ws, qval)
+            try:
+                if command == "matrix":
+                    at_report = matrix_at(ws, qval)
+                elif command == "table":
+                    at_report = table_at(ws, qval)
+                elif command == "deform":
+                    at_report = deform_at(ws, qval, at.get("t", Fraction(0)))
+                else:
+                    at_report = criterion_at(ws, qval)
+            except ValueError as exc:
+                # str() of an entry past Python's int -> str digit limit
+                if "int_max_str_digits" not in str(exc):
+                    raise
+                raise ValueError(
+                    "--at %r gives an entry with too many digits (more"
+                    " than %d)" % (_clip(args.at),
+                                   sys.get_int_max_str_digits())) from None
     payload = build_payload(command, summary, certs,
                             timestamp=not args.no_timestamp,
                             at=at, at_report=at_report)

@@ -104,14 +104,10 @@ def specialization_failures(op: TruncatedOperator,
     bad = []
     for i in range(DIM):
         for j in range(DIM):
-            want = _embed(ring.h_matrix[i, j] * 2, op.ctx)
+            want = (ring.h_matrix[i, j] * 2).substitute({}, op.ctx)
             if op.matrix[i, j].coefficient_of("t", 0) != want:
                 bad.append((i, j))
     return bad
-
-
-def _embed(p: MultiPoly, tctx: VarContext) -> MultiPoly:
-    return p.substitute({}, tctx)
 
 
 def build_deformed_matrix(ring: QuantumRing) -> TruncatedOperator:
@@ -130,7 +126,7 @@ def build_deformed_matrix(ring: QuantumRing) -> TruncatedOperator:
     for j, name in enumerate(BASIS_NAMES):
         prod = ring.star(s2, ring.basis_element(name))
         for i in range(DIM):
-            entry = _embed(ring.h_matrix[i, j] * 2, tctx)
+            entry = (ring.h_matrix[i, j] * 2).substitute({}, tctx)
             correction = {}
             for exp, coeff in prod[i].terms.items():
                 d = exp[0]
@@ -285,18 +281,14 @@ def _column_to_polys(order0: Sequence[RatFunc], order1: Sequence[RatFunc],
     for r in list(order0) + list(order1):
         den = _up_lcm(den, r.den)
     out = []
-    for r0, r1 in zip(order0, order1):
+    for pair in zip(order0, order1):
         terms = {}
-        if r0:
-            for k, c in enumerate(up_mul(list(r0.num),
-                                         up_div_exact(den, list(r0.den)))):
-                if c:
-                    terms[(k, 0)] = Fraction(c)
-        if r1:
-            for k, c in enumerate(up_mul(list(r1.num),
-                                         up_div_exact(den, list(r1.den)))):
-                if c:
-                    terms[(k, 1)] = Fraction(c)
+        for t, r in enumerate(pair):
+            if r:
+                for k, c in enumerate(up_mul(list(r.num),
+                                             up_div_exact(den, list(r.den)))):
+                    if c:
+                        terms[(k, t)] = Fraction(c)
         out.append(MultiPoly(plain, terms))
     return out
 

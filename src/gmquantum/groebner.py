@@ -122,9 +122,6 @@ class PolyIdeal:
     def reduce(self, poly: MultiPoly) -> MultiPoly:
         return normal_form(poly, self.basis)
 
-    def contains(self, poly: MultiPoly) -> bool:
-        return self.reduce(poly).is_zero()
-
     def leading_exponents(self) -> List[Exponent]:
         return [g.leading()[0] for g in self.basis]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .towers import (
     BaseSub, Dual, G24Base, ProjBase, Sym2, TautSub, Tower, Trivial,
@@ -198,8 +198,8 @@ def all_reports() -> Dict[str, CountReport]:
 class CountSet:
     """The invariants feeding the quantum multiplication.
 
-    J2 = <s11, s11, 2pt>_2 has no direct geometric computation here; it
-    stays None until associativity of the product table pins it down.
+    J2 = <s11, s11, 2pt>_2 has no direct geometric computation here and
+    is not part of the set: associativity of the product table pins it.
     """
 
     I11: Fraction
@@ -208,17 +208,15 @@ class CountSet:
     I2: Fraction
     J11: Fraction
     J12: Fraction
-    J2: Optional[Fraction] = None
 
     @classmethod
-    def from_geometry(cls) -> "CountSet":
-        reports = all_reports()
+    def from_reports(cls, reports: Dict[str, CountReport]) -> "CountSet":
         return cls(*(reports[k].value for k in
                      ("I11", "I12", "I13", "I2", "J11", "J12")))
 
-    def with_j2(self, value) -> "CountSet":
-        return CountSet(self.I11, self.I12, self.I13, self.I2,
-                        self.J11, self.J12, Fraction(value))
+    @classmethod
+    def from_geometry(cls) -> "CountSet":
+        return cls.from_reports(all_reports())
 
 
 EXPECTED_VALUES = {

@@ -36,6 +36,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,7 +46,7 @@ from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
     Matrix, RatFunc, char_poly, matmul, matvec, nullspace_field,
-    poly_to_ratfunc, rank_checked, rank_field, solve_field,
+    poly_to_ratfunc, rank_checked, rank_field, scalar_matrix, solve_field,
     squarefree_profile, univariate_over_ratfunc,
 )
 from .poly import Exponent, MultiPoly, VarContext
@@ -225,6 +227,8 @@ class QuantumRing:
         self._gram = StructureTensor(self.ctx, 1, {
             (i, j): (self.ctx.scalar(gram.rows[i][j]),)
             for i in range(DIM) for j in range(DIM)})
+        # filled by the first associativity_failures(self)
+        self._associativity: Optional[List[Tuple[str, str, str]]] = None
 
     def _coerce(self, v) -> MultiPoly:
         if isinstance(v, MultiPoly):
@@ -298,11 +302,7 @@ class QuantumRing:
         put("s3", "s3", _vscale(Fraction(1, 3), via))
         # s31 = h*s3 - (I12-I13) q s2 - (2 I13-I12) q s11 - 2 I2 q^2
         for name in ("s2", "s11", "s3", "s31"):
-            if name == "s31":
-                s3x = get("s3", "s31")
-            else:
-                s3x = get("s3", name)
-            vec = self.star_h(s3x)
+            vec = self.star_h(get("s3", name))
             vec = _vsub(vec, _vscale(q * (c.I12 - c.I13), get("s2", name)))
             vec = _vsub(vec, _vscale(q * (2 * c.I13 - c.I12), get("s11", name)))
             vec = _vsub(vec, _vscale(q * q * (2 * c.I2),
@@ -354,37 +354,36 @@ def grading_failures(ring: QuantumRing) -> List[str]:
 
 
 def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    """All unordered basis triples where (a*b)*c differs from a*(b*c)."""
-    bad = []
-    for i in range(DIM):
-        for j in range(i, DIM):
-            for k in range(j, DIM):
-                a = ring.basis_element(BASIS_NAMES[i])
-                b = ring.basis_element(BASIS_NAMES[j])
-                c = ring.basis_element(BASIS_NAMES[k])
-                lhs = ring.star(ring.star(a, b), c)
-                rhs = ring.star(a, ring.star(b, c))
-                if not _is_zero_vec(_vsub(lhs, rhs)):
-                    bad.append((BASIS_NAMES[i], BASIS_NAMES[j],
-                                BASIS_NAMES[k]))
-    return bad
+    """All unordered basis triples where (a*b)*c differs from a*(b*c).
+
+    The table is read-only, so the 56 triples are scanned once per ring
+    and every later call returns a copy of that result.
+    """
+    if ring._associativity is None:
+        ring._associativity = _associativity_scan(ring)
+    return list(ring._associativity)
+
+
+def _basis_triples(ring: QuantumRing, ordered: bool):
+    """(names, (a, b, c)) for all DIM^3 ordered basis triples, or for the
+    unordered ones i <= j <= k, in lexicographic order."""
+    basis = [ring.basis_element(name) for name in BASIS_NAMES]
+    for ijk in (product(range(DIM), repeat=3) if ordered
+                else combinations_with_replacement(range(DIM), 3)):
+        yield (tuple(BASIS_NAMES[i] for i in ijk),
+               tuple(basis[i] for i in ijk))
+
+
+def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
+    return [names for names, (a, b, c) in _basis_triples(ring, False)
+            if ring.star(ring.star(a, b), c) != ring.star(a, ring.star(b, c))]
 
 
 def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """Triples where <a*b, c> differs from <a, b*c>."""
-    bad = []
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                a = ring.basis_element(BASIS_NAMES[i])
-                b = ring.basis_element(BASIS_NAMES[j])
-                c = ring.basis_element(BASIS_NAMES[k])
-                lhs = ring.pairing(ring.star(a, b), c)
-                rhs = ring.pairing(a, ring.star(b, c))
-                if not (lhs - rhs).is_zero():
-                    bad.append((BASIS_NAMES[i], BASIS_NAMES[j],
-                                BASIS_NAMES[k]))
-    return bad
+    return [names for names, (a, b, c) in _basis_triples(ring, True)
+            if ring.pairing(ring.star(a, b), c)
+            != ring.pairing(a, ring.star(b, c))]
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:
@@ -424,6 +423,7 @@ class SolveReport:
     equations: int
     rank: int
     residuals_checked: int
+    ring: QuantumRing   # the numeric ring on the solution, associative
 
 
 def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
@@ -468,27 +468,21 @@ def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
     return rows
 
 
-def solve_three_point_invariants(counts: CountSet, j12,
-                                 verify: bool = True) -> SolveReport:
+def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     """Determine J11 and J2 from associativity, given the geometric J12.
 
     Builds the table with symbolic unknowns in place of J11 and J2,
     collects the affine route residuals plus Frobenius residuals, solves
-    the resulting exact linear system, and (optionally) substitutes the
-    solution back into every associativity triple.
+    the resulting exact linear system, then builds the numeric ring on
+    the solution and checks every associativity triple of it.  That ring
+    is returned on the report.
     """
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
     ring = QuantumRing(counts, ctx.var("uJ11"), j12, ctx.var("uJ2"), ctx=ctx)
-    residuals = list(_route_residuals(ring))
-    for i in range(DIM):
-        for j in range(i, DIM):
-            for k in range(j, DIM):
-                a = ring.basis_element(BASIS_NAMES[i])
-                b = ring.basis_element(BASIS_NAMES[j])
-                c = ring.basis_element(BASIS_NAMES[k])
-                residuals.append(ring.pairing(ring.star(a, b), c) -
-                                 ring.pairing(a, ring.star(b, c)))
+    residuals = _route_residuals(ring) + [
+        ring.pairing(ring.star(a, b), c) - ring.pairing(a, ring.star(b, c))
+        for _, (a, b, c) in _basis_triples(ring, False)]
     rows = []
     rhs = []
     for r in residuals:
@@ -522,15 +516,12 @@ def solve_three_point_invariants(counts: CountSet, j12,
     for row, b in zip(rows, rhs):
         if row[0] * j11 + row[1] * j2 != b:
             raise ValueError("inconsistent associativity system")
-    checked = 0
-    if verify:
-        final = QuantumRing(counts, j11, j12, j2)
-        bad = associativity_failures(final)
-        if bad:
-            raise ValueError("solved table still fails associativity: %r" % bad)
-        checked = len(list(final.table))
+    final = QuantumRing(counts, j11, j12, j2)
+    bad = associativity_failures(final)
+    if bad:
+        raise ValueError("solved table still fails associativity: %r" % bad)
     return SolveReport(j11=j11, j2=j2, equations=len(rows), rank=rank,
-                       residuals_checked=checked)
+                       residuals_checked=len(final.table), ring=final)
 
 
 def degree_two_closed_form(counts: CountSet, j11) -> Fraction:
@@ -543,13 +534,17 @@ def degree_two_closed_form(counts: CountSet, j11) -> Fraction:
 
 
 def ring_from_solve(counts: CountSet, report: SolveReport) -> QuantumRing:
-    """The ring on the given counts and their associativity solve.
+    """The solver's ring, once the report is known to belong to `counts`.
 
-    The solved J11 must agree with the J11 recorded in the counts.
+    The report must have been solved from these counts and their J12,
+    and the solved J11 must agree with the J11 recorded in the counts.
     """
+    ring = report.ring
+    if ring.counts != counts or ring.three_point[1] != ring.scalar(counts.J12):
+        raise ValueError("the solve report was made from other counts")
     if report.j11 != counts.J11:
         raise ValueError("associativity J11 disagrees with the derived value")
-    return QuantumRing(counts, counts.J11, counts.J12, report.j2)
+    return ring
 
 
 def standard_ring() -> QuantumRing:
@@ -671,12 +666,8 @@ def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
     """The closed form kernel vectors of h * (-) and their span checks."""
     ctx = ring.ctx
     q = ctx.var("q")
-    alpha = ring.element({"s2": 2, "s11": -3})
-    alpha = tuple(a - b for a, b in
-                  zip(alpha, _vscale(2 * q, ring.basis_element("s0"))))
-    beta = ring.element({"s31": 1})
-    beta = _vsub(beta, _vscale(2 * q, ring.basis_element("s2")))
-    beta = _vsub(beta, _vscale(4 * q * q, ring.basis_element("s0")))
+    alpha = ring.element({"s0": -2 * q, "s2": 2, "s11": -3})
+    beta = ring.element({"s0": -4 * q * q, "s2": -2 * q, "s31": 1})
     killed = (_is_zero_vec(ring.star_h(alpha))
               and _is_zero_vec(ring.star_h(beta)))
     # independence and span agreement with the generic nullspace
@@ -706,44 +697,55 @@ def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _relation_values(ring: QuantumRing) -> Dict[str, QVec]:
-    """The three presentation relations evaluated through the star product."""
+def presentation_relations() -> Dict[str, MultiPoly]:
+    """R1, R2, R3 over Q[q, s11, h] with deg q = 2, deg s11 = 2, deg h = 1."""
+    ctx = VarContext(("q", "s11", "h"), (2, 2, 1))
+    q, s11, h = ctx.var("q"), ctx.var("s11"), ctx.var("h")
+    return {
+        "R1": 5 * h * s11 - 2 * h ** 3 + 14 * q * h,
+        "R2": (5 * s11 ** 2 + 20 * q * s11 - h ** 4 + 12 * q * h ** 2
+               + 20 * q ** 2),
+        "R3": h ** 5 - 44 * q * h ** 3 - 16 * q ** 2 * h,
+    }
+
+
+def _relation_values(ring: QuantumRing, word) -> Dict[str, QVec]:
+    """The presentation relations evaluated through the star product."""
     q = ring.ctx.var("q")
-    one = ring.basis_element("s0")
-    h = ring.basis_element("s1")
-    s11 = ring.basis_element("s11")
-    h2 = ring.star(h, h)
-    h3 = ring.star(h2, h)
-    h4 = ring.star(h3, h)
-    h5 = ring.star(h4, h)
-    r1 = _vadd(_vsub(_vscale(Fraction(5), ring.star(h, s11)),
-                     _vscale(Fraction(2), h3)),
-               _vscale(14 * q, h))
-    r2 = _vadd(_vsub(_vadd(_vscale(Fraction(5), ring.star(s11, s11)),
-                           _vscale(20 * q, s11)),
-                     h4),
-               _vadd(_vscale(12 * q, h2), _vscale(20 * q * q, one)))
-    r3 = _vsub(_vsub(h5, _vscale(44 * q, h3)), _vscale(16 * q * q, h))
-    return {"R1": r1, "R2": r2, "R3": r3}
+    out = {}
+    for name, rel in presentation_relations().items():
+        vec = ring.zero()
+        for (a, i, j), c in rel.terms.items():
+            vec = _vadd(vec, _vscale(q ** a * c, word(i, j)))
+        out[name] = vec
+    return out
 
 
 def _presentation_ideal():
     """(R1, R2, R3) inside Q(q)[s11, h] with deg s11 = 2, deg h = 1."""
-    one = RatFunc.one()
     q = RatFunc.variable()
-    ctx = VarContext(("s11", "h"), (2, 1), coeff_one=one)
-    s11 = ctx.var("s11")
-    h = ctx.var("h")
-    r1 = 5 * h * s11 - 2 * h ** 3 + h * (q * 14)
-    r2 = (5 * s11 ** 2 + s11 * (q * 20) - h ** 4 + h ** 2 * (q * 12)
-          + ctx.one() * (q * q * 20))
-    r3 = h ** 5 - h ** 3 * (q * 44) - h * (q * q * 16)
-    return ctx, [r1, r2, r3]
+    ctx = VarContext(("s11", "h"), (2, 1), coeff_one=RatFunc.one())
+    gens = []
+    for rel in presentation_relations().values():
+        terms: Dict[Exponent, RatFunc] = {}
+        for (a, i, j), c in rel.terms.items():
+            terms[(i, j)] = terms.get((i, j), RatFunc.zero()) + q ** a * c
+        gens.append(MultiPoly(ctx, terms))
+    return ctx, gens
 
 
 def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     """Relations hold, the quotient has rank 6, and the word map is a ring map."""
-    rels = _relation_values(ring)
+    @lru_cache(maxsize=None)
+    def word(i: int, j: int) -> QVec:
+        """s11^i * h^j under star, each product computed once."""
+        if j:
+            return ring.star(word(i, j - 1), ring.basis_element("s1"))
+        if i:
+            return ring.star(word(i - 1, 0), ring.basis_element("s11"))
+        return ring.basis_element("s0")
+
+    rels = _relation_values(ring, word)
     vanish = {name: _is_zero_vec(vec) for name, vec in rels.items()}
     ctx, gens = _presentation_ideal()
     ideal = PolyIdeal(gens)
@@ -751,15 +753,7 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     expected = {(0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (0, 4)}
     monomial_basis_ok = set(sm) == expected
     # word map: (i, j) exponent of (s11, h) goes to s11^i * h^j under star
-    images: Dict[Tuple[int, int], QVec] = {}
-    for exp in sm:
-        i, j = exp
-        vec = ring.basis_element("s0")
-        for _ in range(i):
-            vec = ring.star(vec, ring.basis_element("s11"))
-        for _ in range(j):
-            vec = ring.star(vec, ring.basis_element("s1"))
-        images[exp] = vec
+    images = {exp: word(*exp) for exp in sm}
 
     def to_rat(vec: QVec):
         return [poly_to_ratfunc(c, "q") for c in vec]
@@ -785,15 +779,18 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
             rhs = to_rat(ring.star(gvec, images[exp]))
             if lhs != rhs:
                 ring_map = False
-    # minimal polynomial: M^5 = 44 q M^3 + 16 q^2 M
+    # minimal polynomial: R3 involves q and h only (no s11), and its
+    # terms q^a h^j evaluated at M, summed, must vanish
     mh = ring.h_matrix
-    m2 = matmul(mh, mh)
-    m3 = matmul(m2, mh)
-    m5 = matmul(m3, m2)
     q = ring.ctx.var("q")
-    resid = [[m5.rows[i][j] - q * 44 * m3.rows[i][j]
-              - q * q * 16 * mh.rows[i][j]
-              for j in range(DIM)] for i in range(DIM)]
+    powers = [scalar_matrix(DIM, ring.ctx.one())]
+    resid = [[ring.ctx.zero()] * DIM for _ in range(DIM)]
+    for (a, _, j), c in presentation_relations()["R3"].terms.items():
+        while len(powers) <= j:
+            powers.append(matmul(powers[-1], mh))
+        coeff = q ** a * c
+        resid = [[r + coeff * m for r, m in zip(rrow, mrow)]
+                 for rrow, mrow in zip(resid, powers[j].rows)]
     minimal_ok = all(c.is_zero() for row in resid for c in row)
     # no proper subset of the relations presents a rank 6 quotient
     necessity = {}
@@ -807,6 +804,8 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     return {
         "relations_vanish": vanish,
         "standard_monomials": sorted(sm),
+        "standard_monomial_names": [str(ctx.monomial(e, ctx.coeff_one))
+                                    for e in sorted(sm)],
         "monomial_basis_ok": monomial_basis_ok,
         "quotient_rank": len(sm),
         "word_map_bijective": bijective,

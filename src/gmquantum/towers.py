@@ -294,10 +294,6 @@ def proj_push(p: MultiPoly, name: str, rank: int,
     return out
 
 
-def _embed(p: MultiPoly, target: VarContext) -> MultiPoly:
-    return p.substitute({}, target)
-
-
 def _project(p: MultiPoly, target: VarContext) -> MultiPoly:
     """Rebuild p in a smaller context; dropped variables must not occur."""
     keep = [p.ctx.index[name] for name in target.names]
@@ -386,7 +382,7 @@ class Grass2Stage:
         u = flag.var("u_")
         v = flag.var("v_")
         p = p.substitute({h: u + v, a: u * v}, flag) * u
-        chern_flag = [_embed(c, flag) for c in self.chern]
+        chern_flag = [c.substitute({}, flag) for c in self.chern]
         # rank 3 quotient E/L1 with c = c(E)/(1-u)
         needed = p.max_power("v_")
         geom = flag.one()

@@ -2,14 +2,19 @@
 
 import dataclasses
 import json
+import sys
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gmquantum import certificates, cli, deformation, quantum
 from gmquantum.certificates import Workspace
-from gmquantum.cli import main, matrix_at
+from gmquantum.cli import main, matrix_at, parse_at
 from gmquantum.gwcounts import CountSet
 from gmquantum.quantum import QuantumRing
 
@@ -182,6 +187,103 @@ def test_bad_at_exits_2(capsys):
     assert "has too many digits" in err
     assert "is not a rational" not in err
     assert len(err) < 200
+    # a decimal exponent is refused before 10^e is ever expanded
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--at", "q=1e16000000"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "has too many digits" in capsys.readouterr().err
+    # values that parse but specialize to entries past the int -> str
+    # limit are reported against --at, not with Python's own message
+    limit = "(more than %d)" % sys.get_int_max_str_digits()
+    for argv in (["matrix", "--at", "q=1e3000"],
+                 ["table", "--at", "q=1e2000"],
+                 ["deform", "--at", "q=1e2000,t=1e2000"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: --at ") and limit in err, argv
+        assert "set_int_max_str_digits" not in err, argv
+
+
+AT_NAMES = st.sampled_from(["q", "t", "x", "", " q ", "Q"])
+AT_VALUES = st.one_of(
+    st.integers().map(str),
+    st.tuples(st.integers(), st.integers(-2, 9)).map("%d/%d".__mod__),
+    st.tuples(st.sampled_from(["", "+", "-", "1.", ".5", "12_3"]),
+              st.sampled_from(["e", "E"]),
+              st.sampled_from(["", "+", "-", "_"]),
+              st.one_of(st.integers(0, 5000), st.integers(0, 10 ** 6)))
+    .map(lambda p: "1%s%s%s%d" % p),
+    st.integers(1, 9000).map(lambda n: "7" * n),
+    st.sampled_from(["", "+", "-", "+-1", "1/0", "0/0", "1.5", "1e", "e5",
+                     "inf", "nan", "1__0", " 7 ", "3 / 4", "1/2/3", "=1"]),
+    st.text(max_size=6),
+)
+AT_PARTS = st.one_of(st.tuples(AT_NAMES, AT_VALUES).map("%s=%s".__mod__),
+                     AT_VALUES)
+
+
+# exponents stay below 10^6, so an unguarded 10^e costs seconds, not
+# memory, and shows up as a missed deadline
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(AT_PARTS, max_size=4).map(",".join))
+def test_parse_at_returns_fractions_or_an_at_error(spec):
+    try:
+        out = parse_at(spec, ("q", "t"))
+    except ValueError as exc:
+        assert str(exc).startswith("--at"), str(exc)
+        return
+    assert set(out) <= {"q", "t"}
+    assert all(isinstance(v, Fraction) for v in out.values())
+
+
+def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
+    made = Counter()
+    workspaces = []
+    init = QuantumRing.__init__
+    scan = quantum._associativity_scan
+
+    def counted_init(self, *args, **kwargs):
+        made["rings"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_scan(ring):
+        made["scans"] += 1
+        return scan(ring)
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(QuantumRing, "__init__", counted_init)
+    monkeypatch.setattr(quantum, "_associativity_scan", counted_scan)
+    monkeypatch.setattr(cli, "Workspace", Recorded)
+    assert main(["verify-all", "--no-timestamp"]) == 0
+    # the solver's symbolic and solved rings and the perturbed control;
+    # the solved ring's scan serves the solver, the table and the operator
+    assert made == {"rings": 3, "scans": 2}
+    ws, = workspaces
+    assert ws.solve.ring is ws.ring
+
+
+def test_criterion_command_runs_the_criterion_three_times(monkeypatch,
+                                                          capsys):
+    calls = []
+    crit = deformation.irrationality_criterion
+
+    def counted(*args):
+        calls.append(args)
+        return crit(*args)
+
+    for module in (deformation, certificates, cli):
+        monkeypatch.setattr(module, "irrationality_criterion", counted)
+    assert main(["criterion", "--no-timestamp"]) == 0
+    # the certified report, read by the summary too, and two controls
+    assert len(calls) == 3
 
 
 def test_gw_rejects_at(capsys):

@@ -50,13 +50,8 @@ def test_all_reports_keys_and_values():
 
 def test_count_set_round_trip():
     counts = CountSet.from_geometry()
-    assert counts.J2 is None
     assert (counts.I11, counts.I12, counts.I13) == (6, 10, 6)
     assert (counts.I2, counts.J11, counts.J12) == (12, 24, 12)
-    full = counts.with_j2(32)
-    assert full.J2 == Fraction(32)
-    # original is frozen and untouched
-    assert counts.J2 is None
 
 
 def test_expected_values_table():

@@ -14,7 +14,8 @@ from gmquantum.poly import MultiPoly, VarContext
 from gmquantum.quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
-    kernel_basis, perturbed_ring, presentation_report, quantum_context,
+    kernel_basis, perturbed_ring, presentation_relations,
+    presentation_report, quantum_context,
     ring_from_solve, solve_three_point_invariants, spectral_report, squarefree_part,
     standard_ring, star_h_matrix, surd_roots,
 )
@@ -68,7 +69,7 @@ def test_full_product_table(ring):
 
 
 def test_star_h_matrix_frozen():
-    counts = CountSet.from_geometry().with_j2(32)
+    counts = CountSet.from_geometry()
     mat = star_h_matrix(counts, AmbientRing(), quantum_context())
     rendered = tuple(tuple(str(e) for e in row) for row in mat.rows)
     assert rendered == H_MATRIX
@@ -140,10 +141,37 @@ def test_spectral_report(ring):
 def test_ring_from_solve_checks_j11(ring):
     counts = CountSet.from_geometry()
     rep = solve_three_point_invariants(counts, counts.J12)
-    assert ring_from_solve(counts, rep).table == ring.table
+    assert ring_from_solve(counts, rep) is rep.ring
+    assert rep.ring.table == ring.table
     wrong = dataclasses.replace(counts, J11=counts.J11 + 1)
     with pytest.raises(ValueError):
         ring_from_solve(wrong, rep)
+
+
+def test_ring_from_solve_refuses_a_report_of_other_inputs():
+    counts = CountSet.from_geometry()
+    # solved from shifted counts, or from another J12, the report's ring
+    # is not the ring of `counts`, even where the solved J11 agrees
+    shifted = dataclasses.replace(counts, I2=counts.I2 + 1)
+    other_j12 = solve_three_point_invariants(counts, counts.J12 + 1)
+    for rep in (solve_three_point_invariants(shifted, shifted.J12),
+                other_j12, dataclasses.replace(other_j12, j11=counts.J11)):
+        with pytest.raises(ValueError, match="other counts"):
+            ring_from_solve(counts, rep)
+
+
+def test_associativity_is_scanned_once_per_ring(monkeypatch, ring):
+    scans = []
+    scan = quantum._associativity_scan
+    monkeypatch.setattr(quantum, "_associativity_scan",
+                        lambda r: scans.append(r) or scan(r))
+    broken = perturbed_ring(ring)
+    first = associativity_failures(broken)
+    assert first and associativity_failures(broken) == first
+    # callers get a copy; the stored result cannot be edited through one
+    first.clear()
+    assert associativity_failures(broken) != []
+    assert scans == [broken]
 
 
 def test_workspace_ring_reuses_counts_and_solve(monkeypatch):
@@ -238,6 +266,8 @@ def test_r3_is_a_consequence_of_r1_r2():
     r3 = hv ** 5 - 44 * qv * hv ** 3 - 16 * qv ** 2 * hv
     combo = (5 * sv + 2 * hv ** 2 + 6 * qv) * r1 - 5 * hv * r2
     assert r3 - combo == ctx.zero()
+    # the one definition every presentation check reads
+    assert presentation_relations() == {"R1": r1, "R2": r2, "R3": r3}
 
 
 def test_perturbed_ring_breaks_only_associativity(ring):
