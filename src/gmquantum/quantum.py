@@ -20,14 +20,14 @@ Products are computed from the table read as structure constants, in the
 WDVV framing of Kontsevich-Manin: e_i * e_j = sum_k c_ijk e_k, where each
 c_ijk is a polynomial whose monomials the grading fixes (a single power
 q^((deg i + deg j - deg k)/2) on the standard ring).  A `StructureTensor`
-stores, for each ordered pair (i, j), the (k, exponent, integer
-coefficient) entries of that pair over one denominator for the whole
-tensor.  `star` contracts two vectors against it, and `pairing` contracts
-them against the Gram matrix stored the same way: each input vector is put
-over the lcm of its coefficients' denominators, integer numerators are
-accumulated per exponent tuple, and every output coefficient is divided
-exactly once.  Exponent tuples are generic, so the symbolic (uJ11, uJ2)
-ring of the solver runs through the same code.
+holds them, and contracts vectors, packed (`PackedVec`): per slot a dict
+from the int key sum_v e_v 2^(64 v) of a monomial prod_v u_v^e_v to an
+integer numerator, over one positive denominator.  Keys add as monomials
+multiply; on the standard ring the key is the q exponent, and the solver's
+symbolic (q, uJ11, uJ2) ring runs through the same code.  `star` and
+`pairing` pack, contract and unpack; the ring-identity checks stay packed
+up to an exact comparison, so only tables, rendering and `--at` see
+`MultiPoly`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -139,63 +138,98 @@ def sigma11_square(j11, j12, j2, amb: AmbientRing, ctx: VarContext) -> QVec:
     return tuple(out)
 
 
-def _integer_form(x: QVec) -> Tuple[List[List[Tuple[Exponent, int]]], int]:
-    """x as (exponent, integer numerator) terms per slot, and their common
-    denominator."""
-    den = math.lcm(*(c.denominator for p in x for c in p.terms.values()))
-    return [[(e, c.numerator * (den // c.denominator))
-             for e, c in p.terms.items()] for p in x], den
+class PackedVec:
+    """Per slot a dict {exponent key: nonzero integer numerator}, all over
+    the positive denominator `den`; `bound` is at least every exponent of
+    every variable that occurs."""
+
+    __slots__ = ("slots", "den", "bound")
+
+    def __init__(self, slots: Sequence[Dict[int, int]], den: int, bound: int):
+        self.slots, self.den, self.bound = slots, den, bound
+
+    def __eq__(self, other: "PackedVec") -> bool:
+        """Exact: equal supports, then numerators cross-multiplied."""
+        return all(s.keys() == o.keys() and all(
+            n * other.den == o[k] * self.den for k, n in s.items())
+            for s, o in zip(self.slots, other.slots))
+
+    def plus(self, lam: Fraction, other: "PackedVec") -> "PackedVec":
+        """self + lam * other."""
+        fx, fy = other.den * lam.denominator, self.den * lam.numerator
+        slots = tuple({k: n for k in s.keys() | o.keys()
+                       if (n := s.get(k, 0) * fx + o.get(k, 0) * fy)}
+                      for s, o in zip(self.slots, other.slots))
+        return PackedVec(slots, self.den * fx, max(self.bound, other.bound))
 
 
 class StructureTensor:
-    """A bilinear map Q[u]^DIM x Q[u]^DIM -> Q[u]^width in integer form.
+    """A bilinear map Q[u]^DIM x Q[u]^DIM -> Q[u]^width on packed vectors.
 
     `images[(i, j)]` is the image of (e_i, e_j), `width` polynomials; a
-    missing pair maps to zero.  The nonzero coefficients are stored as
-    rows[i][j] = [(k, exponent, numerator), ...] over the single
-    denominator `den`, the lcm of every coefficient's denominator.
+    missing pair maps to zero.  rows[i][j] lists its nonzero coefficients
+    as (k, key, numerator) over one denominator `den`.  No key field ever
+    carries into the next: `pack` refuses an exponent >= 2^62 and
+    `contract` a product whose exponent bound reaches 2^64 (ValueError).
     """
 
     def __init__(self, ctx: VarContext, width: int,
                  images: Mapping[Tuple[int, int], Sequence[MultiPoly]]):
         self.ctx = ctx
         self.width = width
-        self.den = math.lcm(*(c.denominator for vec in images.values()
-                              for p in vec for c in p.terms.values()))
-        self.rows = [[[(k, e, c.numerator * (self.den // c.denominator))
-                       for k, p in enumerate(images.get((i, j), ()))
-                       for e, c in p.terms.items()]
+        shifts = range(0, 64 * ctx.nvars, 64)
+        self._key = lru_cache(maxsize=None)(
+            lambda e: sum(v << s for v, s in zip(e, shifts)))
+        self._exponent = lru_cache(maxsize=None)(
+            lambda key: tuple((key >> s) & ((1 << 64) - 1) for s in shifts))
+        flat = self.pack([p for i in range(DIM) for j in range(DIM)
+                          for p in images.get((i, j), (ctx.zero(),) * width)])
+        self.den, self.bound = flat.den, flat.bound
+        self.rows = [[[(k, key, n) for k in range(width) for key, n in
+                       flat.slots[(DIM * i + j) * width + k].items()]
                       for j in range(DIM)] for i in range(DIM)]
 
-    def contract(self, x: QVec, y: QVec) -> QVec:
+    def pack(self, x: Sequence[MultiPoly]) -> PackedVec:
+        """x over the lcm of its coefficients' denominators."""
+        bound = max((max(e) for p in x for e in p.terms), default=0)
+        if bound >> 62:
+            raise ValueError("exponent %d is too large to pack" % bound)
+        den = math.lcm(*(c.denominator for p in x for c in p.terms.values()))
+        return PackedVec(tuple(
+            {self._key(e): c.numerator * (den // c.denominator)
+             for e, c in p.terms.items()} for p in x), den, bound)
+
+    def unpack(self, x: PackedVec) -> QVec:
+        """x as polynomials, one Fraction per term."""
+        return tuple(MultiPoly(self.ctx, {self._exponent(k): Fraction(n, x.den)
+                                          for k, n in slot.items()})
+                     for slot in x.slots)
+
+    def contract(self, x: PackedVec, y: PackedVec) -> PackedVec:
         """The image of (x, y): sum over i, j of x_i y_j images[(i, j)].
 
-        Only Python ints are multiplied and added; each output coefficient
-        becomes one Fraction over den(x) den(y) den(tensor).
+        Only Python ints are multiplied and added, over the denominator
+        den(x) den(y) den(tensor).
         """
-        xs, xden = _integer_form(x)
-        ys, yden = _integer_form(y)
-        acc: List[Dict[Exponent, int]] = [{} for _ in range(self.width)]
-        for xi, row in zip(xs, self.rows):
+        bound = x.bound + y.bound + self.bound
+        if bound >> 64:
+            raise ValueError("exponent bound %d would carry" % bound)
+        acc: List[Dict[int, int]] = [{} for _ in range(self.width)]
+        for xi, row in zip(x.slots, self.rows):
             if not xi:
                 continue
-            for yj, entries in zip(ys, row):
+            for yj, entries in zip(y.slots, row):
                 if not yj or not entries:
                     continue
-                prod: Dict[Exponent, int] = {}
-                for ex, nx in xi:
-                    for ey, ny in yj:
-                        e = tuple(map(add, ex, ey))
-                        prod[e] = prod.get(e, 0) + nx * ny
-                for k, et, c in entries:
-                    slot = acc[k]
-                    for e, n in prod.items():
-                        e = tuple(map(add, e, et))
-                        slot[e] = slot.get(e, 0) + n * c
-        den = xden * yden * self.den
-        return tuple(MultiPoly(self.ctx, {e: Fraction(n, den)
-                                          for e, n in slot.items() if n})
-                     for slot in acc)
+                for ex, nx in xi.items():
+                    for ey, ny in yj.items():
+                        e, n = ex + ey, nx * ny
+                        for k, et, c in entries:
+                            slot = acc[k]
+                            slot[e + et] = slot.get(e + et, 0) + n * c
+        return PackedVec(tuple({e: n for e, n in slot.items() if n}
+                               for slot in acc),
+                         x.den * y.den * self.den, bound)
 
 
 class QuantumRing:
@@ -220,11 +254,11 @@ class QuantumRing:
         if table is None:
             table = self._build_table(j11, j12, j2)
         self.table = MappingProxyType(dict(table))
-        self._product = StructureTensor(self.ctx, DIM, {
+        self.product_tensor = StructureTensor(self.ctx, DIM, {
             (i, j): self.table[(min(i, j), max(i, j))]
             for i in range(DIM) for j in range(DIM)})
         gram = self.amb.gram()
-        self._gram = StructureTensor(self.ctx, 1, {
+        self.gram_tensor = StructureTensor(self.ctx, 1, {
             (i, j): (self.ctx.scalar(gram.rows[i][j]),)
             for i in range(DIM) for j in range(DIM)})
         # filled by the first associativity_failures(self)
@@ -312,11 +346,13 @@ class QuantumRing:
 
     def star(self, x: QVec, y: QVec) -> QVec:
         """x * y, contracted against the table's structure tensor."""
-        return self._product.contract(x, y)
+        t = self.product_tensor
+        return t.unpack(t.contract(t.pack(x), t.pack(y)))
 
     def pairing(self, x: QVec, y: QVec) -> MultiPoly:
         """<x, y>, contracted against the Gram matrix as a width 1 tensor."""
-        return self._gram.contract(x, y)[0]
+        g = self.gram_tensor
+        return g.unpack(g.contract(g.pack(x), g.pack(y)))[0]
 
     def format(self, x: QVec) -> str:
         parts = []
@@ -366,8 +402,9 @@ def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
 
 def _basis_triples(ring: QuantumRing, ordered: bool):
     """(names, (a, b, c)) for all DIM^3 ordered basis triples, or for the
-    unordered ones i <= j <= k, in lexicographic order."""
-    basis = [ring.basis_element(name) for name in BASIS_NAMES]
+    unordered ones i <= j <= k, in lexicographic order, packed."""
+    basis = [ring.product_tensor.pack(ring.basis_element(name))
+             for name in BASIS_NAMES]
     for ijk in (product(range(DIM), repeat=3) if ordered
                 else combinations_with_replacement(range(DIM), 3)):
         yield (tuple(BASIS_NAMES[i] for i in ijk),
@@ -375,15 +412,18 @@ def _basis_triples(ring: QuantumRing, ordered: bool):
 
 
 def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
+    t = ring.product_tensor
     return [names for names, (a, b, c) in _basis_triples(ring, False)
-            if ring.star(ring.star(a, b), c) != ring.star(a, ring.star(b, c))]
+            if t.contract(t.contract(a, b), c)
+            != t.contract(a, t.contract(b, c))]
 
 
 def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """Triples where <a*b, c> differs from <a, b*c>."""
+    t, g = ring.product_tensor, ring.gram_tensor
     return [names for names, (a, b, c) in _basis_triples(ring, True)
-            if ring.pairing(ring.star(a, b), c)
-            != ring.pairing(a, ring.star(b, c))]
+            if g.contract(t.contract(a, b), c)
+            != g.contract(a, t.contract(b, c))]
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:
@@ -480,8 +520,10 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
     ring = QuantumRing(counts, ctx.var("uJ11"), j12, ctx.var("uJ2"), ctx=ctx)
+    t, g = ring.product_tensor, ring.gram_tensor
     residuals = _route_residuals(ring) + [
-        ring.pairing(ring.star(a, b), c) - ring.pairing(a, ring.star(b, c))
+        g.unpack(g.contract(t.contract(a, b), c).plus(
+            Fraction(-1), g.contract(a, t.contract(b, c))))[0]
         for _, (a, b, c) in _basis_triples(ring, False)]
     rows = []
     rhs = []

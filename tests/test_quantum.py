@@ -367,6 +367,28 @@ def draw_element(ring, rng, kind):
 ELEMENT_KINDS = ("small", "long", "sparse", "zero", "poly")
 
 
+def check_packed_path(ring, x, y, lam=Fraction(-7, 3)):
+    """The packed round trip, contractions, x + lam y and == against the
+    MultiPoly oracle, for one pair of vectors."""
+    t, g = ring.product_tensor, ring.gram_tensor
+    px, py = t.pack(x), t.pack(y)
+    assert t.unpack(px) == x and t.unpack(py) == y
+    assert t.unpack(t.contract(px, py)) == reference_star(ring, x, y)
+    assert g.unpack(g.contract(px, py))[0] == reference_pairing(ring, x, y)
+    assert t.unpack(px.plus(lam, py)) == tuple(a + lam * b
+                                               for a, b in zip(x, y))
+    # == agrees with MultiPoly ==, on this pair, on each vector against
+    # itself, and on the same value over a larger denominator
+    assert (px == py) == (x == y)
+    assert (px != py) == (x != y)
+    zero = t.pack(ring.zero())
+    for p, v in ((px, x), (py, y)):
+        assert p == t.pack(v)
+        over = p.plus(Fraction(1, 3), zero)
+        assert over.den == 3 * p.den and over == p and p == over
+        assert (p == zero) == (v == ring.zero())
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_engine_matches_reference(name):
     ring = RINGS[name]()
@@ -378,11 +400,15 @@ def test_engine_matches_reference(name):
             assert ring.star(x, y) == reference_star(ring, x, y), (kx, ky)
             assert ring.pairing(x, y) == reference_pairing(ring, x, y), \
                 (kx, ky)
+            check_packed_path(ring, x, y)
+            check_packed_path(ring, x, x)
     # products of products carry several q powers per slot
     x, y = (draw_element(ring, rng, "small") for _ in range(2))
     xy = ring.star(x, y)
     assert ring.star(xy, xy) == reference_star(ring, xy, xy)
     assert ring.pairing(xy, y) == reference_pairing(ring, xy, y)
+    check_packed_path(ring, xy, ring.star(y, x))
+    check_packed_path(ring, xy, ring.zero())
 
 
 fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
@@ -402,6 +428,7 @@ def test_engine_matches_reference_hypothesis(ring, xs, ys, dx, dy):
     y = tuple(qy * c for c in ys)
     assert ring.star(x, y) == reference_star(ring, x, y)
     assert ring.pairing(x, y) == reference_pairing(ring, x, y)
+    check_packed_path(ring, x, y, Fraction(xs[0] or 1))
 
 
 def test_star_and_pairing_do_no_polynomial_multiplication(ring, monkeypatch):
@@ -419,4 +446,96 @@ def test_star_and_pairing_do_no_polynomial_multiplication(ring, monkeypatch):
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
     ring.star(ab, c)
     ring.pairing(ab, c)
+    assert calls == []
+
+
+def test_star_refuses_exponents_that_would_carry():
+    """Each variable owns a 64-bit field of the packed key: an exponent
+    that could carry into the next field raises instead of returning a
+    wrong product, and exponents up to 2^61 still round-trip."""
+    ring = symbolic_ring()
+    t = ring.product_tensor
+    q, u11, u2 = (ring.ctx.var(v) for v in ("q", "uJ11", "uJ2"))
+    big = ring.element({"s0": q ** (2 ** 63)})
+    with pytest.raises(ValueError, match="too large to pack"):
+        ring.star(big, ring.basis_element("s1"))
+    with pytest.raises(ValueError, match="too large to pack"):
+        ring.pairing(ring.basis_element("s1"), big)
+    x = ring.element({"s0": q ** (2 ** 61) * u11 + u2 ** (2 ** 61),
+                      "s11": 3 * u11 ** (2 ** 61) - q})
+    y = ring.element({"s2": q ** (2 ** 61) * u2 ** 5, "s3": u11 - 2})
+    assert t.unpack(t.pack(x)) == x
+    assert ring.star(x, y) == reference_star(ring, x, y)
+    assert ring.pairing(x, y) == reference_pairing(ring, x, y)
+    # bounds add up along a chain of contractions until one could carry
+    p = t.pack(x)
+    p = t.contract(p, p)            # bound 2^62 + the tensor's
+    p = t.contract(p, p)            # bound 2^63 + 3 times the tensor's
+    with pytest.raises(ValueError, match="would carry"):
+        t.contract(p, p)
+
+
+def reference_random_identity_failures(ring, rng, samples):
+    """The property sample with MultiPoly products and comparisons."""
+    bad = []
+    for n in range(samples):
+        a = certificates.random_element(ring, rng)
+        b = certificates.random_element(ring, rng)
+        c = certificates.random_element(ring, rng)
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        ab = ring.star(a, b)
+        if ring.star(ab, c) != ring.star(a, ring.star(b, c)):
+            bad.append("sample %d: associativity" % n)
+        if ab != ring.star(b, a):
+            bad.append("sample %d: commutativity" % n)
+        if ring.pairing(ab, c) != ring.pairing(a, ring.star(b, c)):
+            bad.append("sample %d: frobenius" % n)
+        shifted = tuple(x + lam * y for x, y in zip(b, c))
+        lhs = ring.star(a, shifted)
+        rhs = tuple(x + lam * y for x, y in
+                    zip(ab, ring.star(a, c)))
+        if lhs != rhs:
+            bad.append("sample %d: linearity" % n)
+    return bad
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_random_identities_match_the_multipoly_sample(ring, seed):
+    broken = perturbed_ring(ring)
+    for r in (ring, broken):
+        want = reference_random_identity_failures(r, random.Random(seed),
+                                                  100)
+        got = certificates.random_identity_failures(r, random.Random(seed),
+                                                    100)
+        assert got == want
+        assert (got != []) == (r is broken)
+
+
+def test_property_certificate_fails_on_a_perturbed_ring(ring):
+    ws = certificates.Workspace()
+    ws._cache["ring"] = perturbed_ring(ring)
+    [cert] = certificates.property_certificates(ws, 0)
+    assert cert.status == certificates.FAILED
+    assert cert.computed > 0
+    assert "associativity" in cert.witness
+
+
+def test_identity_checks_stay_packed(ring, monkeypatch):
+    """The property sample and the table scans never fall back to
+    MultiPoly arithmetic or comparison between products."""
+    broken = perturbed_ring(ring)
+    calls = []
+    for name in ("__add__", "__mul__", "__rmul__", "__eq__"):
+        original = getattr(MultiPoly, name)
+
+        def counted(self, other, name=name, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(MultiPoly, name, counted)
+    certificates.random_identity_failures(ring, random.Random(0), 5)
+    certificates.random_identity_failures(broken, random.Random(0), 5)
+    quantum.frobenius_failures(ring)
+    quantum.frobenius_failures(broken)
+    quantum._associativity_scan(broken)
     assert calls == []
