@@ -24,8 +24,11 @@ the spectral condition on the undeformed operator: every eigenvalue
 multiplicity on the ambient block is at most two while the model keeps a
 nonzero (3, 1) slot.
 
-Ranks away from t = 0 are taken over the fraction field Q(q, t) of the
-recorded order-0/order-1 data; nothing is claimed beyond first order.
+Every entry is homogeneous (deg t = -1 included), so ranks, kernels and
+squarefree profiles over Q(q) are read at q = 1 over Q, by the
+conjugation argument in `linalg`, once `at_q_one` has checked the
+homogeneity.  Ranks away from t = 0 are taken on the eigenspace columns
+restored to Q[q, t]; nothing is claimed beyond first order.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
-    Matrix, RatFunc, block_diag, char_poly, mat_add, matmul, matvec,
-    nullspace_field, rank_checked, ratfunc_matrix, scalar_matrix,
-    solve_field, squarefree_profile, univariate_over_ratfunc, up_div_exact,
-    up_gcd, up_mul, yun_squarefree,
+    Matrix, at_q_one, block_diag, char_poly, coefficients, mat_add,
+    matmul, matrix_at_q_one, matvec, nullspace_field, rank_checked,
+    restore_q, scalar_matrix, solve_field, squarefree_profile,
+    yun_squarefree,
 )
 from .poly import MultiPoly, VarContext
 from .quantum import QuantumRing, associativity_failures
@@ -268,31 +271,6 @@ class AtomStatistics:
     details: Dict[str, object]
 
 
-def _up_lcm(a: List[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    b = list(b)
-    g = up_gcd(a, b)
-    return up_mul(up_div_exact(a, g), b)
-
-
-def _column_to_polys(order0: Sequence[RatFunc], order1: Sequence[RatFunc],
-                     plain: VarContext) -> List[MultiPoly]:
-    """One basis column cleared of denominators, as plain Q[q, t] vectors."""
-    den = [Fraction(1)]
-    for r in list(order0) + list(order1):
-        den = _up_lcm(den, r.den)
-    out = []
-    for pair in zip(order0, order1):
-        terms = {}
-        for t, r in enumerate(pair):
-            if r:
-                for k, c in enumerate(up_mul(list(r.num),
-                                             up_div_exact(den, list(r.den)))):
-                    if c:
-                        terms[(k, t)] = Fraction(c)
-        out.append(MultiPoly(plain, terms))
-    return out
-
-
 def _columns_matrix(cols: Sequence[Sequence[MultiPoly]]) -> Matrix:
     return Matrix([[cols[j][i] for j in range(len(cols))]
                    for i in range(len(cols[0]))])
@@ -323,9 +301,11 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     and a primitive block equal to -4qt times the identity.  The shifted
     operator K - lambda is then zero on the 22 primitive slots, which
     are unit kernel lines of E with zero image, and all elimination runs
-    on the 6 x 6 shifted ambient block: E_amb is found at order zero
-    over Q(q) and lifted to first order by linear solving; dimensions
-    and ranks away from t = 0 are taken over Q(q, t) on the lifted
+    on the 6 x 6 shifted ambient block, at q = 1 after the homogeneity
+    guard (see the module docstring): the cofactor profile is read there,
+    and E_amb is found at order zero and lifted to first order over Q,
+    each column restored to Q[q, t] by its weights.  Dimensions and ranks
+    away from t = 0 are taken over Q(q, t) on the restored
     representatives.  The primitive lines add 22 to dim E, lie in the
     kernel, and meet the tagged rows of the model one line per slot.
     """
@@ -345,6 +325,10 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     # so the ambient block carries the eigenvalue exactly twice and the
     # scalar primitive block adds twenty two
     hpoly = char_poly(amb, var="Y")
+    # guarded first, so an off-weight block is refused before any check
+    hpoly_t0 = coefficients(at_q_one(hpoly.coefficient_of("t", 0), DIM,
+                                     "shifted characteristic polynomial"),
+                            "Y")
     h0 = hpoly.coefficient_of("Y", 0)
     h1 = hpoly.coefficient_of("Y", 1)
     h2 = hpoly.coefficient_of("Y", 2)
@@ -354,24 +338,26 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     multiplicity = 2 + PRIMITIVE_DIM
 
     # the four moving eigenvalue branches stay simple at t = 0
-    cofactor_profile = squarefree_profile(univariate_over_ratfunc(
-        hpoly.coefficient_of("t", 0), "Y", "q")[2:])
+    cofactor_profile = squarefree_profile(hpoly_t0[2:])
 
-    # order zero eigenspace over Q(q), then the first order lift:
+    # order zero eigenspace at q = 1, then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
-    # N0^2 f = -(N0 N1 + N1 N0) e
+    # N0^2 f = -(N0 N1 + N1 N0) e.  N0 shifts degrees by 1 and N1 by 2.
     n0 = amb.map(lambda e: e.coefficient_of("t", 0))
     n1 = amb.map(lambda e: e.coefficient_of("t", 1))
-    sq_rf = ratfunc_matrix(matmul(n0, n0), "q")
-    cross_rf = ratfunc_matrix(mat_add(matmul(n0, n1), matmul(n1, n0)), "q")
-    order0 = nullspace_field(sq_rf, RatFunc.one())
+    sq = matrix_at_q_one(matmul(n0, n0), 2, BASIS_DEGREES, "N0^2")
+    cross = matrix_at_q_one(mat_add(matmul(n0, n1), matmul(n1, n0)), 3,
+                            BASIS_DEGREES, "N0 N1 + N1 N0")
     columns = []
-    for e in order0:
-        rhs = [-x for x in matvec(cross_rf, e)]
-        f = solve_field(sq_rf, rhs)
+    for e in nullspace_field(sq, Fraction(1)):
+        f = solve_field(sq, [-x for x in matvec(cross, e)])
         if f is None:
             raise ValueError("first order lift of the eigenspace is obstructed")
-        columns.append(_column_to_polys(e, f, plain))
+        # e has the weight of its free column, its last nonzero slot, and
+        # e + tf keeps that weight, so f has one more (deg t = -1)
+        weight = BASIS_DEGREES[max(j for j, c in enumerate(e) if c)]
+        columns.append(restore_q([(e, weight), (f, weight + 1)],
+                                 BASIS_DEGREES, plain))
 
     # exact check: (K - lambda)^2 annihilates every lifted column mod t^2
     images = []
@@ -457,8 +443,14 @@ def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     exceeds two and the model keeps a nonzero (3, 1) slot.  For the
     verified operator the spectrum is four simple nonzero branches plus
     a two dimensional kernel.
+
+    A characteristic polynomial in q is read at q = 1 after the guard; a
+    numeric one is read as it is.
     """
-    coeffs = univariate_over_ratfunc(char_poly(m, var="X"), "X", "q")
+    cp = char_poly(m, var="X")
+    if "q" in cp.ctx.index:
+        cp = at_q_one(cp, m.nrows, "characteristic polynomial")
+    coeffs = coefficients(cp, "X")
     factors = yun_squarefree(coeffs)
     profile = {mult: len(fac) - 1 for mult, fac in factors}
     max_mult = max(profile) if profile else 0

@@ -1,13 +1,12 @@
-"""Groebner bases over a coefficient field, in graded reverse lex order.
+"""Groebner bases over the rationals, in graded reverse lex order.
 
 Plain Buchberger with the coprime-leading-term criterion is enough for the
-tiny ideals handled here (two variables, a handful of generators).  The
-coefficient field is whatever the VarContext carries: exact rationals or
-univariate rational functions.
+tiny ideals handled here (two variables, a handful of generators).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Sequence
 
 from .poly import Exponent, MultiPoly, weighted_grevlex_key
@@ -57,9 +56,8 @@ def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     fexp, fc = f.leading()
     gexp, gc = g.leading()
     lcm = _exp_lcm(fexp, gexp)
-    mf = ctx.monomial(_exp_sub(lcm, fexp), 1 / fc) if isinstance(fc, int) else \
-        ctx.monomial(_exp_sub(lcm, fexp), ctx.coeff_one / fc)
-    mg = ctx.monomial(_exp_sub(lcm, gexp), ctx.coeff_one / gc)
+    mf = ctx.monomial(_exp_sub(lcm, fexp), Fraction(1) / fc)
+    mg = ctx.monomial(_exp_sub(lcm, gexp), Fraction(1) / gc)
     return mf * f - mg * g
 
 
@@ -100,7 +98,7 @@ def buchberger(generators: Sequence[MultiPoly]) -> List[MultiPoly]:
         if r.is_zero():
             continue
         _, lc = r.leading()
-        reduced.append(r * (ctx.coeff_one / lc))
+        reduced.append(r * (Fraction(1) / lc))
     reduced.sort(key=lambda g: weighted_grevlex_key(ctx, g.leading()[0]))
     return reduced
 

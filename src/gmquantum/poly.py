@@ -1,11 +1,11 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
 A polynomial is stored as a mapping from exponent vectors to nonzero
-coefficients.  Coefficients are `fractions.Fraction` by default, so every
-number in the engine is an exact rational in lowest terms with positive
-denominator.  A `VarContext` fixes the variable names, their (weighted)
-degrees, and optional nilpotency truncations such as t^2 = 0; polynomials
-from different contexts never mix.
+coefficients.  Coefficients are `fractions.Fraction`, so every number in
+the engine is an exact rational in lowest terms with positive denominator.
+A `VarContext` fixes the variable names, their (weighted) degrees, and
+optional nilpotency truncations such as t^2 = 0; polynomials from
+different contexts never mix.
 
 Variable degrees may be negative (a deformation parameter of degree -1 is
 used downstream), so the weighted degree of a monomial is an integer of
@@ -40,14 +40,9 @@ class VarContext:
     e.g. {"t": 2} realizes the ring Q[q,t]/(t^2): any term with t-exponent
     >= 2 is dropped on normalization, which is exactly the truncated pair
     product (a0, a1)(b0, b1) = (a0 b0, a0 b1 + a1 b0).
-
-    `coeff_one` is the multiplicative unit of the coefficient field; the
-    default Fraction(1) gives plain rational coefficients.  Passing a
-    different field element (rational functions, say) turns every polynomial
-    of this context into one over that field.
     """
 
-    def __init__(self, names, degrees, nilpotent=None, coeff_one=Fraction(1)):
+    def __init__(self, names, degrees, nilpotent=None):
         names = tuple(names)
         degrees = tuple(int(d) for d in degrees)
         if len(names) != len(degrees):
@@ -61,8 +56,6 @@ class VarContext:
         for n in self.nilpotent:
             if n not in self.index:
                 raise ValueError("nilpotent truncation for unknown variable %r" % n)
-        self.coeff_one = coeff_one
-        self.coeff_zero = coeff_one - coeff_one
 
     @property
     def nvars(self):
@@ -83,14 +76,8 @@ class VarContext:
             return MultiPoly(self, {})
         return MultiPoly(self, {(0,) * self.nvars: coeff})
 
-    def coerce_coeff(self, value):
-        if isinstance(value, int):
-            return self.coeff_one * value
-        if isinstance(value, Fraction) and isinstance(self.coeff_one, Fraction):
-            return value
-        if type(value) is type(self.coeff_one):
-            return value
-        return self.coeff_one * value
+    def coerce_coeff(self, value) -> Fraction:
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
@@ -101,28 +88,26 @@ class VarContext:
     def var(self, name: str) -> "MultiPoly":
         i = self.index[name]
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return MultiPoly(self, {exp: self.coeff_one})
+        return MultiPoly(self, {exp: Fraction(1)})
 
     def monomial(self, expvec: Exponent, coeff=1) -> "MultiPoly":
         return MultiPoly(self, {tuple(expvec): self.coerce_coeff(coeff)})
 
     def extended(self, names, degrees, nilpotent=None) -> "VarContext":
-        """New context with extra variables appended (same coefficient field)."""
+        """New context with extra variables appended."""
         nil = dict(self.nilpotent)
         nil.update(nilpotent or {})
         return VarContext(self.names + tuple(names), self.degrees + tuple(degrees),
-                          nilpotent=nil, coeff_one=self.coeff_one)
+                          nilpotent=nil)
 
     def without_truncation(self) -> "VarContext":
-        return VarContext(self.names, self.degrees, nilpotent=None,
-                          coeff_one=self.coeff_one)
+        return VarContext(self.names, self.degrees)
 
     def __eq__(self, other):
         return (isinstance(other, VarContext)
                 and self.names == other.names
                 and self.degrees == other.degrees
-                and self.nilpotent == other.nilpotent
-                and type(self.coeff_one) is type(other.coeff_one))
+                and self.nilpotent == other.nilpotent)
 
     def __hash__(self):
         return hash((self.names, self.degrees, tuple(sorted(self.nilpotent.items()))))
@@ -160,7 +145,7 @@ class MultiPoly:
         """Coefficient of the constant monomial (the whole value if scalar)."""
         if not self.is_scalar():
             raise ValueError("polynomial is not a scalar: %s" % self)
-        return self.terms.get((0,) * self.ctx.nvars, self.ctx.coeff_zero)
+        return self.terms.get((0,) * self.ctx.nvars, Fraction(0))
 
     def _check(self, other: "MultiPoly"):
         if self.ctx != other.ctx:
@@ -200,9 +185,7 @@ class MultiPoly:
         return self.ctx.scalar(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-                not isinstance(other, MultiPoly)
-                and type(other) is type(self.ctx.coeff_one)):
+        if isinstance(other, (int, Fraction)):
             coeff = self.ctx.coerce_coeff(other)
             if not coeff:
                 return self.ctx.zero()
@@ -326,11 +309,11 @@ class MultiPoly:
         return result
 
     def evaluate(self, values: Mapping[str, object]):
-        """Full evaluation at scalar values; returns a coefficient-field element."""
+        """Full evaluation at scalar values."""
         missing = [n for n in self.ctx.names if n not in values]
         if missing:
             raise ValueError("missing values for %s" % ", ".join(missing))
-        total = self.ctx.coeff_zero
+        total = Fraction(0)
         for exp, coeff in self.terms.items():
             val = coeff
             for name, e in zip(self.ctx.names, exp):

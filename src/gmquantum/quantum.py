@@ -44,9 +44,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
-    Matrix, RatFunc, char_poly, matmul, matvec, nullspace_field,
-    poly_to_ratfunc, rank_checked, rank_field, scalar_matrix, solve_field,
-    squarefree_profile, univariate_over_ratfunc,
+    Matrix, at_q_one, char_poly, coefficients, matmul, matrix_at_q_one,
+    matvec, nullspace_field, rank_checked, rank_field, scalar_matrix,
+    solve_field, squarefree_profile, vector_at_q_one,
 )
 from .poly import Exponent, MultiPoly, VarContext
 from .gwcounts import CountSet
@@ -616,12 +616,13 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     """Characteristic polynomial of h * (-) and its eigenvalue structure."""
     mh = ring.h_matrix
     cp = char_poly(mh, var="X")
-    coeffs = univariate_over_ratfunc(cp, "X", "q")
-    # cp = X^2 (X^4 + a q X^2 + b q^2): at q = 1 the quadratic in T = X^2
-    # is T^2 + a T + b
+    coeffs = coefficients(at_q_one(cp, DIM, "characteristic polynomial"), "X")
+    # cp = X^2 (X^4 + a q X^2 + b q^2), homogeneous of degree 6, so its
+    # profile over Q(q) is the one at q = 1, where T = X^2 solves
+    # T^2 + a T + b
     even = [k for k, c in enumerate(coeffs) if c] == [2, 4, 6]
-    a_val = coeffs[4].evaluate(1)
-    b_val = coeffs[2].evaluate(1)
+    a_val = coeffs[4]
+    b_val = coeffs[2]
     disc = a_val * a_val - 4 * b_val
     rk = rank_checked(mh, random.Random(20260822))
     report = {
@@ -712,13 +713,13 @@ def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
     beta = ring.element({"s0": -4 * q * q, "s2": -2 * q, "s31": 1})
     killed = (_is_zero_vec(ring.star_h(alpha))
               and _is_zero_vec(ring.star_h(beta)))
-    # independence and span agreement with the generic nullspace
-    rmat = Matrix([[poly_to_ratfunc(c, "q") for c in alpha],
-                   [poly_to_ratfunc(c, "q") for c in beta]])
+    # independence and span agreement with the generic nullspace, at
+    # q = 1: alpha has weight deg s2 = 2, beta weight deg s31 = 4
+    rmat = Matrix([vector_at_q_one(alpha, 2, BASIS_DEGREES, "alpha"),
+                   vector_at_q_one(beta, 4, BASIS_DEGREES, "beta")])
     independent = rank_field(rmat) == 2
-    mh_rat = Matrix([[poly_to_ratfunc(ring.h_matrix.rows[i][j], "q")
-                      for j in range(DIM)] for i in range(DIM)])
-    null = nullspace_field(mh_rat, RatFunc.one())
+    mh1 = matrix_at_q_one(ring.h_matrix, 1, BASIS_DEGREES, "h matrix")
+    null = nullspace_field(mh1, Fraction(1))
     spans = len(null) == 2
     for vec in null:
         stacked = Matrix(list(rmat.rows) + [list(vec)])
@@ -763,17 +764,15 @@ def _relation_values(ring: QuantumRing, word) -> Dict[str, QVec]:
     return out
 
 
-def _presentation_ideal():
-    """(R1, R2, R3) inside Q(q)[s11, h] with deg s11 = 2, deg h = 1."""
-    q = RatFunc.variable()
-    ctx = VarContext(("s11", "h"), (2, 1), coeff_one=RatFunc.one())
-    gens = []
-    for rel in presentation_relations().values():
-        terms: Dict[Exponent, RatFunc] = {}
-        for (a, i, j), c in rel.terms.items():
-            terms[(i, j)] = terms.get((i, j), RatFunc.zero()) + q ** a * c
-        gens.append(MultiPoly(ctx, terms))
-    return ctx, gens
+def _presentation_ideal() -> List[MultiPoly]:
+    """(R1, R2, R3) at q = 1, in Q[s11, h] with deg s11 = 2, deg h = 1.
+
+    Each relation is homogeneous, so s11 -> q s11, h -> sqrt(q) h carries
+    this ideal onto the one over Q(q) and fixes every leading monomial:
+    Groebner bases, standard monomials and quotient ranks agree.
+    """
+    return [at_q_one(rel, None, name)
+            for name, rel in presentation_relations().items()]
 
 
 def presentation_report(ring: QuantumRing) -> Dict[str, object]:
@@ -789,36 +788,33 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
 
     rels = _relation_values(ring, word)
     vanish = {name: _is_zero_vec(vec) for name, vec in rels.items()}
-    ctx, gens = _presentation_ideal()
+    gens = _presentation_ideal()
+    ctx = gens[0].ctx
     ideal = PolyIdeal(gens)
     sm = ideal.standard_monomials()
     expected = {(0, 0), (0, 1), (0, 2), (1, 0), (0, 3), (0, 4)}
     monomial_basis_ok = set(sm) == expected
+
+    # images and products are compared at q = 1, each guarded as a vector
+    # of the weight of s11^i h^j
+    def at_one(vec: QVec, exp: Exponent, what: str) -> List[Fraction]:
+        return vector_at_q_one(vec, ctx.weighted_degree(exp), BASIS_DEGREES,
+                               "%s of s11^%d h^%d" % ((what,) + exp))
+
     # word map: (i, j) exponent of (s11, h) goes to s11^i * h^j under star
-    images = {exp: word(*exp) for exp in sm}
-
-    def to_rat(vec: QVec):
-        return [poly_to_ratfunc(c, "q") for c in vec]
-
-    image_matrix = Matrix([to_rat(images[e]) for e in sm])
-    bijective = rank_field(image_matrix) == DIM
-
-    def image_of_nf(p) -> List[RatFunc]:
-        out = [RatFunc.zero() for _ in range(DIM)]
-        for exp, coeff in p.terms.items():
-            vec = to_rat(images[exp])
-            for k in range(DIM):
-                out[k] = out[k] + coeff * vec[k]
-        return out
+    images = {exp: at_one(word(*exp), exp, "image") for exp in sm}
+    bijective = rank_field(Matrix([images[e] for e in sm])) == DIM
 
     ring_map = True
-    for gen_name in ("s11", "s1"):
-        gvar = ctx.var("s11" if gen_name == "s11" else "h")
+    for gen_name, gvar in (("s11", "s11"), ("s1", "h")):
         gvec = ring.basis_element(gen_name)
         for exp in sm:
-            prod_poly = ideal.reduce(gvar * ctx.monomial(exp, ctx.coeff_one))
-            lhs = image_of_nf(prod_poly)
-            rhs = to_rat(ring.star(gvec, images[exp]))
+            prod = ctx.var(gvar) * ctx.monomial(exp)
+            lhs = [Fraction(0)] * DIM
+            for e, coeff in ideal.reduce(prod).terms.items():
+                lhs = [x + coeff * y for x, y in zip(lhs, images[e])]
+            rhs = at_one(ring.star(gvec, word(*exp)), prod.leading()[0],
+                         "product")
             if lhs != rhs:
                 ring_map = False
     # minimal polynomial: R3 involves q and h only (no s11), and its
@@ -846,7 +842,7 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     return {
         "relations_vanish": vanish,
         "standard_monomials": sorted(sm),
-        "standard_monomial_names": [str(ctx.monomial(e, ctx.coeff_one))
+        "standard_monomial_names": [str(ctx.monomial(e))
                                     for e in sorted(sm)],
         "monomial_basis_ok": monomial_basis_ok,
         "quotient_rank": len(sm),

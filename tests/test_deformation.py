@@ -8,16 +8,17 @@ import pytest
 from gmquantum.ambient import DIM
 from gmquantum.deformation import (
     FULL, PRIMITIVE_DIM, RANK_SEED, AtomStatistics, HodgeModel,
-    TruncatedOperator, _column_to_polys, _columns_matrix,
+    TruncatedOperator, _columns_matrix,
     assemble_full_operator, atom_statistics, build_deformed_matrix,
     eigenvalue, homogeneity_failures, irrationality_criterion, jordan_pair,
     specialization_failures, truncated_context, verify_jordan_pair,
 )
 from gmquantum.linalg import (
     Matrix, RatFunc, char_poly, mat_add, matmul, matvec, nullspace_field,
-    poly_to_ratfunc, rank_checked, ratfunc_matrix, scalar_matrix,
-    solve_field, squarefree_profile,
+    rank_checked, scalar_matrix, solve_field, squarefree_profile,
+    up_div_exact, up_gcd, up_mul,
 )
+from gmquantum.poly import MultiPoly
 from gmquantum.quantum import perturbed_ring, quantum_context, standard_ring
 
 DEFORMED = (
@@ -169,6 +170,42 @@ def test_atom_statistics(operator):
 # ---------------------------------------------------------------------------
 
 
+def poly_to_ratfunc(p):
+    """A polynomial in q alone as an element of Q(q)."""
+    i = p.ctx.index["q"]
+    coeffs = [Fraction(0)] * (p.max_power("q") + 1)
+    for exp, c in p.terms.items():
+        assert not any(e for j, e in enumerate(exp) if j != i)
+        coeffs[exp[i]] += c
+    return RatFunc(coeffs)
+
+
+def ratfunc_matrix(m):
+    return m.map(poly_to_ratfunc)
+
+
+def _up_lcm(a, b):
+    return up_mul(up_div_exact(a, up_gcd(a, b)), b)
+
+
+def column_to_polys(order0, order1, plain):
+    """One Q(q) basis column cleared of denominators, over Q[q, t]."""
+    den = [Fraction(1)]
+    for r in list(order0) + list(order1):
+        den = _up_lcm(den, list(r.den))
+    out = []
+    for pair in zip(order0, order1):
+        terms = {}
+        for t, r in enumerate(pair):
+            if r:
+                for k, c in enumerate(up_mul(list(r.num),
+                                             up_div_exact(den, list(r.den)))):
+                    if c:
+                        terms[(k, t)] = Fraction(c)
+        out.append(MultiPoly(plain, terms))
+    return out
+
+
 def _drop_rows(m, rows):
     keep = [i for i in range(m.nrows) if i not in set(rows)]
     return Matrix([m.rows[i] for i in keep])
@@ -198,19 +235,17 @@ def full_atom_statistics(op, model):
     multiplicity = 2 + PRIMITIVE_DIM
     cof0 = [hpoly.coefficient_of("Y", k).coefficient_of("t", 0)
             for k in range(2, 7)]
-    cofactor_profile = squarefree_profile(
-        [poly_to_ratfunc(c, "q") if not c.is_zero() else RatFunc.zero()
-         for c in cof0])
+    cofactor_profile = squarefree_profile([poly_to_ratfunc(c) for c in cof0])
 
     n0 = shifted.map(lambda e: e.coefficient_of("t", 0))
     n1 = shifted.map(lambda e: e.coefficient_of("t", 1))
-    sq_rf = ratfunc_matrix(matmul(n0, n0), "q")
-    cross_rf = ratfunc_matrix(mat_add(matmul(n0, n1), matmul(n1, n0)), "q")
+    sq_rf = ratfunc_matrix(matmul(n0, n0))
+    cross_rf = ratfunc_matrix(mat_add(matmul(n0, n1), matmul(n1, n0)))
     columns = []
     for e in nullspace_field(sq_rf, RatFunc.one()):
         f = solve_field(sq_rf, [-x for x in matvec(cross_rf, e)])
         assert f is not None
-        columns.append(_column_to_polys(e, f, plain))
+        columns.append(column_to_polys(e, f, plain))
 
     images = []
     for col in columns:

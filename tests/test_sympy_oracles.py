@@ -1,0 +1,165 @@
+"""Independent Q(q) oracles, computed with sympy, for what q = 1 reports.
+
+The package never eliminates over Q(q): it reads every rank, kernel,
+squarefree profile and Groebner basis at q = 1.  These tests redo each of
+those questions over sympy's QQ.frac_field(q) and compare the answers.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from gmquantum import cli  # noqa: E402
+from gmquantum.certificates import Workspace  # noqa: E402
+from gmquantum.deformation import (  # noqa: E402
+    HodgeModel, assemble_full_operator, atom_statistics,
+    irrationality_criterion,
+)
+from gmquantum.linalg import Matrix, char_poly  # noqa: E402
+from gmquantum.quantum import (  # noqa: E402
+    kernel_basis, presentation_relations, presentation_report,
+    spectral_report,
+)
+
+Q = sympy.Symbol("q")
+QQ_Q = sympy.QQ.frac_field(Q)
+
+
+@pytest.fixture(scope="module")
+def ws():
+    return Workspace()
+
+
+def to_sympy(p):
+    """A MultiPoly as a sympy expression in symbols of the same names."""
+    gens = sympy.symbols(p.ctx.names)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g ** e for g, e in zip(gens, exp)])
+                for exp, c in p.terms.items()), sympy.Integer(0))
+
+
+def sqf_profile(expr, var, domain):
+    """{multiplicity: degree} of the squarefree decomposition over domain."""
+    _, factors = sympy.Poly(expr, var, domain=domain).sqf_list()
+    return {mult: f.degree() for f, mult in factors}
+
+
+def over_qq_q(m):
+    """A matrix of polynomials in q as a DomainMatrix over Q(q)."""
+    rows = [[to_sympy(x) for x in row] for row in m.rows]
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(QQ_Q)
+
+
+def test_spectral_profile_over_qq_q(ws):
+    x = sympy.Symbol("X")
+    cp = to_sympy(char_poly(ws.ring.h_matrix, var="X"))
+    assert sympy.expand(cp - (x ** 6 - 44 * Q * x ** 4
+                              - 16 * Q ** 2 * x ** 2)) == 0
+    assert sqf_profile(cp, x, QQ_Q) == {1: 4, 2: 1}
+    assert spectral_report(ws.ring)["squarefree_profile"] == {1: 4, 2: 1}
+
+
+def test_h_kernel_over_qq_q(ws):
+    rep = kernel_basis(ws.ring)
+    null = over_qq_q(ws.ring.h_matrix).nullspace()
+    assert null.shape[0] == 2 == rep["dimension"]
+    closed = over_qq_q(Matrix([rep["alpha"], rep["beta"]]))
+    assert closed.rank() == 2
+    assert closed.vstack(null).rank() == 2
+    assert rep["independent"] and rep["spans_nullspace"]
+
+
+def quotient_dimension(gens):
+    """dim over Q(q) of Q(q)[s11, h] / (gens); None when infinite."""
+    s11, h = sympy.symbols("s11 h")
+    basis = sympy.groebner(gens, s11, h, order="grevlex", domain=QQ_Q)
+    if not basis.is_zero_dimensional:
+        return None
+    leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    box = [max(m[i] for m in leads if not m[1 - i]) for i in (0, 1)]
+    return sum(1 for a in range(box[0]) for b in range(box[1])
+               if not any(a >= m[0] and b >= m[1] for m in leads))
+
+
+def test_quotient_dimensions_over_qq_q(ws):
+    r1, r2, r3 = (to_sympy(p) for p in presentation_relations().values())
+    dims = {"all": quotient_dimension([r1, r2, r3]),
+            "without R3": quotient_dimension([r1, r2]),
+            "without R2": quotient_dimension([r1, r3]),
+            "without R1": quotient_dimension([r2, r3])}
+    assert dims == {"all": 6, "without R3": 6, "without R2": None,
+                    "without R1": 10}
+    rep = presentation_report(ws.ring)
+    assert rep["quotient_rank"] == dims["all"]
+    assert rep["necessity"] == {
+        k: "infinite" if v is None else v for k, v in dims.items()
+        if k != "all"}
+
+
+def test_criterion_and_cofactor_profiles_over_qq_q(ws):
+    x = sympy.Symbol("X")
+    m0 = ws.operator.at_t_zero()
+    cp = to_sympy(char_poly(m0, var="X"))
+    crit = irrationality_criterion(m0, HodgeModel.standard())
+    assert sqf_profile(cp, x, QQ_Q) == crit.profile == {1: 4, 2: 1}
+    # at t = 0 the eigenvalue -4qt is 0, so the shifted characteristic
+    # polynomial is cp itself; its Y^0 and Y^1 coefficients vanish
+    cofactor = sympy.Poly(cp, x).exquo(sympy.Poly(x ** 2, x)).as_expr()
+    stats = atom_statistics(assemble_full_operator(ws.operator, ws.model),
+                            ws.model)
+    assert (sqf_profile(cofactor, x, QQ_Q)
+            == stats.details["cofactor_squarefree_profile_t0"] == {1: 4})
+
+
+# ---------------------------------------------------------------------------
+# criterion --at against sympy over Q
+# ---------------------------------------------------------------------------
+
+
+Q_VALUES = st.one_of(
+    st.just("0"),
+    st.fractions().map(str),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)).map(str),
+    st.integers(4301, 6000).map(lambda n: "-" + "7" * n),
+)
+
+
+def criterion_at(ws, value):
+    """(exit code, stdout, stderr) of `criterion --at q=value` on ws."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["criterion", "--format", "json", "--no-timestamp",
+            "--at", "q=" + value]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "Workspace", lambda: ws):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=1000)
+@given(Q_VALUES)
+def test_criterion_at_matches_sympy(ws, value):
+    code, out, err = criterion_at(ws, value)
+    if code == 2:
+        assert err.startswith("error: --at "), err
+        return
+    assert code == 0, err
+    qval = sympy.Rational(value)
+    m0 = ws.operator.at_t_zero()
+    numeric = sympy.Matrix([[to_sympy(e).subs({"q": qval, "t": 0})
+                             for e in row] for row in m0.rows])
+    x = sympy.Symbol("X")
+    want = sqf_profile(numeric.charpoly(x).as_expr(), x, sympy.QQ)
+    got = json.loads(out)["at_report"]["profile"]
+    assert got == {str(k): v for k, v in sorted(want.items())}
