@@ -1,19 +1,28 @@
 """The six dimensional ambient cohomology algebra of the fourfold.
 
-The fourfold sits in G(2, 5) as a quadric section of a codimension 2
-linear section, so its class there is twice the square of the hyperplane
-class.  The ambient part of the cohomology has one basis element in
-degrees 0, 1, 3, 4 and two in degree 2; each basis element is the
-restriction of a Schubert class, and integrals over the fourfold reduce
-to Grassmannian integrals against that fundamental class.
+The ambient part of the cohomology has one basis element in degrees 0,
+1, 3, 4 and two in degree 2, in the fixed order (1, h, s2, s11, s3, s31);
+each e_i is the restriction of a Schubert class sigma_i of G(2, 5).  The
+algebra is its triple intersection numbers T_ijl = int e_i e_j e_l.  The
+fourfold is a quadric section of a codimension 2 linear section, so its
+class in G(2, 5) is twice the square of the hyperplane class, and
 
-Ambient classes are plain length 6 tuples of rationals, in the fixed
-basis order (1, h, s2, s11, s3, s31).  The point class is s31 / 2.
+    T_ijl = 2 int_G(2,5) sigma_i sigma_j sigma_l sigma_1^2.
+
+Only the seven triples i <= j <= l with degrees summing to 4 can be
+nonzero, and they are the only Schubert calculus done here.  The rest is
+read off T: the Gram matrix is T_ij0 (e_0 = 1), and pairing e_i e_j
+against the dual basis class dual_k gives the cup table
+e_i e_j = sum_k (sum_l T_ijl (dual_k)_l) e_k.
+
+Ambient classes are plain length 6 tuples of rationals.  The point class
+is s31 / 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from typing import List, Sequence, Tuple
 
 from .linalg import Matrix, inverse_field
@@ -31,73 +40,70 @@ def unit(index: int) -> Vec:
     return tuple(Fraction(1 if i == index else 0) for i in range(DIM))
 
 
-def vec_scale(a: Vec, c) -> Vec:
-    c = Fraction(c)
-    return tuple(x * c for x in a)
-
-
 class AmbientRing:
-    """Cup products and the intersection pairing on the ambient classes."""
+    """The triple intersection numbers of the ambient classes, with the
+    Gram matrix, dual basis and cup table they determine, all computed
+    once on construction.
+
+    `triples[i][j][l]` is T_ijl for every ordered triple and
+    `cup_table[i][j]` is e_i e_j in the basis; `cup` and `pairing` are
+    the bilinear maps these tables define.
+    """
 
     def __init__(self):
-        self.g = Grassmannian2(5)
-        self.names = BASIS_NAMES
-        self.degrees = BASIS_DEGREES
-        self.index = {n: i for i, n in enumerate(BASIS_NAMES)}
-        self._hyper2 = self.g.power(self.g.sigma(1), 2)
-        self._gram = None
-        self._dual = None
+        g = Grassmannian2(5)
+        fourfold = g.scale(g.power(g.sigma(1), 2), 2)
+        sigma = [g.sigma(a, b) for a, b in LIFT_PARTITIONS]
+        self.triples = [[[Fraction(0)] * DIM for _ in range(DIM)]
+                        for _ in range(DIM)]
+        for ijl in combinations_with_replacement(range(DIM), 3):
+            if sum(BASIS_DEGREES[i] for i in ijl) != 4:
+                continue
+            i, j, l = ijl
+            value = g.integrate(g.multiply(
+                g.multiply(g.multiply(sigma[i], sigma[j]), sigma[l]), fourfold))
+            for a, b, c in permutations(ijl):
+                self.triples[a][b][c] = value
+        self._gram = Matrix([[self.triples[i][j][0] for j in range(DIM)]
+                             for i in range(DIM)])
+        inv = inverse_field(self._gram, Fraction(1))
+        self._duals = [tuple(inv.rows[l][k] for l in range(DIM))
+                       for k in range(DIM)]
+        self.cup_table = [[tuple(sum(t * d for t, d in zip(row, dual))
+                                 for dual in self._duals)
+                           for row in plane] for plane in self.triples]
 
     def basis_vector(self, name: str) -> Vec:
-        return unit(self.index[name])
-
-    def lift(self, vec: Sequence):
-        """Schubert class on G(2, 5) restricting to the given ambient class."""
-        out = self.g.zero()
-        for coeff, part in zip(vec, LIFT_PARTITIONS):
-            if coeff:
-                out = self.g.add(out, self.g.sigma(part[0], part[1], coeff))
-        return out
+        return unit(BASIS_NAMES.index(name))
 
     def pairing(self, a: Sequence, b: Sequence) -> Fraction:
         """Intersection number on the fourfold of two ambient classes."""
-        prod = self.g.multiply(self.lift(a), self.lift(b))
-        return 2 * self.g.integrate(self.g.multiply(prod, self._hyper2))
+        rows = self._gram.rows
+        return sum((x * y * rows[i][j] for i, x in enumerate(a) if x
+                    for j, y in enumerate(b) if y), Fraction(0))
 
     def integrate(self, a: Sequence) -> Fraction:
         return self.pairing(a, unit(0))
 
     def gram(self) -> Matrix:
-        if self._gram is None:
-            self._gram = Matrix([[self.pairing(unit(i), unit(j))
-                                  for j in range(DIM)] for i in range(DIM)])
         return self._gram
 
     def dual_basis(self) -> List[Vec]:
         """Vectors d_j with pairing(e_i, d_j) = delta_ij."""
-        if self._dual is None:
-            inv = inverse_field(self.gram(), Fraction(1))
-            self._dual = [tuple(inv.rows[i][j] for i in range(DIM))
-                          for j in range(DIM)]
-        return self._dual
+        return self._duals
 
     def cup(self, a: Sequence, b: Sequence) -> Vec:
-        """Product of two ambient classes, expanded in the fixed basis.
-
-        The coefficient on e_k is the pairing of the product against the
-        k-th dual basis class, and that pairing only needs Grassmannian
-        integrals, so no separate restriction formulas enter.
-        """
-        prod = self.g.multiply(self.lift(a), self.lift(b))
-        duals = self.dual_basis()
-        out = []
-        for k in range(DIM):
-            test = self.g.multiply(prod, self.lift(duals[k]))
-            out.append(2 * self.g.integrate(self.g.multiply(test, self._hyper2)))
+        """Product of two ambient classes, expanded in the fixed basis."""
+        out = [Fraction(0)] * DIM
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x and y:
+                    out = [o + x * y * c
+                           for o, c in zip(out, self.cup_table[i][j])]
         return tuple(out)
 
     def point_class(self) -> Vec:
-        return vec_scale(unit(self.index["s31"]), Fraction(1, 2))
+        return tuple(Fraction(1, 2) * c for c in unit(BASIS_NAMES.index("s31")))
 
     def degree_of(self, vec: Sequence):
         """Common degree of the nonzero components; None for zero, raises if mixed."""

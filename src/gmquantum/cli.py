@@ -31,7 +31,8 @@ COMMANDS = ("gw", "matrix", "table", "presentation", "deform",
 
 
 def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
-    """Parse "q=3/2" or "q=1,t=1/7" into exact values."""
+    """Parse "q=3/2" or "q=1,t=1/7" into exact values, one for each
+    variable in `allowed`."""
     out: Dict[str, Fraction] = {}
     limit = sys.get_int_max_str_digits()
     for part in spec.split(","):
@@ -63,6 +64,10 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
             str(out[name])
         except ValueError:
             raise ValueError(_too_many_digits(value, limit))
+    missing = [name for name in allowed if name not in out]
+    if missing:
+        raise ValueError("--at does not set %s; it needs %s"
+                         % (", ".join(missing), ", ".join(allowed)))
     return out
 
 
@@ -384,14 +389,14 @@ def run(args: argparse.Namespace) -> int:
         certs = merge([GROUP_BUILDERS[command](ws)])
         summary = SUMMARIES[command](ws)
         if at is not None:
-            qval = at.get("q", Fraction(1))
+            qval = at["q"]
             try:
                 if command == "matrix":
                     at_report = matrix_at(ws, qval)
                 elif command == "table":
                     at_report = table_at(ws, qval)
                 elif command == "deform":
-                    at_report = deform_at(ws, qval, at.get("t", Fraction(0)))
+                    at_report = deform_at(ws, qval, at["t"])
                 else:
                     at_report = criterion_at(ws, qval)
             except ValueError as exc:

@@ -107,10 +107,9 @@ def star_h_matrix(counts: CountSet, amb: AmbientRing,
     twopt = two_point_table(counts)
     duals = amb.dual_basis()
     q = ctx.var("q")
-    h = amb.basis_vector("s1")
     cols = []
     for j, bname in enumerate(BASIS_NAMES):
-        col = list(_lift(amb.cup(h, amb.basis_vector(bname)), ctx))
+        col = list(_lift(amb.cup_table[BASIS_NAMES.index("s1")][j], ctx))
         for d in (1, 2):
             qd = q ** d * d
             for k, ename in enumerate(BASIS_NAMES):
@@ -127,8 +126,8 @@ def sigma11_square(j11, j12, j2, amb: AmbientRing, ctx: VarContext) -> QVec:
     """s11 * s11 from the three point counts."""
     duals = amb.dual_basis()
     q = ctx.var("q")
-    out = list(_lift(amb.cup(amb.basis_vector("s11"), amb.basis_vector("s11")),
-                     ctx))
+    s11 = BASIS_NAMES.index("s11")
+    out = list(_lift(amb.cup_table[s11][s11], ctx))
     for val, name in ((j11, "s2"), (j12, "s11")):
         term = _vscale(q * val, _lift(duals[BASIS_NAMES.index(name)], ctx))
         out = [a + b for a, b in zip(out, term)]
@@ -199,6 +198,12 @@ class StructureTensor:
             {self._key(e): c.numerator * (den // c.denominator)
              for e, c in p.terms.items()} for p in x), den, bound)
 
+    def pack_scalars(self, x: Sequence[Fraction]) -> PackedVec:
+        """Rationals as constant polynomials (key 0), packed like `pack`."""
+        den = math.lcm(*(c.denominator for c in x))
+        return PackedVec(tuple({0: c.numerator * (den // c.denominator)}
+                               if c else {} for c in x), den, 0)
+
     def unpack(self, x: PackedVec) -> QVec:
         """x as polynomials, one Fraction per term."""
         return tuple(MultiPoly(self.ctx, {self._exponent(k): Fraction(n, x.den)
@@ -235,16 +240,17 @@ class StructureTensor:
 class QuantumRing:
     """The even quantum lattice with its full multiplication table.
 
-    The table is built from the counts unless one is given; either way it
-    is read-only, so the structure tensors derived from it here always
-    describe the product that `table` shows.
+    The caller hands in the ambient ring, so every ring of one
+    computation shares one.  The table is built from the counts unless
+    one is given; either way it is read-only, so the structure tensors
+    derived from it here always describe the product that `table` shows.
     """
 
-    def __init__(self, counts: CountSet, j11, j12, j2,
+    def __init__(self, counts: CountSet, amb: AmbientRing, j11, j12, j2,
                  ctx: Optional[VarContext] = None,
                  table: Optional[Table] = None):
         self.counts = counts
-        self.amb = AmbientRing()
+        self.amb = amb
         self.ctx = ctx if ctx is not None else quantum_context()
         self.h_matrix = star_h_matrix(counts, self.amb, self.ctx)
         j11 = self._coerce(j11)
@@ -430,8 +436,7 @@ def classical_limit_failures(ring: QuantumRing) -> List[str]:
     """Products whose q = 0 specialization differs from the cup product."""
     bad = []
     for (i, j), vec in sorted(ring.table.items()):
-        cup = ring.amb.cup(ring.amb.basis_vector(BASIS_NAMES[i]),
-                           ring.amb.basis_vector(BASIS_NAMES[j]))
+        cup = ring.amb.cup_table[i][j]
         for k in range(DIM):
             if vec[k].coefficient_of("q", 0) != ring.ctx.scalar(cup[k]):
                 bad.append("%s*%s component %s" %
@@ -447,8 +452,8 @@ def perturbed_ring(ring: QuantumRing) -> QuantumRing:
     entry = list(table[(i, i)])
     entry[0] = entry[0] + ring.ctx.var("q") ** 2
     table[(i, i)] = tuple(entry)
-    return QuantumRing(ring.counts, *ring.three_point, ctx=ring.ctx,
-                       table=table)
+    return QuantumRing(ring.counts, ring.amb, *ring.three_point,
+                       ctx=ring.ctx, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +524,9 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     """
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
-    ring = QuantumRing(counts, ctx.var("uJ11"), j12, ctx.var("uJ2"), ctx=ctx)
+    amb = AmbientRing()
+    ring = QuantumRing(counts, amb, ctx.var("uJ11"), j12, ctx.var("uJ2"),
+                       ctx=ctx)
     t, g = ring.product_tensor, ring.gram_tensor
     residuals = _route_residuals(ring) + [
         g.unpack(g.contract(t.contract(a, b), c).plus(
@@ -558,7 +565,7 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     for row, b in zip(rows, rhs):
         if row[0] * j11 + row[1] * j2 != b:
             raise ValueError("inconsistent associativity system")
-    final = QuantumRing(counts, j11, j12, j2)
+    final = QuantumRing(counts, amb, j11, j12, j2)
     bad = associativity_failures(final)
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)

@@ -1,10 +1,18 @@
 """The six dimensional lattice of restricted classes on the fourfold."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from gmquantum.ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM, unit
+from gmquantum.ambient import (
+    AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM, LIFT_PARTITIONS, unit,
+)
+from gmquantum.certificates import Workspace
+from gmquantum.cli import verify_all_certificates
+from gmquantum.linalg import inverse_field, Matrix
+from gmquantum.schubert import Grassmannian2
 
 
 EXPECTED_GRAM = (
@@ -103,3 +111,70 @@ def test_poincare_pairing_respects_degrees(amb):
 def test_degree_of_rejects_mixed(amb):
     with pytest.raises(ValueError):
         amb.degree_of((1, 1, 0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Schubert route as an oracle for the tables
+# ---------------------------------------------------------------------------
+
+G25 = Grassmannian2(5)
+HYPER2 = G25.power(G25.sigma(1), 2)
+
+
+def lift(vec):
+    """Schubert class on G(2, 5) restricting to the ambient class vec."""
+    out = G25.zero()
+    for coeff, (a, b) in zip(vec, LIFT_PARTITIONS):
+        out = G25.add(out, G25.sigma(a, b, coeff))
+    return out
+
+
+def fourfold_integral(*vecs):
+    """2 int_G(2,5) of the lifted classes times sigma_1^2, one product at
+    a time."""
+    prod = HYPER2
+    for vec in vecs:
+        prod = G25.multiply(prod, lift(vec))
+    return 2 * G25.integrate(prod)
+
+
+def test_triples_match_the_schubert_route(amb):
+    for i, j, l in product(range(DIM), repeat=3):
+        want = fourfold_integral(unit(i), unit(j), unit(l))
+        assert amb.triples[i][j][l] == want, (i, j, l)
+        if BASIS_DEGREES[i] + BASIS_DEGREES[j] + BASIS_DEGREES[l] != 4:
+            assert want == 0, (i, j, l)
+
+
+def test_gram_and_cups_match_the_schubert_route(amb):
+    gram = Matrix([[fourfold_integral(unit(i), unit(j)) for j in range(DIM)]
+                   for i in range(DIM)])
+    assert amb.gram().rows == gram.rows
+    inv = inverse_field(gram, Fraction(1))
+    duals = [tuple(inv.rows[l][k] for l in range(DIM)) for k in range(DIM)]
+    for i, j in product(range(DIM), repeat=2):
+        want = tuple(fourfold_integral(unit(i), unit(j), d) for d in duals)
+        assert amb.cup(unit(i), unit(j)) == want, (i, j)
+        assert amb.cup_table[i][j] == want, (i, j)
+
+
+def test_verify_all_builds_one_ambient_ring(monkeypatch):
+    """A cold run shares one ambient ring between all its quantum rings,
+    and its only Schubert products are the seven triple numbers' and the
+    tower integrals'."""
+    made = Counter()
+    init, multiply = AmbientRing.__init__, Grassmannian2.multiply
+
+    def counted_init(self):
+        made["ambient"] += 1
+        init(self)
+
+    def counted_multiply(self, x, y):
+        made["multiply"] += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(AmbientRing, "__init__", counted_init)
+    monkeypatch.setattr(Grassmannian2, "multiply", counted_multiply)
+    assert len(verify_all_certificates(Workspace(), 0)) == 42
+    assert made["ambient"] == 1
+    assert made["multiply"] <= 40

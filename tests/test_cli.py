@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmquantum import certificates, cli, deformation, quantum
+from gmquantum.ambient import AmbientRing
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main, matrix_at, parse_at
 from gmquantum.gwcounts import CountSet
@@ -127,7 +128,7 @@ def shifted_matrix_at(monkeypatch, name, delta, qval):
     counts = CountSet.from_geometry()
     counts = dataclasses.replace(counts,
                                  **{name: getattr(counts, name) + delta})
-    ring = QuantumRing(counts, counts.J11, counts.J12, 32)
+    ring = QuantumRing(counts, AmbientRing(), counts.J11, counts.J12, 32)
     monkeypatch.setattr(Workspace, "ring", property(lambda ws: ring))
     return matrix_at(Workspace(), qval)
 
@@ -206,6 +207,18 @@ def test_bad_at_exits_2(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --at ") and limit in err, argv
         assert "set_int_max_str_digits" not in err, argv
+
+
+def test_deform_at_needs_both_variables(capsys):
+    """A partial spec is refused rather than completed with q = 1 or t = 0."""
+    for spec, missing in (("t=1", "q"), ("q=2", "t")):
+        with pytest.raises(SystemExit) as exc:
+            main(["deform", "--no-timestamp", "--at", spec])
+        assert exc.value.code == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --at does not set %s;" % missing), captured.err
 
 
 AT_NAMES = st.sampled_from(["q", "t", "x", "", " q ", "Q"])

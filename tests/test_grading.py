@@ -78,7 +78,8 @@ def test_restore_q_clears_negative_powers_and_refuses_odd_ones():
 
 def _off_weight_h_matrix(ring):
     """The ring with 1 added to h-matrix entry (0, 1), of degree 2."""
-    bad = QuantumRing(ring.counts, *ring.three_point, table=ring.table)
+    bad = QuantumRing(ring.counts, ring.amb, *ring.three_point,
+                      table=ring.table)
     rows = bad.h_matrix.copy_rows()
     rows[0][1] = rows[0][1] + 1
     bad.h_matrix = Matrix(rows)
@@ -91,7 +92,7 @@ def _off_weight_table(ring):
     hh = list(table[(1, 1)])
     hh[0] = hh[0] + 1
     table[(1, 1)] = tuple(hh)
-    return QuantumRing(ring.counts, *ring.three_point, table=table)
+    return QuantumRing(ring.counts, ring.amb, *ring.three_point, table=table)
 
 
 def _off_weight_full(operator):

@@ -328,8 +328,8 @@ def symbolic_ring():
     """The solver's ring: uJ11 and uJ2 stand in for J11 and J2."""
     counts = CountSet.from_geometry()
     ctx = quantum_context(("uJ11", "uJ2"))
-    return QuantumRing(counts, ctx.var("uJ11"), counts.J12, ctx.var("uJ2"),
-                       ctx=ctx)
+    return QuantumRing(counts, AmbientRing(), ctx.var("uJ11"), counts.J12,
+                       ctx.var("uJ2"), ctx=ctx)
 
 
 RINGS = {
@@ -479,10 +479,9 @@ def reference_random_identity_failures(ring, rng, samples):
     """The property sample with MultiPoly products and comparisons."""
     bad = []
     for n in range(samples):
-        a = certificates.random_element(ring, rng)
-        b = certificates.random_element(ring, rng)
-        c = certificates.random_element(ring, rng)
-        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        a, b, c = (ring.element({name: certificates.random_rational(rng)
+                                 for name in BASIS_NAMES}) for _ in range(3))
+        lam = certificates.random_rational(rng)
         ab = ring.star(a, b)
         if ring.star(ab, c) != ring.star(a, ring.star(b, c)):
             bad.append("sample %d: associativity" % n)
@@ -497,6 +496,20 @@ def reference_random_identity_failures(ring, rng, samples):
         if lhs != rhs:
             bad.append("sample %d: linearity" % n)
     return bad
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_pack_scalars_matches_packing_the_element(ring, seed):
+    """The property sample packs its rationals directly, into exactly the
+    packed form of the MultiPoly element they make."""
+    t = ring.product_tensor
+    rng = random.Random(seed)
+    for _ in range(300):
+        coeffs = [certificates.random_rational(rng) for _ in range(DIM)]
+        got = t.pack_scalars(coeffs)
+        want = t.pack(ring.element(dict(zip(BASIS_NAMES, coeffs))))
+        assert (got.slots, got.den, got.bound) == \
+            (want.slots, want.den, want.bound)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])

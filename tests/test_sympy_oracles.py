@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.orderings import MonomialOrder  # noqa: E402
 
 from gmquantum import cli  # noqa: E402
 from gmquantum.certificates import Workspace  # noqa: E402
@@ -23,10 +24,11 @@ from gmquantum.deformation import (  # noqa: E402
     HodgeModel, assemble_full_operator, atom_statistics,
     irrationality_criterion,
 )
+from gmquantum.groebner import PolyIdeal  # noqa: E402
 from gmquantum.linalg import Matrix, char_poly  # noqa: E402
 from gmquantum.quantum import (  # noqa: E402
-    kernel_basis, presentation_relations, presentation_report,
-    spectral_report,
+    _presentation_ideal, kernel_basis, presentation_relations,
+    presentation_report, spectral_report,
 )
 
 Q = sympy.Symbol("q")
@@ -102,6 +104,43 @@ def test_quotient_dimensions_over_qq_q(ws):
     assert rep["necessity"] == {
         k: "infinite" if v is None else v for k, v in dims.items()
         if k != "all"}
+
+
+class WeightedGrevlex(MonomialOrder):
+    """Grevlex graded by the variables' weights: the package's order."""
+
+    alias = "wgrevlex"
+    is_global = True
+
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+
+    def __call__(self, monomial):
+        return (sum(w * e for w, e in zip(self.weights, monomial)),
+                tuple(-e for e in reversed(monomial)))
+
+    def __eq__(self, other):
+        return (isinstance(other, WeightedGrevlex)
+                and other.weights == self.weights)
+
+    def __hash__(self):
+        return hash((WeightedGrevlex, self.weights))
+
+
+def test_groebner_basis_over_qq_q():
+    """The reduced basis of (R1, R2, R3) over Q(q), deg s11 = 2, deg h = 1,
+    has the package's leading terms and is the package's basis at q = 1."""
+    s11, h = sympy.symbols("s11 h")
+    order = WeightedGrevlex((2, 1))
+    rels = [to_sympy(p) for p in presentation_relations().values()]
+    basis = sympy.groebner(rels, s11, h, order=order, domain=QQ_Q)
+    polys = sorted(basis.polys, key=lambda p: order(p.monoms(order=order)[0]))
+    assert [p.monoms(order=order)[0] for p in polys] == [(1, 1), (2, 0),
+                                                         (0, 5)]
+    ideal = PolyIdeal(_presentation_ideal())
+    assert ideal.leading_exponents() == [(1, 1), (2, 0), (0, 5)]
+    assert [sympy.expand(p.as_expr().subs(Q, 1)) for p in polys] == \
+        [sympy.expand(to_sympy(g)) for g in ideal.basis]
 
 
 def test_criterion_and_cofactor_profiles_over_qq_q(ws):
