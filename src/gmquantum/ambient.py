@@ -69,7 +69,8 @@ class AmbientRing:
         inv = inverse_field(self._gram, Fraction(1))
         self._duals = [tuple(inv.rows[l][k] for l in range(DIM))
                        for k in range(DIM)]
-        self.cup_table = [[tuple(sum(t * d for t, d in zip(row, dual))
+        self.cup_table = [[tuple(sum((t * d for t, d in zip(row, dual) if t and d),
+                                     Fraction(0))
                                  for dual in self._duals)
                            for row in plane] for plane in self.triples]
 

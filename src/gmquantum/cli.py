@@ -127,6 +127,11 @@ def matrix_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
         "matrix": rows,
         "eigenvalue_square_equation": "T^2 - %s*T - %s" % (-a, -b),
     }
+    if not qval:
+        report.update(eigenvalue_squares=["0 (double root)"], roots_verified=False,
+                      note="q = 0 is a degenerate specialization (T^2 has the"
+                      " double root 0); the certified statement is polynomial in q")
+        return report
     if sp["surd_at_q1"] is None or sp["surd_at_q1"][2] == 1:
         report["eigenvalue_squares"] = [sp["roots_at_q1"]]
         report["roots_verified"] = False

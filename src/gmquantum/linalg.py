@@ -299,33 +299,38 @@ def scalar_matrix(n: int, value) -> Matrix:
     return Matrix([[value if i == j else zero for j in range(n)] for i in range(n)])
 
 
+def _dot(row: Sequence, col: Sequence):
+    """sum_k row[k] * col[k], skipping every product with a zero factor.
+
+    A sum with no product left is 0 in the type the products would have
+    had: `ctx.zero()` when an entry is a `MultiPoly`.
+    """
+    acc = None
+    for x, y in zip(row, col):
+        if x and y:
+            term = x * y
+            acc = term if acc is None else acc + term
+    if acc is not None:
+        return acc
+    for z in (*row, *col):
+        if isinstance(z, MultiPoly):
+            return z.ctx.zero()
+    return (row[0] - row[0]) + (col[0] - col[0])
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a * b; a product with a zero factor is skipped (see `_dot`)."""
     if a.ncols != b.nrows:
         raise ValueError("inner dimensions differ")
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = None
-            for k in range(a.ncols):
-                term = a.rows[i][k] * b.rows[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return Matrix(out)
+    cols = [b.col(j) for j in range(b.ncols)]
+    return Matrix([[_dot(row, col) for col in cols] for row in a.rows])
 
 
 def matvec(a: Matrix, v: Sequence) -> List:
+    """a * v; a product with a zero factor is skipped (see `_dot`)."""
     if a.ncols != len(v):
         raise ValueError("dimension mismatch")
-    out = []
-    for i in range(a.nrows):
-        acc = None
-        for k in range(a.ncols):
-            term = a.rows[i][k] * v[k]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [_dot(row, v) for row in a.rows]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -495,9 +500,12 @@ def rank_bareiss(m: Matrix) -> int:
             for row in a:
                 row[k], row[pc] = row[pc], row[k]
         for i in range(k + 1, nr):
+            lead = a[i][k]
             for j in range(k + 1, nc):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else _exact_div(num, prev)
+                num = a[k][k] * a[i][j] if a[i][j] else zero
+                if lead and a[k][j]:
+                    num = num - lead * a[k][j]
+                a[i][j] = num if prev is None or not num else _exact_div(num, prev)
             a[i][k] = zero
         prev = a[k][k]
         rank += 1
@@ -538,7 +546,11 @@ def rank_checked(m: Matrix, rng, samples: int = 3) -> int:
 
 
 def _det_cofactor(rows: List[List[MultiPoly]], ctx: VarContext) -> MultiPoly:
-    """Subset dynamic program over columns; any commutative ring."""
+    """Subset dynamic program over columns; any commutative ring.
+
+    A cofactor product with a zero factor is skipped, but its column still
+    counts towards the sign of the columns after it.
+    """
     n = len(rows)
     f = [None] * (1 << n)
     f[0] = ctx.one()
@@ -549,12 +561,10 @@ def _det_cofactor(rows: List[List[MultiPoly]], ctx: VarContext) -> MultiPoly:
         for j in range(n):
             if not mask & (1 << j):
                 continue
-            sub = f[mask ^ (1 << j)]
-            term = rows[r][j] * sub
-            if (r + pos) % 2:
-                acc = acc - term
-            else:
-                acc = acc + term
+            entry, sub = rows[r][j], f[mask ^ (1 << j)]
+            if entry and sub:
+                term = entry * sub
+                acc = acc - term if (r + pos) % 2 else acc + term
             pos += 1
         f[mask] = acc
     return f[(1 << n) - 1]

@@ -12,7 +12,9 @@ used downstream), so the weighted degree of a monomial is an integer of
 either sign.  Every monomial comparison (leading terms, Groebner bases,
 printing) uses `weighted_grevlex_key`: weighted degree first, then
 reverse lexicographic order in the context's declared variable order.
-The same weights decide the homogeneity checks.
+Each context memoises that key per exponent.  The same weights decide the
+homogeneity checks.  Only a context with nilpotent variables runs the
+truncation test on the terms it builds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
     Monomials compare by weighted degree first, so homogeneous ideals in
     rings with degree 2 generators reduce within a single graded piece.
     """
-    return (ctx.weighted_degree(expvec), tuple(-e for e in reversed(expvec)))
+    key = ctx.order_keys.get(expvec)
+    if key is None:
+        key = ctx.order_keys[expvec] = (ctx.weighted_degree(expvec),
+                                        tuple(-e for e in reversed(expvec)))
+    return key
 
 
 class VarContext:
@@ -56,6 +62,9 @@ class VarContext:
         for n in self.nilpotent:
             if n not in self.index:
                 raise ValueError("nilpotent truncation for unknown variable %r" % n)
+        self.truncation = tuple((self.index[n], order)
+                                for n, order in self.nilpotent.items())
+        self.order_keys: Dict[Exponent, tuple] = {}
 
     @property
     def nvars(self):
@@ -65,10 +74,7 @@ class VarContext:
         return sum(e * d for e, d in zip(expvec, self.degrees))
 
     def truncates(self, expvec: Exponent) -> bool:
-        for name, order in self.nilpotent.items():
-            if expvec[self.index[name]] >= order:
-                return True
-        return False
+        return any(expvec[i] >= order for i, order in self.truncation)
 
     def scalar(self, value) -> "MultiPoly":
         coeff = self.coerce_coeff(value)
@@ -123,15 +129,10 @@ class MultiPoly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponent, object]):
-        clean: Dict[Exponent, object] = {}
-        for exp, coeff in terms.items():
-            if not coeff:
-                continue
-            if ctx.truncates(exp):
-                continue
-            clean[tuple(exp)] = coeff
+        truncated = ctx.truncates if ctx.truncation else None
         self.ctx = ctx
-        self.terms = clean
+        self.terms = {tuple(exp): coeff for exp, coeff in terms.items()
+                      if coeff and not (truncated and truncated(exp))}
 
     # -- basic predicates -------------------------------------------------
 
@@ -148,7 +149,7 @@ class MultiPoly:
         return self.terms.get((0,) * self.ctx.nvars, Fraction(0))
 
     def _check(self, other: "MultiPoly"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mismatched variable contexts: %r vs %r"
                              % (self.ctx, other.ctx))
 
@@ -192,11 +193,12 @@ class MultiPoly:
             return MultiPoly(self.ctx, {e: c * coeff for e, c in self.terms.items()})
         self._check(other)
         ctx = self.ctx
+        truncated = ctx.truncates if ctx.truncation else None
         terms: Dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                if ctx.truncates(exp):
+                if truncated and truncated(exp):
                     continue
                 acc = terms.get(exp)
                 if acc is None:

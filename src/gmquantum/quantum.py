@@ -73,7 +73,10 @@ def _vsub(x: QVec, y: QVec) -> QVec:
 
 
 def _vscale(c, x: QVec) -> QVec:
-    return tuple(a * c for a in x)
+    """c * x, multiplying only nonzero coordinates by a nonzero c."""
+    if not c:
+        return _vzero(x[0].ctx)
+    return tuple(a * c if a else a for a in x)
 
 
 def _vzero(ctx: VarContext) -> QVec:

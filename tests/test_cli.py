@@ -167,6 +167,18 @@ def test_criterion_degenerate_specialization(capsys):
     assert payload["failed"] == []
 
 
+def test_matrix_degenerate_specialization(capsys):
+    code, payload = run_json(capsys, ["matrix", "--format", "json",
+                                      "--no-timestamp", "--at", "q=0"])
+    assert code == 0
+    rep = payload["at_report"]
+    assert rep["eigenvalue_square_equation"] == "T^2 - 0*T - 0"
+    assert rep["eigenvalue_squares"] == ["0 (double root)"]
+    assert rep["roots_verified"] is False
+    assert "degenerate" in rep["note"] and "polynomial in q" in rep["note"]
+    assert payload["failed"] == []
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectralize"])

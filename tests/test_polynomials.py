@@ -121,3 +121,64 @@ def test_string_rendering_is_stable():
     assert str(2 * x ** 2 * y - y) == "2*x^2*y - y"
     assert str(CTX.zero()) == "0"
     assert str(CTX.one()) == "1"
+
+
+# ---------------------------------------------------------------------------
+# the kernel's shortcuts keep its semantics
+# ---------------------------------------------------------------------------
+
+
+def reference_key(degrees, exp):
+    """The weighted grevlex key, computed afresh for every comparison."""
+    return (sum(e * d for e, d in zip(exp, degrees)),
+            tuple(-e for e in reversed(exp)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(exponents, coeffs, min_size=1, max_size=6),
+                min_size=1, max_size=6))
+def test_order_matches_an_uncached_key_in_interleaved_contexts(term_sets):
+    # same names, different weights: a memo shared between the two
+    # contexts would hand one of them the other's order
+    contexts = (VarContext(("x", "y"), (1, 2)), VarContext(("x", "y"), (3, 1)))
+    for pairs in term_sets:
+        for ctx in contexts:
+            p = MultiPoly(ctx, {exp: Fraction(num, den)
+                                for exp, (num, den) in pairs.items()})
+            if p.is_zero():
+                continue
+            key = lambda e: reference_key(ctx.degrees, e)  # noqa: E731
+            assert p.leading()[0] == max(p.terms, key=key)
+            assert [e for e, _ in p.sorted_terms()] == sorted(
+                p.terms, key=key, reverse=True)
+
+
+def test_nilpotent_context_truncates_everywhere():
+    tctx = VarContext(("q", "t"), (2, -1), nilpotent={"t": 2})
+    q, t = tctx.var("q"), tctx.var("t")
+    assert MultiPoly(tctx, {(1, 2): Fraction(3), (1, 1): Fraction(2)}) \
+        == 2 * q * t
+    assert (t * t).is_zero() and (q * t * (q + t)).terms == {(2, 1): 1}
+    assert (1 + t) ** 3 == 1 + 3 * t
+    plain = VarContext(("q", "s"), (2, -1))
+    s = plain.var("s")
+    image = (s ** 2 + s + plain.var("q") * s ** 3).substitute({"s": t}, tctx)
+    assert image == t
+    # the truncation belongs to the context, not to the variable name
+    assert (s * s).max_power("s") == 2
+
+
+def test_contexts_mix_by_equality_not_identity():
+    a = VarContext(("x", "y"), (1, 2))
+    b = VarContext(("x", "y"), (1, 2))
+    x, y = a.var("x"), b.var("y")
+    assert a is not b
+    assert x * y == MultiPoly(a, {(1, 1): Fraction(1)})
+    assert x + y == MultiPoly(b, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    for other in (VarContext(("x", "y"), (1, 3)),
+                  VarContext(("x", "y"), (1, 2), nilpotent={"y": 2}),
+                  VarContext(("y", "x"), (2, 1))):
+        with pytest.raises(ValueError):
+            x * other.var("y")
+        with pytest.raises(ValueError):
+            x + other.var("y")

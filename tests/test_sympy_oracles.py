@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -26,6 +26,7 @@ from gmquantum.deformation import (  # noqa: E402
 )
 from gmquantum.groebner import PolyIdeal  # noqa: E402
 from gmquantum.linalg import Matrix, char_poly  # noqa: E402
+from gmquantum.poly import MultiPoly, VarContext  # noqa: E402
 from gmquantum.quantum import (  # noqa: E402
     _presentation_ideal, kernel_basis, presentation_relations,
     presentation_report, spectral_report,
@@ -158,8 +159,51 @@ def test_criterion_and_cofactor_profiles_over_qq_q(ws):
             == stats.details["cofactor_squarefree_profile_t0"] == {1: 4})
 
 
+def sparse_matrices():
+    """Named sparse matrices: the zero entries the cofactor expansion skips
+    must still move the sign of the columns after them."""
+    tctx = VarContext(("q", "t"), (2, -1), nilpotent={"t": 2})
+    q, t = tctx.var("q"), tctx.var("t")
+    f = Fraction
+    jordan = [[f(int(j == i + 1)) for j in range(5)] for i in range(5)]
+    return {
+        "permutation": [[f(int(j == (2 * i + 1) % 5)) for j in range(5)]
+                        for i in range(5)],
+        "nilpotent jordan block": jordan,
+        "zero row": [[f(0)] * 4] + [[f(i + 2), f(i - 2), f(0), f(2 * i)]
+                                    for i in range(1, 4)],
+        "zero column": [[f(0), f(i), f(i * i), f(1 - i)] for i in range(4)],
+        "repeated diagonal": [[f(3) if i == j else f(int(j == i + 2))
+                               for j in range(6)] for i in range(6)],
+        "t^2 = 0 entries": [[q, t, tctx.zero(), q * t],
+                            [tctx.zero(), tctx.zero(), 1 + t, tctx.zero()],
+                            [t, tctx.zero(), tctx.zero(), q],
+                            [tctx.zero(), q + t, tctx.zero(), tctx.zero()]],
+    }
+
+
+def truncated_in_t(expr):
+    """expr modulo t^2."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(sympy.expand(expr), t)
+    return poly.coeff_monomial(1) + t * poly.coeff_monomial(t)
+
+
+@pytest.mark.parametrize("name", sorted(sparse_matrices()))
+def test_char_poly_of_sparse_matrices_matches_sympy(name):
+    rows = sparse_matrices()[name]
+    x = sympy.Symbol("X")
+    want = sympy.Matrix([[to_sympy(e) if isinstance(e, MultiPoly)
+                          else sympy.Rational(e.numerator, e.denominator)
+                          for e in row] for row in rows]).charpoly(x).as_expr()
+    got = to_sympy(char_poly(Matrix(rows), var="X"))
+    if name == "t^2 = 0 entries":
+        want = truncated_in_t(want)
+    assert sympy.expand(got - want) == 0, name
+
+
 # ---------------------------------------------------------------------------
-# criterion --at against sympy over Q
+# --at against sympy over Q
 # ---------------------------------------------------------------------------
 
 
@@ -172,11 +216,12 @@ Q_VALUES = st.one_of(
 )
 
 
-def criterion_at(ws, value):
-    """(exit code, stdout, stderr) of `criterion --at q=value` on ws."""
+def run_at(ws, command, spec):
+    """(exit code, stdout, stderr) of `command --at spec` on ws."""
     out, err = io.StringIO(), io.StringIO()
-    argv = ["criterion", "--format", "json", "--no-timestamp",
-            "--at", "q=" + value]
+    argv = [command, "--format", "json", "--no-timestamp"]
+    if spec is not None:
+        argv += ["--at", spec]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(cli, "Workspace", lambda: ws):
         try:
@@ -189,7 +234,7 @@ def criterion_at(ws, value):
 @settings(max_examples=30, deadline=1000)
 @given(Q_VALUES)
 def test_criterion_at_matches_sympy(ws, value):
-    code, out, err = criterion_at(ws, value)
+    code, out, err = run_at(ws, "criterion", "q=" + value)
     if code == 2:
         assert err.startswith("error: --at "), err
         return
@@ -202,3 +247,93 @@ def test_criterion_at_matches_sympy(ws, value):
     want = sqf_profile(numeric.charpoly(x).as_expr(), x, sympy.QQ)
     got = json.loads(out)["at_report"]["profile"]
     assert got == {str(k): v for k, v in sorted(want.items())}
+
+
+@pytest.fixture(scope="module")
+def unspecialized(ws):
+    """Each command's payload without --at, its strings read by sympy."""
+    payloads = {}
+    for command in ("matrix", "table", "deform"):
+        code, out, err = run_at(ws, command, None)
+        assert code == 0, err
+        payload = json.loads(out)
+        computed = {c["claim"]: c["computed"] for c in payload["certificates"]}
+        payloads[command] = (payload["summary"], computed)
+    summary, computed = payloads["matrix"]
+    table, _ = payloads["table"]
+    summary_d, computed_d = payloads["deform"]
+    return {
+        "h_matrix": sympy.Matrix(computed["matrix.h-action"]),
+        "char_poly": sympy.sympify(summary["char_poly"]),
+        "table": {key.replace(" ", ""): sympy.sympify(value)
+                  for key, value in table.items() if " * " in key},
+        "operator": sympy.Matrix(computed_d["deform.operator"]),
+        "eigenvalue": sympy.sympify(summary_d["eigenvalue"]),
+    }
+
+
+def specialized(ws, command, values):
+    """The at_report of `command --at values`, or None after an --at error."""
+    spec = ",".join("%s=%s" % kv for kv in values.items())
+    code, out, err = run_at(ws, command, spec)
+    if code == 2:
+        assert err.startswith("error: --at "), err
+        return None
+    assert code == 0, err
+    return json.loads(out)["at_report"]
+
+
+@settings(max_examples=25, deadline=1000)
+@given(Q_VALUES)
+@example("0")
+def test_matrix_at_matches_sympy(ws, unspecialized, value):
+    rep = specialized(ws, "matrix", {"q": value})
+    if rep is None:
+        return
+    qval = sympy.Rational(value)
+    want = unspecialized["h_matrix"].subs(Q, qval)
+    assert sympy.Matrix(rep["matrix"]) == want
+    # X^6 + c4 X^4 + c2 X^2 with T = X^2 is T (T^2 + c4 T + c2)
+    x, t_sq = sympy.symbols("X T")
+    cp = sympy.Poly(unspecialized["char_poly"].subs(Q, qval), x)
+    quadratic = t_sq ** 2 + cp.coeff_monomial(x ** 4) * t_sq \
+        + cp.coeff_monomial(x ** 2)
+    assert sympy.expand(sympy.sympify(rep["eigenvalue_square_equation"])
+                        - quadratic) == 0
+    if qval == 0:
+        assert rep["eigenvalue_squares"] == ["0 (double root)"]
+        assert rep["roots_verified"] is False
+        assert "degenerate" in rep["note"]
+        assert quadratic == t_sq ** 2
+        return
+    roots = [sympy.sympify(r) for r in rep["eigenvalue_squares"]]
+    assert set(roots) == set(sympy.roots(quadratic, t_sq))
+    assert len(roots) == 2 and rep["roots_verified"] is True
+    assert "note" not in rep
+
+
+@settings(max_examples=25, deadline=1000)
+@given(Q_VALUES)
+def test_table_at_matches_sympy(ws, unspecialized, value):
+    rep = specialized(ws, "table", {"q": value})
+    if rep is None:
+        return
+    qval = sympy.Rational(value)
+    want = {key: expr.subs(Q, qval)
+            for key, expr in unspecialized["table"].items()}
+    got = {key: sympy.sympify(vec) for key, vec in rep["products"].items()}
+    assert got.keys() == want.keys()
+    assert all(sympy.expand(got[k] - want[k]) == 0 for k in want)
+
+
+@settings(max_examples=25, deadline=1000)
+@given(Q_VALUES, Q_VALUES)
+@example("0", "0")
+def test_deform_at_matches_sympy(ws, unspecialized, qvalue, tvalue):
+    rep = specialized(ws, "deform", {"q": qvalue, "t": tvalue})
+    if rep is None:
+        return
+    point = {Q: sympy.Rational(qvalue), sympy.Symbol("t"): sympy.Rational(tvalue)}
+    assert sympy.Matrix(rep["matrix"]) == unspecialized["operator"].subs(point)
+    assert sympy.Rational(rep["eigenvalue"]) == \
+        unspecialized["eigenvalue"].subs(point)
