@@ -74,9 +74,6 @@ class AmbientRing:
                                  for dual in self._duals)
                            for row in plane] for plane in self.triples]
 
-    def basis_vector(self, name: str) -> Vec:
-        return unit(BASIS_NAMES.index(name))
-
     def pairing(self, a: Sequence, b: Sequence) -> Fraction:
         """Intersection number on the fourfold of two ambient classes."""
         rows = self._gram.rows
@@ -105,15 +102,6 @@ class AmbientRing:
 
     def point_class(self) -> Vec:
         return tuple(Fraction(1, 2) * c for c in unit(BASIS_NAMES.index("s31")))
-
-    def degree_of(self, vec: Sequence):
-        """Common degree of the nonzero components; None for zero, raises if mixed."""
-        degs = {BASIS_DEGREES[i] for i, c in enumerate(vec) if c}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("ambient class is not homogeneous")
-        return degs.pop()
 
     def format(self, vec: Sequence) -> str:
         parts = []

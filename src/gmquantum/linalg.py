@@ -463,16 +463,9 @@ def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return q
 
 
-def _exact_div(a, b):
-    if isinstance(a, MultiPoly):
-        if isinstance(b, MultiPoly):
-            return poly_exact_div(a, b)
-        return a * (Fraction(1) / b)
-    return a / b
-
-
 def rank_bareiss(m: Matrix) -> int:
-    """Rank over the fraction field, by fraction-free elimination.
+    """Rank of a MultiPoly matrix over the fraction field, by fraction-free
+    elimination.
 
     Row and column swaps are both allowed, so any nonzero entry of the
     trailing block can serve as the pivot.
@@ -505,7 +498,8 @@ def rank_bareiss(m: Matrix) -> int:
                 num = a[k][k] * a[i][j] if a[i][j] else zero
                 if lead and a[k][j]:
                     num = num - lead * a[k][j]
-                a[i][j] = num if prev is None or not num else _exact_div(num, prev)
+                a[i][j] = (num if prev is None or not num
+                           else poly_exact_div(num, prev))
             a[i][k] = zero
         prev = a[k][k]
         rank += 1
@@ -513,29 +507,18 @@ def rank_bareiss(m: Matrix) -> int:
 
 
 def rank_checked(m: Matrix, rng, samples: int = 3) -> int:
-    """Symbolic rank with a random rational evaluation cross check.
+    """Symbolic rank of a MultiPoly matrix with a random rational
+    evaluation cross check.
 
-    Entries must be MultiPoly over rational coefficients (or plain
-    rationals).  Every evaluated rank must be <= the symbolic rank; the
-    symbolic value is returned.
+    Every evaluated rank must be <= the symbolic rank; the symbolic value
+    is returned.
     """
-    ctx = None
-    for row in m.rows:
-        for x in row:
-            if isinstance(x, MultiPoly):
-                ctx = x.ctx
-                break
-        if ctx:
-            break
-    if ctx is None:
-        return rank_field(m.map(Fraction))
+    names = m.rows[0][0].ctx.names
     symbolic = rank_bareiss(m)
     for _ in range(samples):
         values = {name: Fraction(rng.randint(1, 400), rng.randint(1, 40))
-                  for name in ctx.names}
-        num = m.map(lambda x: x.evaluate(values) if isinstance(x, MultiPoly)
-                    else Fraction(x))
-        ev = rank_field(num)
+                  for name in names}
+        ev = rank_field(m.map(lambda x: x.evaluate(values)))
         if ev > symbolic:
             raise AssertionError("evaluated rank %d exceeds symbolic rank %d"
                                  % (ev, symbolic))

@@ -1,29 +1,43 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-A polynomial is stored as a mapping from exponent vectors to nonzero
-coefficients.  Coefficients are `fractions.Fraction`, so every number in
-the engine is an exact rational in lowest terms with positive denominator.
-A `VarContext` fixes the variable names, their (weighted) degrees, and
+A polynomial is stored as integer numerators over one positive
+denominator: `nums` maps the int key of each monomial to a nonzero
+integer, and the value is sum_key nums[key] * monomial(key) / den.  A
+`VarContext` fixes the variable names, their (weighted) degrees, and
 optional nilpotency truncations such as t^2 = 0; polynomials from
-different contexts never mix.
+different contexts never mix.  The context owns the key codec: the
+exponent vector (e_0, ..., e_n-1) has key sum_v e_v 2^(64 v), so keys add
+as monomials multiply.  No field may carry into the next, so every
+exponent lies in [0, 2^64) and each polynomial records a `bound` on its
+exponents; a product whose bounds add up to 2^64 raises ValueError.
+Products reduce the denominator against the gcd of the numerators.  Sums
+keep the lcm of their denominators, and a contraction in `quantum` the
+product of its factors' denominators, unreduced, because `==`
+cross-multiplies; `str`, `hash` and the read-only `.terms` view
+({exponent tuple: Fraction}) reduce.
 
 Variable degrees may be negative (a deformation parameter of degree -1 is
 used downstream), so the weighted degree of a monomial is an integer of
 either sign.  Every monomial comparison (leading terms, Groebner bases,
 printing) uses `weighted_grevlex_key`: weighted degree first, then
 reverse lexicographic order in the context's declared variable order.
-Each context memoises that key per exponent.  The same weights decide the
-homogeneity checks.  Only a context with nilpotent variables runs the
-truncation test on the terms it builds.
+Each context memoises that key per monomial key.  The same weights decide
+the homogeneity checks.  Only a context with nilpotent variables runs the
+truncation test, once per term it builds.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
-Rational = Fraction
 Exponent = Tuple[int, ...]
+
+FIELD = 64
+MASK = (1 << FIELD) - 1
+_new = object.__new__
 
 
 def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
@@ -32,11 +46,7 @@ def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
     Monomials compare by weighted degree first, so homogeneous ideals in
     rings with degree 2 generators reduce within a single graded piece.
     """
-    key = ctx.order_keys.get(expvec)
-    if key is None:
-        key = ctx.order_keys[expvec] = (ctx.weighted_degree(expvec),
-                                        tuple(-e for e in reversed(expvec)))
-    return key
+    return ctx.order_key(ctx.key(expvec))
 
 
 class VarContext:
@@ -62,9 +72,12 @@ class VarContext:
         for n in self.nilpotent:
             if n not in self.index:
                 raise ValueError("nilpotent truncation for unknown variable %r" % n)
-        self.truncation = tuple((self.index[n], order)
+        self.shifts = tuple(range(0, FIELD * len(names), FIELD))
+        self.truncation = tuple((self.shifts[self.index[n]], order)
                                 for n, order in self.nilpotent.items())
-        self.order_keys: Dict[Exponent, tuple] = {}
+        self._keys: Dict[Exponent, int] = {}
+        self._exponents: Dict[int, Exponent] = {}
+        self._order: Dict[int, tuple] = {}
 
     @property
     def nvars(self):
@@ -73,31 +86,65 @@ class VarContext:
     def weighted_degree(self, expvec: Exponent) -> int:
         return sum(e * d for e, d in zip(expvec, self.degrees))
 
-    def truncates(self, expvec: Exponent) -> bool:
-        return any(expvec[i] >= order for i, order in self.truncation)
+    # -- the key codec ----------------------------------------------------
+
+    def key(self, expvec: Exponent) -> int:
+        """The int key of an exponent vector; refuses one that could carry."""
+        key = self._keys.get(expvec)
+        if key is None:
+            if any(e < 0 or e >> FIELD for e in expvec):
+                raise ValueError("exponent %r would carry" % (expvec,))
+            key = self._keys[expvec] = sum(
+                e << s for e, s in zip(expvec, self.shifts))
+        return key
+
+    def exponent(self, key: int) -> Exponent:
+        exp = self._exponents.get(key)
+        if exp is None:
+            exp = self._exponents[key] = tuple((key >> s) & MASK
+                                               for s in self.shifts)
+        return exp
+
+    def guard(self, bound: int) -> int:
+        """`bound` if exponents up to it cannot carry, else ValueError."""
+        if bound >> FIELD:
+            raise ValueError("exponent bound %d would carry" % bound)
+        return bound
+
+    def order_key(self, key: int) -> tuple:
+        """weighted_grevlex_key of the monomial with this key, memoised."""
+        order = self._order.get(key)
+        if order is None:
+            exp = self.exponent(key)
+            order = self._order[key] = (self.weighted_degree(exp),
+                                        tuple(-e for e in reversed(exp)))
+        return order
+
+    def truncates(self, key: int) -> bool:
+        return any((key >> s) & MASK >= order for s, order in self.truncation)
+
+    # -- constructors -----------------------------------------------------
 
     def scalar(self, value) -> "MultiPoly":
         coeff = self.coerce_coeff(value)
-        if not coeff:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * self.nvars: coeff})
+        return MultiPoly.from_numerators(
+            self, {0: coeff.numerator} if coeff else {}, coeff.denominator, 0)
 
     def coerce_coeff(self, value) -> Fraction:
         return value if isinstance(value, Fraction) else Fraction(value)
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly.from_numerators(self, {}, 1, 0)
 
     def one(self) -> "MultiPoly":
         return self.scalar(1)
 
     def var(self, name: str) -> "MultiPoly":
-        i = self.index[name]
-        exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return MultiPoly(self, {exp: Fraction(1)})
+        return MultiPoly.from_numerators(
+            self, {1 << self.shifts[self.index[name]]: 1}, 1, 1)
 
     def monomial(self, expvec: Exponent, coeff=1) -> "MultiPoly":
-        return MultiPoly(self, {tuple(expvec): self.coerce_coeff(coeff)})
+        return MultiPoly(self, {tuple(expvec): coeff})
 
     def extended(self, names, degrees, nilpotent=None) -> "VarContext":
         """New context with extra variables appended."""
@@ -126,27 +173,53 @@ class VarContext:
 class MultiPoly:
     """Immutable sparse polynomial attached to a VarContext."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "nums", "den", "bound")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponent, object]):
-        truncated = ctx.truncates if ctx.truncation else None
+        """From {exponent tuple: rational}; zero and truncated terms drop."""
+        coeffs = {ctx.key(tuple(e)): ctx.coerce_coeff(c)
+                  for e, c in terms.items() if c}
+        if ctx.truncation:
+            coeffs = {k: c for k, c in coeffs.items() if not ctx.truncates(k)}
+        # over the lcm of reduced denominators the numerators stay coprime
+        # to it, so the result is in lowest terms
         self.ctx = ctx
-        self.terms = {tuple(exp): coeff for exp, coeff in terms.items()
-                      if coeff and not (truncated and truncated(exp))}
+        self.den = den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {k: c.numerator * (den // c.denominator)
+                     for k, c in coeffs.items()}
+        self.bound = max((max(ctx.exponent(k), default=0) for k in coeffs),
+                         default=0)
+
+    @classmethod
+    def from_numerators(cls, ctx: VarContext, nums: Dict[int, int], den: int,
+                        bound: int) -> "MultiPoly":
+        """The polynomial nums / den as stored, not reduced: `nums` maps keys
+        of untruncated monomials to nonzero ints, den > 0, and `bound` is at
+        least every exponent that occurs."""
+        p = _new(cls)
+        p.ctx, p.nums, p.den, p.bound = ctx, nums, den, bound
+        return p
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only {exponent tuple: Fraction}, each in lowest terms."""
+        exponent, den = self.ctx.exponent, self.den
+        return MappingProxyType({exponent(k): Fraction(n, den)
+                                 for k, n in self.nums.items()})
 
     # -- basic predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_scalar(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.nums)
 
     def scalar_value(self):
         """Coefficient of the constant monomial (the whole value if scalar)."""
         if not self.is_scalar():
             raise ValueError("polynomial is not a scalar: %s" % self)
-        return self.terms.get((0,) * self.ctx.nvars, Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def _check(self, other: "MultiPoly"):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -155,61 +228,59 @@ class MultiPoly:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = terms.get(exp)
-            if acc is None:
-                terms[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[exp] = acc
-                else:
-                    del terms[exp]
-        return MultiPoly(self.ctx, terms)
+        g = math.gcd(self.den, other.den)
+        fs, fo = other.den // g, sign * (self.den // g)
+        nums = {k: n * fs for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            nums[k] = nums.get(k, 0) + n * fo
+        return self.from_numerators(self.ctx, {k: n for k, n in nums.items() if n},
+                                    self.den * fs, max(self.bound, other.bound))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return self.from_numerators(self.ctx, {k: -n for k, n in self.nums.items()},
+                                    self.den, self.bound)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.scalar(other)
-        return self.__add__(other.__neg__())
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self.ctx.scalar(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            coeff = self.ctx.coerce_coeff(other)
-            if not coeff:
-                return self.ctx.zero()
-            return MultiPoly(self.ctx, {e: c * coeff for e, c in self.terms.items()})
-        self._check(other)
         ctx = self.ctx
-        truncated = ctx.truncates if ctx.truncation else None
-        terms: Dict[Exponent, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if truncated and truncated(exp):
-                    continue
-                acc = terms.get(exp)
-                if acc is None:
-                    terms[exp] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        terms[exp] = acc
-                    else:
-                        del terms[exp]
-        return MultiPoly(ctx, terms)
+        if isinstance(other, (int, Fraction)):
+            coeff = ctx.coerce_coeff(other)
+            nums = {k: n * coeff.numerator
+                    for k, n in self.nums.items()} if coeff else {}
+            den, bound = self.den * coeff.denominator, self.bound
+        else:
+            self._check(other)
+            bound = ctx.guard(self.bound + other.bound)
+            acc: Dict[int, int] = {}
+            for k1, n1 in self.nums.items():
+                for k2, n2 in other.nums.items():
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + n1 * n2
+            truncated = ctx.truncates if ctx.truncation else None
+            nums = {k: n for k, n in acc.items()
+                    if n and not (truncated and truncated(k))}
+            den = self.den * other.den
+        # products reduce, so a chain of them carries no spurious factor
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+        return self.from_numerators(ctx, nums, den, bound)
 
     __rmul__ = __mul__
 
@@ -226,57 +297,62 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
+        """Exact: equal supports, then numerators cross-multiplied."""
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.nums == other.nums
+        mine, theirs = self.nums, other.nums
+        return mine.keys() == theirs.keys() and all(
+            n * b == theirs[k] * a for k, n in mine.items())
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        g = math.gcd(self.den, *self.nums.values())
+        return hash((self.ctx, self.den // g,
+                     frozenset((k, n // g) for k, n in self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- structure --------------------------------------------------------
 
     def leading(self):
         """(exponent, coeff) of the weighted-grevlex-largest monomial."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=lambda e: weighted_grevlex_key(self.ctx, e))
-        return exp, self.terms[exp]
+        key = max(self.nums, key=self.ctx.order_key)
+        return self.ctx.exponent(key), Fraction(self.nums[key], self.den)
 
     def weighted_degree(self):
         """Max weighted degree over terms; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.ctx.weighted_degree(e) for e in self.terms)
+        return max((self.ctx.order_key(k)[0] for k in self.nums), default=None)
 
     def is_homogeneous(self, degree=None) -> bool:
-        if not self.terms:
-            return True
-        degs = {self.ctx.weighted_degree(e) for e in self.terms}
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        degs = {self.ctx.order_key(k)[0] for k in self.nums}
+        return len(degs) < 2 and (degree is None or degs <= {degree})
 
     def graded_part(self, degree: int) -> "MultiPoly":
-        return MultiPoly(self.ctx, {e: c for e, c in self.terms.items()
-                                    if self.ctx.weighted_degree(e) == degree})
+        order_key = self.ctx.order_key
+        return self.from_numerators(self.ctx, {k: n for k, n in self.nums.items()
+                                               if order_key(k)[0] == degree},
+                                    self.den, self.bound)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that slot zeroed."""
-        i = self.ctx.index[name]
-        out = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == power:
-                out[exp[:i] + (0,) + exp[i + 1:]] = coeff
-        return MultiPoly(self.ctx, out)
+        shift = self.ctx.shifts[self.ctx.index[name]]
+        return self.from_numerators(self.ctx, {k - (power << shift): n
+                                               for k, n in self.nums.items()
+                                               if (k >> shift) & MASK == power},
+                                    self.den, self.bound)
 
     def max_power(self, name: str) -> int:
-        i = self.ctx.index[name]
-        return max((e[i] for e in self.terms), default=0)
+        shift = self.ctx.shifts[self.ctx.index[name]]
+        return max(((k >> shift) & MASK for k in self.nums), default=0)
 
     def substitute(self, images: Mapping[str, "MultiPoly"], target: VarContext) -> "MultiPoly":
         """Ring map determined by variable images.
@@ -332,7 +408,7 @@ class MultiPoly:
                       reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exp, coeff in self.sorted_terms():

@@ -20,20 +20,17 @@ Products are computed from the table read as structure constants, in the
 WDVV framing of Kontsevich-Manin: e_i * e_j = sum_k c_ijk e_k, where each
 c_ijk is a polynomial whose monomials the grading fixes (a single power
 q^((deg i + deg j - deg k)/2) on the standard ring).  A `StructureTensor`
-holds them, and contracts vectors, packed (`PackedVec`): per slot a dict
-from the int key sum_v e_v 2^(64 v) of a monomial prod_v u_v^e_v to an
-integer numerator, over one positive denominator.  Keys add as monomials
-multiply; on the standard ring the key is the q exponent, and the solver's
-symbolic (q, uJ11, uJ2) ring runs through the same code.  `star` and
-`pairing` pack, contract and unpack; the ring-identity checks stay packed
-up to an exact comparison, so only tables, rendering and `--at` see
-`MultiPoly`.
+holds their integer numerators, keyed by monomial as in `poly`, over one
+denominator, and contracts two vectors of `MultiPoly` into a vector of
+`MultiPoly` with Python int products and sums alone.  On the standard ring
+the key is the q exponent, and the solver's symbolic (q, uJ11, uJ2) ring
+runs through the same code.  `star` and `pairing` are contractions; the
+ring-identity checks compare their unreduced results by cross-multiplying.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +42,7 @@ from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
     Matrix, at_q_one, char_poly, coefficients, matmul, matrix_at_q_one,
-    matvec, nullspace_field, rank_checked, rank_field, scalar_matrix,
+    matvec, nullspace_field, rank_field, scalar_matrix,
     solve_field, squarefree_profile, vector_at_q_one,
 )
 from .poly import Exponent, MultiPoly, VarContext
@@ -61,7 +58,7 @@ def quantum_context(extra: Sequence[str] = ()) -> VarContext:
 
 
 def _lift(vec: Sequence[Fraction], ctx: VarContext) -> QVec:
-    return tuple(ctx.scalar(Fraction(v)) for v in vec)
+    return tuple(map(ctx.scalar, vec))
 
 
 def _vadd(x: QVec, y: QVec) -> QVec:
@@ -140,104 +137,66 @@ def sigma11_square(j11, j12, j2, amb: AmbientRing, ctx: VarContext) -> QVec:
     return tuple(out)
 
 
-class PackedVec:
-    """Per slot a dict {exponent key: nonzero integer numerator}, all over
-    the positive denominator `den`; `bound` is at least every exponent of
-    every variable that occurs."""
-
-    __slots__ = ("slots", "den", "bound")
-
-    def __init__(self, slots: Sequence[Dict[int, int]], den: int, bound: int):
-        self.slots, self.den, self.bound = slots, den, bound
-
-    def __eq__(self, other: "PackedVec") -> bool:
-        """Exact: equal supports, then numerators cross-multiplied."""
-        return all(s.keys() == o.keys() and all(
-            n * other.den == o[k] * self.den for k, n in s.items())
-            for s, o in zip(self.slots, other.slots))
-
-    def plus(self, lam: Fraction, other: "PackedVec") -> "PackedVec":
-        """self + lam * other."""
-        fx, fy = other.den * lam.denominator, self.den * lam.numerator
-        slots = tuple({k: n for k in s.keys() | o.keys()
-                       if (n := s.get(k, 0) * fx + o.get(k, 0) * fy)}
-                      for s, o in zip(self.slots, other.slots))
-        return PackedVec(slots, self.den * fx, max(self.bound, other.bound))
-
-
 class StructureTensor:
-    """A bilinear map Q[u]^DIM x Q[u]^DIM -> Q[u]^width on packed vectors.
+    """A bilinear map Q[u]^DIM x Q[u]^DIM -> Q[u]^width.
 
     `images[(i, j)]` is the image of (e_i, e_j), `width` polynomials; a
     missing pair maps to zero.  rows[i][j] lists its nonzero coefficients
-    as (k, key, numerator) over one denominator `den`.  No key field ever
-    carries into the next: `pack` refuses an exponent >= 2^62 and
-    `contract` a product whose exponent bound reaches 2^64 (ValueError).
+    as (k, key, numerator) over one denominator `den`.
     """
 
     def __init__(self, ctx: VarContext, width: int,
                  images: Mapping[Tuple[int, int], Sequence[MultiPoly]]):
         self.ctx = ctx
         self.width = width
-        shifts = range(0, 64 * ctx.nvars, 64)
-        self._key = lru_cache(maxsize=None)(
-            lambda e: sum(v << s for v, s in zip(e, shifts)))
-        self._exponent = lru_cache(maxsize=None)(
-            lambda key: tuple((key >> s) & ((1 << 64) - 1) for s in shifts))
-        flat = self.pack([p for i in range(DIM) for j in range(DIM)
-                          for p in images.get((i, j), (ctx.zero(),) * width)])
-        self.den, self.bound = flat.den, flat.bound
-        self.rows = [[[(k, key, n) for k in range(width) for key, n in
-                       flat.slots[(DIM * i + j) * width + k].items()]
+        polys = [p for image in images.values() for p in image]
+        self.den = math.lcm(*(p.den for p in polys))
+        self.bound = max((p.bound for p in polys), default=0)
+        self.rows = [[[(k, key, n * (self.den // p.den))
+                       for k, p in enumerate(images.get((i, j), ()))
+                       for key, n in p.nums.items()]
                       for j in range(DIM)] for i in range(DIM)]
 
-    def pack(self, x: Sequence[MultiPoly]) -> PackedVec:
-        """x over the lcm of its coefficients' denominators."""
-        bound = max((max(e) for p in x for e in p.terms), default=0)
-        if bound >> 62:
-            raise ValueError("exponent %d is too large to pack" % bound)
-        den = math.lcm(*(c.denominator for p in x for c in p.terms.values()))
-        return PackedVec(tuple(
-            {self._key(e): c.numerator * (den // c.denominator)
-             for e, c in p.terms.items()} for p in x), den, bound)
-
-    def pack_scalars(self, x: Sequence[Fraction]) -> PackedVec:
-        """Rationals as constant polynomials (key 0), packed like `pack`."""
-        den = math.lcm(*(c.denominator for c in x))
-        return PackedVec(tuple({0: c.numerator * (den // c.denominator)}
-                               if c else {} for c in x), den, 0)
-
-    def unpack(self, x: PackedVec) -> QVec:
-        """x as polynomials, one Fraction per term."""
-        return tuple(MultiPoly(self.ctx, {self._exponent(k): Fraction(n, x.den)
-                                          for k, n in slot.items()})
-                     for slot in x.slots)
-
-    def contract(self, x: PackedVec, y: PackedVec) -> PackedVec:
+    def contract(self, x: QVec, y: QVec) -> QVec:
         """The image of (x, y): sum over i, j of x_i y_j images[(i, j)].
 
         Only Python ints are multiplied and added, over the denominator
-        den(x) den(y) den(tensor).
+        den(x) den(y) den(tensor), which is left unreduced.  Raises
+        ValueError if the exponents could carry.
         """
-        bound = x.bound + y.bound + self.bound
-        if bound >> 64:
-            raise ValueError("exponent bound %d would carry" % bound)
+        dx, xs, bx = _over_common_denominator(x)
+        dy, ys, by = _over_common_denominator(y)
+        bound = self.ctx.guard(bx + by + self.bound)
         acc: List[Dict[int, int]] = [{} for _ in range(self.width)]
-        for xi, row in zip(x.slots, self.rows):
+        for (xi, f), row in zip(xs, self.rows):
             if not xi:
                 continue
-            for yj, entries in zip(y.slots, row):
+            for (yj, g), entries in zip(ys, row):
                 if not yj or not entries:
                     continue
                 for ex, nx in xi.items():
+                    nx *= f * g
                     for ey, ny in yj.items():
                         e, n = ex + ey, nx * ny
                         for k, et, c in entries:
                             slot = acc[k]
                             slot[e + et] = slot.get(e + et, 0) + n * c
-        return PackedVec(tuple({e: n for e, n in slot.items() if n}
-                               for slot in acc),
-                         x.den * y.den * self.den, bound)
+        den, make = dx * dy * self.den, MultiPoly.from_numerators
+        return tuple([make(self.ctx, slot if all(slot.values()) else
+                           {e: n for e, n in slot.items() if n}, den, bound)
+                      for slot in acc])
+
+
+def _over_common_denominator(x: QVec) -> Tuple[int, list, int]:
+    """The lcm of x's denominators; per slot its numerators and the factor
+    that brings them over the lcm; and the largest exponent bound."""
+    den = bound = 0
+    for p in x:
+        if p.den != den:
+            den = math.lcm(den or 1, p.den)
+        if p.bound > bound:
+            bound = p.bound
+    return den, [(p.nums, den // p.den) for p in x], bound
 
 
 class QuantumRing:
@@ -355,13 +314,11 @@ class QuantumRing:
 
     def star(self, x: QVec, y: QVec) -> QVec:
         """x * y, contracted against the table's structure tensor."""
-        t = self.product_tensor
-        return t.unpack(t.contract(t.pack(x), t.pack(y)))
+        return self.product_tensor.contract(x, y)
 
     def pairing(self, x: QVec, y: QVec) -> MultiPoly:
         """<x, y>, contracted against the Gram matrix as a width 1 tensor."""
-        g = self.gram_tensor
-        return g.unpack(g.contract(g.pack(x), g.pack(y)))[0]
+        return self.gram_tensor.contract(x, y)[0]
 
     def format(self, x: QVec) -> str:
         parts = []
@@ -411,9 +368,8 @@ def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
 
 def _basis_triples(ring: QuantumRing, ordered: bool):
     """(names, (a, b, c)) for all DIM^3 ordered basis triples, or for the
-    unordered ones i <= j <= k, in lexicographic order, packed."""
-    basis = [ring.product_tensor.pack(ring.basis_element(name))
-             for name in BASIS_NAMES]
+    unordered ones i <= j <= k, in lexicographic order."""
+    basis = [ring.basis_element(name) for name in BASIS_NAMES]
     for ijk in (product(range(DIM), repeat=3) if ordered
                 else combinations_with_replacement(range(DIM), 3)):
         yield (tuple(BASIS_NAMES[i] for i in ijk),
@@ -532,8 +488,7 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
                        ctx=ctx)
     t, g = ring.product_tensor, ring.gram_tensor
     residuals = _route_residuals(ring) + [
-        g.unpack(g.contract(t.contract(a, b), c).plus(
-            Fraction(-1), g.contract(a, t.contract(b, c))))[0]
+        g.contract(t.contract(a, b), c)[0] - g.contract(a, t.contract(b, c))[0]
         for _, (a, b, c) in _basis_triples(ring, False)]
     rows = []
     rhs = []
@@ -634,7 +589,7 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     a_val = coeffs[4]
     b_val = coeffs[2]
     disc = a_val * a_val - 4 * b_val
-    rk = rank_checked(mh, random.Random(20260822))
+    rk = rank_field(matrix_at_q_one(mh, 1, BASIS_DEGREES, "h matrix"))
     report = {
         "char_poly": str(cp),
         "only_even_powers": even,

@@ -33,9 +33,6 @@ class Grassmannian2:
     def degree(self, part: Partition) -> int:
         return part[0] + part[1]
 
-    def basis_of_degree(self, d: int):
-        return [p for p in self.partitions if self.degree(p) == d]
-
     def zero(self) -> SchubertClass:
         return {}
 

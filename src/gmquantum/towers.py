@@ -214,11 +214,7 @@ class ProjBase:
         """Coefficient of the product of top powers; only base variables allowed."""
         target = tuple(self.point_exponents().get(name, 0)
                        for name in p.ctx.names)
-        total = Fraction(0)
-        for exp, coeff in p.terms.items():
-            if exp == target:
-                total += coeff
-        return total
+        return p.terms.get(target, Fraction(0))
 
     def describe(self) -> str:
         if not self.factors:

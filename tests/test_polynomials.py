@@ -1,5 +1,6 @@
 """Exact multivariate polynomial arithmetic and graded structure."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,113 @@ def test_contexts_mix_by_equality_not_identity():
             x * other.var("y")
         with pytest.raises(ValueError):
             x + other.var("y")
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly against plain {exponent tuple: Fraction} dicts
+# ---------------------------------------------------------------------------
+
+ARITHMETIC_CONTEXTS = (
+    VarContext(("q",), (2,)),
+    VarContext(("q", "uJ11", "uJ2"), (2, 0, 0)),
+    VarContext(("q", "t"), (2, -1), nilpotent={"t": 2}),
+)
+
+
+def plain_truncated(ctx, terms):
+    return {e: c for e, c in terms.items()
+            if c and not any(e[ctx.index[n]] >= order
+                             for n, order in ctx.nilpotent.items())}
+
+
+def plain_combine(ctx, p, q, lam):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + lam * c
+    return plain_truncated(ctx, out)
+
+
+def plain_mul(ctx, p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return plain_truncated(ctx, out)
+
+
+def plain_str(ctx, p):
+    """The rendering rule, restated: terms by weighted grevlex, largest
+    first, unit coefficients elided and signs folded into the joins."""
+    order = sorted(p, reverse=True, key=lambda e: (
+        sum(a * d for a, d in zip(e, ctx.degrees)),
+        tuple(-a for a in reversed(e))))
+    out = ""
+    for n, e in enumerate(order):
+        c = p[e]
+        factors = "*".join(name if a == 1 else "%s^%d" % (name, a)
+                           for name, a in zip(ctx.names, e) if a)
+        body = str(abs(c)) if not factors else (
+            factors if abs(c) == 1 else "%s*%s" % (abs(c), factors))
+        sign = "-" if c < 0 else ""
+        out += (sign + body) if n == 0 else (" - " if c < 0 else " + ") + body
+    return out or "0"
+
+
+def plain_evaluate(ctx, p, values):
+    total = Fraction(0)
+    for e, c in p.items():
+        for name, a in zip(ctx.names, e):
+            c *= values[name] ** a
+        total += c
+    return total
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def plain_polys(draw, ctx):
+    exps = st.tuples(*(st.integers(0, 2 if name in ctx.nilpotent else 3)
+                       for name in ctx.names))
+    return draw(st.dictionaries(exps, rationals, max_size=5))
+
+
+@st.composite
+def arithmetic_cases(draw):
+    ctx = draw(st.sampled_from(ARITHMETIC_CONTEXTS))
+    return (ctx, draw(plain_polys(ctx)), draw(plain_polys(ctx)),
+            draw(rationals), draw(st.integers(2, 6)),
+            {name: draw(rationals) for name in ctx.names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(arithmetic_cases())
+def test_arithmetic_matches_plain_dicts(case):
+    ctx, a, b, lam, m, values = case
+    p, q = MultiPoly(ctx, a), MultiPoly(ctx, b)
+    a, b = plain_truncated(ctx, a), plain_truncated(ctx, b)
+    assert dict(p.terms) == a and dict(q.terms) == b
+    assert dict((p + q).terms) == plain_combine(ctx, a, b, 1)
+    assert dict((p - q).terms) == plain_combine(ctx, a, b, -1)
+    assert dict((p * q).terms) == plain_mul(ctx, a, b)
+    assert dict((lam * p).terms) == dict((p * lam).terms) == \
+        plain_combine(ctx, {}, a, lam)
+    assert (p == q) == (a == b) and (p != q) == (a != b)
+    # products come back in lowest terms, so chains of them stay small
+    for r in (p * q, lam * p, p * q * lam):
+        assert math.gcd(r.den, *r.nums.values()) == 1
+    assert str(p) == plain_str(ctx, a) and str(p * q) == plain_str(
+        ctx, plain_mul(ctx, a, b))
+    assert p.evaluate(values) == plain_evaluate(ctx, a, values)
+    assert (p * q).evaluate(values) == plain_evaluate(
+        ctx, plain_mul(ctx, a, b), values)
+    # the same values over larger denominators: equal, same hash, same text
+    for r in (p, q, p * q, p - q):
+        over = MultiPoly.from_numerators(
+            ctx, {k: m * n for k, n in r.nums.items()}, m * r.den, r.bound)
+        assert over.den == m * r.den
+        assert over == r and r == over and hash(over) == hash(r)
+        assert str(over) == str(r) and dict(over.terms) == dict(r.terms)
+        assert over.evaluate(values) == r.evaluate(values)
+        assert (over == ctx.zero()) == (not dict(r.terms))

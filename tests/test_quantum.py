@@ -367,26 +367,44 @@ def draw_element(ring, rng, kind):
 ELEMENT_KINDS = ("small", "long", "sparse", "zero", "poly")
 
 
-def check_packed_path(ring, x, y, lam=Fraction(-7, 3)):
-    """The packed round trip, contractions, x + lam y and == against the
-    MultiPoly oracle, for one pair of vectors."""
+def plain(p):
+    """p as a plain {exponent tuple: Fraction} dict."""
+    return dict(p.terms)
+
+
+def over_larger_denominator(x, m=3):
+    """The same vector with every numerator and denominator times m."""
+    return tuple(MultiPoly.from_numerators(
+        p.ctx, {k: m * n for k, n in p.nums.items()}, m * p.den, p.bound)
+        for p in x)
+
+
+def check_contraction_path(ring, x, y, lam=Fraction(-7, 3)):
+    """The contractions, x + lam y and == against slot-by-slot and plain
+    dict references, for one pair of vectors."""
     t, g = ring.product_tensor, ring.gram_tensor
-    px, py = t.pack(x), t.pack(y)
-    assert t.unpack(px) == x and t.unpack(py) == y
-    assert t.unpack(t.contract(px, py)) == reference_star(ring, x, y)
-    assert g.unpack(g.contract(px, py))[0] == reference_pairing(ring, x, y)
-    assert t.unpack(px.plus(lam, py)) == tuple(a + lam * b
-                                               for a, b in zip(x, y))
-    # == agrees with MultiPoly ==, on this pair, on each vector against
+    xy = t.contract(x, y)
+    assert xy == reference_star(ring, x, y)
+    assert g.contract(x, y)[0] == reference_pairing(ring, x, y)
+    want = []
+    for a, b in zip(x, y):
+        terms = plain(a)
+        for e, c in b.terms.items():
+            terms[e] = terms.get(e, 0) + lam * c
+        want.append({e: c for e, c in terms.items() if c})
+    assert [plain(a + lam * b) for a, b in zip(x, y)] == want
+    # == agrees with the plain terms, on this pair, on each vector against
     # itself, and on the same value over a larger denominator
-    assert (px == py) == (x == y)
-    assert (px != py) == (x != y)
-    zero = t.pack(ring.zero())
-    for p, v in ((px, x), (py, y)):
-        assert p == t.pack(v)
-        over = p.plus(Fraction(1, 3), zero)
-        assert over.den == 3 * p.den and over == p and p == over
-        assert (p == zero) == (v == ring.zero())
+    assert (x == y) == ([plain(a) for a in x] == [plain(b) for b in y])
+    assert (x != y) == ([plain(a) for a in x] != [plain(b) for b in y])
+    zero = ring.zero()
+    for v in (x, y, xy):
+        over = over_larger_denominator(v)
+        assert [p.den for p in over] == [3 * p.den for p in v]
+        assert over == v and v == over
+        assert [hash(p) for p in over] == [hash(p) for p in v]
+        assert [str(p) for p in over] == [str(p) for p in v]
+        assert (over == zero) == (v == zero) == all(not plain(p) for p in v)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -400,15 +418,15 @@ def test_engine_matches_reference(name):
             assert ring.star(x, y) == reference_star(ring, x, y), (kx, ky)
             assert ring.pairing(x, y) == reference_pairing(ring, x, y), \
                 (kx, ky)
-            check_packed_path(ring, x, y)
-            check_packed_path(ring, x, x)
+            check_contraction_path(ring, x, y)
+            check_contraction_path(ring, x, x)
     # products of products carry several q powers per slot
     x, y = (draw_element(ring, rng, "small") for _ in range(2))
     xy = ring.star(x, y)
     assert ring.star(xy, xy) == reference_star(ring, xy, xy)
     assert ring.pairing(xy, y) == reference_pairing(ring, xy, y)
-    check_packed_path(ring, xy, ring.star(y, x))
-    check_packed_path(ring, xy, ring.zero())
+    check_contraction_path(ring, xy, ring.star(y, x))
+    check_contraction_path(ring, xy, ring.zero())
 
 
 fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
@@ -428,7 +446,7 @@ def test_engine_matches_reference_hypothesis(ring, xs, ys, dx, dy):
     y = tuple(qy * c for c in ys)
     assert ring.star(x, y) == reference_star(ring, x, y)
     assert ring.pairing(x, y) == reference_pairing(ring, x, y)
-    check_packed_path(ring, x, y, Fraction(xs[0] or 1))
+    check_contraction_path(ring, x, y, Fraction(xs[0] or 1))
 
 
 def test_star_and_pairing_do_no_polynomial_multiplication(ring, monkeypatch):
@@ -450,26 +468,31 @@ def test_star_and_pairing_do_no_polynomial_multiplication(ring, monkeypatch):
 
 
 def test_star_refuses_exponents_that_would_carry():
-    """Each variable owns a 64-bit field of the packed key: an exponent
+    """Each variable owns a 64-bit field of the monomial key: an exponent
     that could carry into the next field raises instead of returning a
     wrong product, and exponents up to 2^61 still round-trip."""
     ring = symbolic_ring()
     t = ring.product_tensor
     q, u11, u2 = (ring.ctx.var(v) for v in ("q", "uJ11", "uJ2"))
+    with pytest.raises(ValueError, match="would carry"):
+        MultiPoly(ring.ctx, {(2 ** 64, 0, 0): 1})
+    with pytest.raises(ValueError, match="would carry"):
+        q ** (2 ** 64)
     big = ring.element({"s0": q ** (2 ** 63)})
-    with pytest.raises(ValueError, match="too large to pack"):
-        ring.star(big, ring.basis_element("s1"))
-    with pytest.raises(ValueError, match="too large to pack"):
-        ring.pairing(ring.basis_element("s1"), big)
+    s1 = ring.basis_element("s1")
+    assert ring.star(big, s1) == reference_star(ring, big, s1)
+    with pytest.raises(ValueError, match="would carry"):
+        ring.star(big, big)
+    with pytest.raises(ValueError, match="would carry"):
+        ring.pairing(big, big)
     x = ring.element({"s0": q ** (2 ** 61) * u11 + u2 ** (2 ** 61),
                       "s11": 3 * u11 ** (2 ** 61) - q})
     y = ring.element({"s2": q ** (2 ** 61) * u2 ** 5, "s3": u11 - 2})
-    assert t.unpack(t.pack(x)) == x
+    assert tuple(MultiPoly(ring.ctx, p.terms) for p in x) == x
     assert ring.star(x, y) == reference_star(ring, x, y)
     assert ring.pairing(x, y) == reference_pairing(ring, x, y)
     # bounds add up along a chain of contractions until one could carry
-    p = t.pack(x)
-    p = t.contract(p, p)            # bound 2^62 + the tensor's
+    p = t.contract(x, x)            # bound 2^62 + the tensor's
     p = t.contract(p, p)            # bound 2^63 + 3 times the tensor's
     with pytest.raises(ValueError, match="would carry"):
         t.contract(p, p)
@@ -499,20 +522,6 @@ def reference_random_identity_failures(ring, rng, samples):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_pack_scalars_matches_packing_the_element(ring, seed):
-    """The property sample packs its rationals directly, into exactly the
-    packed form of the MultiPoly element they make."""
-    t = ring.product_tensor
-    rng = random.Random(seed)
-    for _ in range(300):
-        coeffs = [certificates.random_rational(rng) for _ in range(DIM)]
-        got = t.pack_scalars(coeffs)
-        want = t.pack(ring.element(dict(zip(BASIS_NAMES, coeffs))))
-        assert (got.slots, got.den, got.bound) == \
-            (want.slots, want.den, want.bound)
-
-
-@pytest.mark.parametrize("seed", [0, 3, 7])
 def test_random_identities_match_the_multipoly_sample(ring, seed):
     broken = perturbed_ring(ring)
     for r in (ring, broken):
@@ -534,11 +543,12 @@ def test_property_certificate_fails_on_a_perturbed_ring(ring):
 
 
 def test_identity_checks_stay_packed(ring, monkeypatch):
-    """The property sample and the table scans never fall back to
-    MultiPoly arithmetic or comparison between products."""
+    """The property sample and the table scans multiply only through the
+    structure tensors and compare integer numerators: no MultiPoly
+    product and no Fraction view of a result."""
     broken = perturbed_ring(ring)
     calls = []
-    for name in ("__add__", "__mul__", "__rmul__", "__eq__"):
+    for name in ("__mul__", "__rmul__"):
         original = getattr(MultiPoly, name)
 
         def counted(self, other, name=name, original=original):
@@ -546,6 +556,9 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(MultiPoly, name, counted)
+    view = MultiPoly.terms
+    monkeypatch.setattr(MultiPoly, "terms", property(
+        lambda self: calls.append("terms") or view.fget(self)))
     certificates.random_identity_failures(ring, random.Random(0), 5)
     certificates.random_identity_failures(broken, random.Random(0), 5)
     quantum.frobenius_failures(ring)
