@@ -35,7 +35,7 @@ from .poly import MultiPoly
 from .quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
-    kernel_basis, perturbed_ring, presentation_relations, presentation_report,
+    perturbed_ring, presentation_relations, presentation_report,
     ring_from_solve, solve_three_point_invariants, spectral_report,
 )
 
@@ -335,7 +335,7 @@ def matrix_certificates(ws: Workspace) -> List[Certificate]:
         FROZEN,
         trace=("eigenvalue squares at q = 1 solve T^2 - 44*T - 16 = 0",
                "both surds are substituted back exactly")))
-    ker = kernel_basis(ring)
+    ker = sp["kernel"]
     certs.append(make(
         "matrix.kernel",
         {"dimension": ker["dimension"], "killed": ker["killed"],

@@ -40,10 +40,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
-    Matrix, at_q_one, block_diag, char_poly, coefficients, mat_add,
-    matmul, matrix_at_q_one, matvec, nullspace_field, rank_checked,
+    Matrix, at_q_one, block_diag, char_poly, mat_add, matmul,
+    matrix_at_q_one, matvec, nullspace_field, poly_exact_div, rank_checked,
     rank_field, restore_q, scalar_matrix, solve_field, squarefree_profile,
-    yun_squarefree,
 )
 from .poly import MultiPoly, VarContext
 from .quantum import QuantumRing, associativity_failures
@@ -323,9 +322,8 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     # scalar primitive block adds twenty two
     hpoly = char_poly(amb, var="Y")
     # guarded first, so an off-weight block is refused before any check
-    hpoly_t0 = coefficients(at_q_one(hpoly.coefficient_of("t", 0), DIM,
-                                     "shifted characteristic polynomial"),
-                            "Y")
+    hpoly_t0 = at_q_one(hpoly.coefficient_of("t", 0), DIM,
+                        "shifted characteristic polynomial")
     h0 = hpoly.coefficient_of("Y", 0)
     h1 = hpoly.coefficient_of("Y", 1)
     h2 = hpoly.coefficient_of("Y", 2)
@@ -335,7 +333,10 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     multiplicity = 2 + PRIMITIVE_DIM
 
     # the four moving eigenvalue branches stay simple at t = 0
-    cofactor_profile = squarefree_profile(hpoly_t0[2:])
+    plain_t0 = hpoly_t0.ctx.without_truncation()
+    cofactor_profile = squarefree_profile(
+        poly_exact_div(MultiPoly(plain_t0, hpoly_t0.terms),
+                       plain_t0.var("Y") ** 2), "Y")
 
     # order zero eigenspace at q = 1, then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
@@ -447,16 +448,11 @@ def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     cp = char_poly(m, var="X")
     if "q" in cp.ctx.index:
         cp = at_q_one(cp, m.nrows, "characteristic polynomial")
-    coeffs = coefficients(cp, "X")
-    factors = yun_squarefree(coeffs)
-    profile = {mult: len(fac) - 1 for mult, fac in factors}
+    profile = squarefree_profile(cp, "X")
     max_mult = max(profile) if profile else 0
-    zero_mult = next((k for k, c in enumerate(coeffs) if c), len(coeffs) - 1)
-    simple_nonzero = 0
-    for mult, fac in factors:
-        if mult == 1:
-            deg = len(fac) - 1
-            simple_nonzero = deg - (1 if not fac[0] else 0)
+    zero_mult = next(k for k in range(m.nrows + 1)
+                     if cp.coefficient_of("X", k))
+    simple_nonzero = profile.get(1, 0) - (1 if zero_mult == 1 else 0)
     h31 = model.h31()
     notes = ["eigenvalue multiplicity profile %r" % (profile,),
              "zero eigenvalue multiplicity %d" % zero_mult,

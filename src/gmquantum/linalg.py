@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-* Dense univariate polynomial helpers over any field of characteristic
-  zero (lists of coefficients, low degree first): Euclidean gcd and Yun's
-  squarefree decomposition.
+* Division of `MultiPoly` by leading terms, which is exact division in
+  several variables and Euclidean division in one; the monic gcd in one
+  variable, and from its chain the squarefree profile.
 * Matrix routines, split by what they assume of the entries: Gaussian
   elimination needs a field, Bareiss elimination an integral domain with
   exact division, and the subset cofactor expansion works over any
@@ -15,10 +15,11 @@
   sets q = 1, and `restore_q` puts the q powers back on a solution.  No
   elimination runs over Q(q).
 
-`RatFunc`, the field Q(q), is not used by the package.  The tests run
-their generic Q(q) oracle over it; it stays in this module because the
-benchmark's tracer hooks `RatFunc.__mul__` and checks that every hook it
-lists still resolves.
+`RatFunc`, the field Q(q), is a pair of `MultiPoly` in one variable:
+numerator and monic denominator, coprime.  The package does not use it.
+The tests run their generic Q(q) oracle over it; it stays in this module
+because the benchmark's tracer hooks `RatFunc.__mul__` and checks that
+every hook it lists still resolves.
 """
 
 from __future__ import annotations
@@ -29,139 +30,66 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .poly import MultiPoly, VarContext
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (generic field coefficients)
+# polynomials in one variable
 # ---------------------------------------------------------------------------
 
 
-def up_trim(p: List) -> List:
-    while p and not p[-1]:
-        p.pop()
-    return p
+def poly_divmod(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """(quotient, rest) with a = quotient * b + rest.
 
-
-def up_deg(p: Sequence) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(p) - 1
-
-
-def up_add(a: Sequence, b: Sequence) -> List:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return up_trim(out)
-
-
-def up_neg(a: Sequence) -> List:
-    return [-x for x in a]
-
-
-def up_sub(a: Sequence, b: Sequence) -> List:
-    return up_add(a, up_neg(b))
-
-
-def up_mul(a: Sequence, b: Sequence) -> List:
-    if not a or not b:
-        return []
-    zero = a[0] - a[0]
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return up_trim(out)
-
-
-def up_divmod(a: Sequence, b: Sequence) -> Tuple[List, List]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    r = list(a)
-    up_trim(r)
-    if len(r) < len(b):
-        return [], r
-    lc = b[-1]
-    zero = lc - lc
-    q = [zero] * (len(r) - len(b) + 1)
-    while r and len(r) >= len(b):
-        c = r[-1] / lc
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] = r[k + i] - c * y
-        up_trim(r)
-    return up_trim(q), r
-
-
-def up_div_exact(a: Sequence, b: Sequence) -> List:
-    q, r = up_divmod(a, b)
-    if r:
-        raise ValueError("univariate division is not exact")
-    return q
-
-
-def up_monic(a: Sequence) -> List:
-    if not a:
-        return []
-    lc = a[-1]
-    return [x / lc for x in a]
-
-
-def up_gcd(a: Sequence, b: Sequence) -> List:
-    """Monic gcd by the Euclidean algorithm."""
-    x = up_trim(list(a))
-    y = up_trim(list(b))
-    while y:
-        _, r = up_divmod(x, y)
-        x, y = y, r
-    return up_monic(x)
-
-
-def up_deriv(a: Sequence) -> List:
-    return up_trim([a[i] * i for i in range(1, len(a))])
-
-
-def yun_squarefree(f: Sequence) -> List[Tuple[int, List]]:
-    """Squarefree decomposition f = prod a_i^i (up to a constant), char 0.
-
-    Returns [(multiplicity, monic factor)] with factors of degree >= 1,
-    coprime in pairs, sorted by multiplicity.
+    Leading terms are divided while b's divides the rest's, so in one
+    variable the rest is the Euclidean remainder.
     """
-    f = up_trim(list(f))
-    if up_deg(f) < 1:
-        return []
-    fp = up_deriv(f)
-    d = up_gcd(f, fp)
-    if up_deg(d) == 0:
-        return [(1, up_monic(f))]
-    out = []
-    b = up_div_exact(f, d)
-    c = up_div_exact(fp, d)
-    w = up_sub(c, up_deriv(b))
-    i = 1
-    while up_deg(b) > 0:
-        a = up_gcd(b, w)
-        if up_deg(a) > 0:
-            out.append((i, a))
-        b = up_div_exact(b, a)
-        c = up_div_exact(w, a) if w else []
-        w = up_sub(c, up_deriv(b))
-        i += 1
-    out.sort(key=lambda t: t[0])
-    return out
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    ctx = a.ctx
+    if ctx.nilpotent:
+        raise ValueError("division needs an untruncated ring")
+    quotient = {}
+    bexp, bc = b.leading()
+    while a:
+        aexp, ac = a.leading()
+        if any(x < y for x, y in zip(aexp, bexp)):
+            break
+        exp = tuple(x - y for x, y in zip(aexp, bexp))
+        quotient[exp] = ac / bc
+        a = a - ctx.monomial(exp, quotient[exp]) * b
+    return MultiPoly(ctx, quotient), a
 
 
-def squarefree_profile(f: Sequence) -> Dict[int, int]:
-    """Map multiplicity -> total degree of the factor with that multiplicity."""
-    return {mult: up_deg(fac) for mult, fac in yun_squarefree(f)}
+def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Exact quotient a / b in a polynomial ring; raises if not divisible."""
+    quotient, rest = poly_divmod(a, b)
+    if rest:
+        raise ValueError("polynomial division is not exact")
+    return quotient
+
+
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of two polynomials in one variable; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a * (1 / a.leading()[1]) if a else a
+
+
+def squarefree_profile(p: MultiPoly, var: str) -> Dict[int, int]:
+    """{multiplicity: number of distinct roots} of p, a polynomial in `var`
+    alone over Q (other variables of its context may not occur).
+
+    Along f_0 = p, f_k+1 = gcd(f_k, f_k'), deg f_k - deg f_k+1 counts the
+    roots of multiplicity above k.
+    """
+    if any(p.max_power(name) for name in p.ctx.names if name != var):
+        raise ValueError("%s is not a polynomial in %s alone" % (p, var))
+    f = MultiPoly(p.ctx.without_truncation(), p.terms)
+    degrees = [f.max_power(var)]
+    while degrees[-1]:
+        f = poly_gcd(f, f.derivative(var))
+        degrees.append(f.max_power(var))
+    # above[k]: the number of roots of multiplicity above k
+    above = [d - e for d, e in zip(degrees, degrees[1:])] + [0]
+    return {k: above[k - 1] - above[k] for k in range(1, len(above))
+            if above[k - 1] != above[k]}
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +97,43 @@ def squarefree_profile(f: Sequence) -> Dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class RatFunc:
-    """Element of Q(x) for a single unnamed variable.
+RATFUNC_CONTEXT = VarContext(("x",), (1,))
 
-    Stored as coprime numerator and monic denominator, coefficients exact
-    rationals, low degree first.  Nothing in the package computes with it:
-    it is the field of the tests' generic Q(q) elimination, which the q = 1
-    route is checked against.
+
+class RatFunc:
+    """Element of Q(x) for a single variable x.
+
+    Stored as a pair of `MultiPoly` over `RATFUNC_CONTEXT`: a numerator
+    coprime to a monic denominator.  Nothing in the package computes with
+    it: it is the field of the tests' generic Q(q) elimination, which the
+    q = 1 route is checked against.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = [Fraction(1)]
-        n = up_trim([Fraction(c) for c in num])
-        d = up_trim([Fraction(c) for c in den])
-        if not d:
+    def __init__(self, num, den=(1,)):
+        """From two `MultiPoly` over `RATFUNC_CONTEXT`, or from two lists of
+        rational coefficients, low degree first."""
+        num, den = (p if isinstance(p, MultiPoly) else MultiPoly(
+            RATFUNC_CONTEXT, {(k,): c for k, c in enumerate(p)})
+            for p in (num, den))
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not n:
-            self.num = ()
-            self.den = (Fraction(1),)
-            return
-        g = up_gcd(n, d)
-        if up_deg(g) > 0:
-            n = up_div_exact(n, g)
-            d = up_div_exact(d, g)
-        lc = d[-1]
-        n = [c / lc for c in n]
-        d = [c / lc for c in d]
-        self.num = tuple(n)
-        self.den = tuple(d)
+        if not num:
+            den = RATFUNC_CONTEXT.one()
+        elif not (num.is_scalar() or den.is_scalar()):
+            g = poly_gcd(num, den)
+            if not g.is_scalar():
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
+        lc = den.leading()[1]
+        if lc != 1:
+            num, den = num * (1 / lc), den * (1 / lc)
+        self.num, self.den = num, den
 
     @classmethod
     def one(cls) -> "RatFunc":
-        return cls([Fraction(1)])
+        return cls([1])
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -219,25 +149,22 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = up_add(up_mul(list(self.num), list(o.den)),
-                   up_mul(list(o.num), list(self.den)))
-        return RatFunc(n, up_mul(list(self.den), list(o.den)))
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __neg__(self):
-        return RatFunc(up_neg(list(self.num)), list(self.den))
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(up_mul(list(self.num), list(o.num)),
-                       up_mul(list(self.den), list(o.den)))
+        return RatFunc(self.num * o.num, self.den * o.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -245,8 +172,7 @@ class RatFunc:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(up_mul(list(self.num), list(o.den)),
-                       up_mul(list(self.den), list(o.num)))
+        return RatFunc(self.num * o.den, self.den * o.num)
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +367,6 @@ def inverse_field(m: Matrix, one) -> Matrix:
 
 
 # -- domain elimination (fraction free) -------------------------------------
-
-
-def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact quotient a / b in a polynomial ring; raises if not divisible."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ctx = a.ctx
-    if ctx.nilpotent:
-        raise ValueError("exact division needs an untruncated ring")
-    q = ctx.zero()
-    r = a
-    bexp, bc = b.leading()
-    while not r.is_zero():
-        rexp, rc = r.leading()
-        if any(x < y for x, y in zip(rexp, bexp)):
-            raise ValueError("polynomial division is not exact")
-        mono = ctx.monomial(tuple(x - y for x, y in zip(rexp, bexp)), rc / bc)
-        q = q + mono
-        r = r - mono * b
-    return q
 
 
 def rank_bareiss(m: Matrix) -> int:
@@ -662,11 +568,3 @@ def restore_q(parts: Sequence[Tuple[Sequence[Fraction], int]],
         out[j][tuple(exp)] = Fraction(c)
     return [MultiPoly(ctx, t) for t in out]
 
-
-def coefficients(p: MultiPoly, var: str) -> List[Fraction]:
-    """Dense coefficients of p in `var`, low degree first.
-
-    p may involve no other variable.
-    """
-    return up_trim([p.coefficient_of(var, k).scalar_value()
-                    for k in range(p.max_power(var) + 1)])

@@ -354,6 +354,14 @@ class MultiPoly:
         shift = self.ctx.shifts[self.ctx.index[name]]
         return max(((k >> shift) & MASK for k in self.nums), default=0)
 
+    def derivative(self, name: str) -> "MultiPoly":
+        shift = self.ctx.shifts[self.ctx.index[name]]
+        return self.from_numerators(self.ctx,
+                                    {k - (1 << shift): n * ((k >> shift) & MASK)
+                                     for k, n in self.nums.items()
+                                     if (k >> shift) & MASK},
+                                    self.den, self.bound)
+
     def substitute(self, images: Mapping[str, "MultiPoly"], target: VarContext) -> "MultiPoly":
         """Ring map determined by variable images.
 

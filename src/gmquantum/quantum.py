@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
-    Matrix, at_q_one, char_poly, coefficients, matmul, matrix_at_q_one,
+    Matrix, at_q_one, char_poly, matmul, matrix_at_q_one,
     matvec, nullspace_field, rank_field, scalar_matrix,
     solve_field, squarefree_profile, vector_at_q_one,
 )
@@ -504,25 +504,15 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     if not rows:
         raise ValueError("no usable equations for the three point unknowns")
     a = Matrix(rows)
-    rank = rank_field(a.map(Fraction))
+    rank = rank_field(a)
     if rank < 2:
         raise ValueError("associativity does not pin both unknowns")
-    sol = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            sub = Matrix([rows[i], rows[j]])
-            if rank_field(sub) == 2:
-                sol = solve_field(sub, [rhs[i], rhs[j]])
-                break
-        if sol is not None:
-            break
+    # rank 2 in two unknowns: the solution is unique, and every equation
+    # must agree with it
+    sol = solve_field(a, rhs)
     if sol is None:
-        raise ValueError("associativity equations are degenerate")
+        raise ValueError("inconsistent associativity system")
     j11, j2 = sol
-    # every equation must agree, not just the two used
-    for row, b in zip(rows, rhs):
-        if row[0] * j11 + row[1] * j2 != b:
-            raise ValueError("inconsistent associativity system")
     final = QuantumRing(counts, amb, j11, j12, j2)
     bad = associativity_failures(final)
     if bad:
@@ -579,26 +569,27 @@ def surd_pair_solves(a, b, r0, r1, d) -> bool:
 
 def spectral_report(ring: QuantumRing) -> Dict[str, object]:
     """Characteristic polynomial of h * (-) and its eigenvalue structure."""
-    mh = ring.h_matrix
-    cp = char_poly(mh, var="X")
-    coeffs = coefficients(at_q_one(cp, DIM, "characteristic polynomial"), "X")
+    cp = char_poly(ring.h_matrix, var="X")
+    cp1 = at_q_one(cp, DIM, "characteristic polynomial")
     # cp = X^2 (X^4 + a q X^2 + b q^2), homogeneous of degree 6, so its
     # profile over Q(q) is the one at q = 1, where T = X^2 solves
     # T^2 + a T + b
-    even = [k for k, c in enumerate(coeffs) if c] == [2, 4, 6]
-    a_val = coeffs[4]
-    b_val = coeffs[2]
+    even = ([k for k in range(DIM + 1) if cp1.coefficient_of("X", k)]
+            == [2, 4, 6])
+    a_val = cp1.coefficient_of("X", 4).scalar_value()
+    b_val = cp1.coefficient_of("X", 2).scalar_value()
     disc = a_val * a_val - 4 * b_val
-    rk = rank_field(matrix_at_q_one(mh, 1, BASIS_DEGREES, "h matrix"))
+    kernel = kernel_basis(ring)
     report = {
         "char_poly": str(cp),
         "only_even_powers": even,
         "quadratic_in_Xsq": "T^2 + (%s) T + (%s)" % (a_val, b_val),
         "discriminant_at_q1": disc,
         "constant_term_at_q1": b_val,
-        "rank": rk,
-        "kernel_dimension": DIM - rk,
-        "squarefree_profile": squarefree_profile(coeffs),
+        "rank": DIM - kernel["dimension"],
+        "kernel_dimension": kernel["dimension"],
+        "kernel": kernel,
+        "squarefree_profile": squarefree_profile(cp1, "X"),
     }
     # eigenvalues at q = 1: 0 twice plus the four square roots of the
     # two roots of T^2 + a T + b

@@ -15,8 +15,7 @@ from gmquantum.deformation import (
 )
 from gmquantum.linalg import (
     Matrix, RatFunc, char_poly, mat_add, matmul, matvec, nullspace_field,
-    rank_checked, scalar_matrix, solve_field, squarefree_profile,
-    up_div_exact, up_gcd, up_mul,
+    poly_exact_div, poly_gcd, rank_checked, scalar_matrix, solve_field,
 )
 from gmquantum.poly import MultiPoly
 from gmquantum.quantum import perturbed_ring, quantum_context, standard_ring
@@ -184,26 +183,36 @@ def ratfunc_matrix(m):
     return m.map(poly_to_ratfunc)
 
 
-def _up_lcm(a, b):
-    return up_mul(up_div_exact(a, up_gcd(a, b)), b)
+def _lcm(a, b):
+    return poly_exact_div(a * b, poly_gcd(a, b))
 
 
 def column_to_polys(order0, order1, plain):
     """One Q(q) basis column cleared of denominators, over Q[q, t]."""
-    den = [Fraction(1)]
+    den = RatFunc.one().den
     for r in list(order0) + list(order1):
-        den = _up_lcm(den, list(r.den))
+        den = _lcm(den, r.den)
     out = []
     for pair in zip(order0, order1):
         terms = {}
         for t, r in enumerate(pair):
-            if r:
-                for k, c in enumerate(up_mul(list(r.num),
-                                             up_div_exact(den, list(r.den)))):
-                    if c:
-                        terms[(k, t)] = Fraction(c)
+            for (k,), c in (r.num * poly_exact_div(den, r.den)).terms.items():
+                terms[(k, t)] = c
         out.append(MultiPoly(plain, terms))
     return out
+
+
+def sympy_squarefree_profile(p, var):
+    """{multiplicity: degree} of the squarefree decomposition of p, a
+    polynomial in q and var, in var over Q(q), computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(p.ctx.names)
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g ** e for g, e in zip(gens, exp)])
+                for exp, c in p.terms.items()), sympy.Integer(0))
+    domain = sympy.QQ.frac_field(sympy.Symbol("q"))
+    _, factors = sympy.Poly(expr, sympy.Symbol(var), domain=domain).sqf_list()
+    return {mult: f.degree() for f, mult in factors}
 
 
 def _drop_rows(m, rows):
@@ -233,9 +242,10 @@ def full_atom_statistics(op, model):
     assert low_vanish
     assert not hpoly.coefficient_of("Y", 2).coefficient_of("t", 0).is_zero()
     multiplicity = 2 + PRIMITIVE_DIM
-    cof0 = [hpoly.coefficient_of("Y", k).coefficient_of("t", 0)
-            for k in range(2, 7)]
-    cofactor_profile = squarefree_profile([poly_to_ratfunc(c) for c in cof0])
+    y = hpoly.ctx.var("Y")
+    cof0 = sum((hpoly.coefficient_of("Y", k).coefficient_of("t", 0)
+                * y ** (k - 2) for k in range(2, 7)), hpoly.ctx.zero())
+    cofactor_profile = sympy_squarefree_profile(cof0, "Y")
 
     n0 = shifted.map(lambda e: e.coefficient_of("t", 0))
     n1 = shifted.map(lambda e: e.coefficient_of("t", 1))
@@ -367,3 +377,15 @@ def test_criterion_controls_fail(operator):
     no31 = irrationality_criterion(operator.at_t_zero(), model.without_h31())
     assert not no31.satisfied
     assert no31.h31 == 0
+
+
+def test_criterion_counts_a_simple_zero_apart():
+    """diag(0, 1, 1, -2): 0 is a simple root, so it is not among the
+    simple nonzero eigenvalues."""
+    m = Matrix([[Fraction(int(i == j) * v) for j in range(4)]
+                for i, v in enumerate((0, 1, 1, -2))])
+    crit = irrationality_criterion(m, HodgeModel.standard())
+    assert crit.profile == {1: 2, 2: 1}
+    assert crit.zero_multiplicity == 1
+    assert crit.simple_nonzero == 1
+    assert crit.satisfied

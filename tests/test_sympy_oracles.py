@@ -25,7 +25,9 @@ from gmquantum.deformation import (  # noqa: E402
     irrationality_criterion,
 )
 from gmquantum.groebner import PolyIdeal  # noqa: E402
-from gmquantum.linalg import Matrix, char_poly  # noqa: E402
+from gmquantum.linalg import (  # noqa: E402
+    RATFUNC_CONTEXT, Matrix, RatFunc, char_poly, poly_gcd, squarefree_profile,
+)
 from gmquantum.poly import MultiPoly, VarContext  # noqa: E402
 from gmquantum.quantum import (  # noqa: E402
     _presentation_ideal, kernel_basis, presentation_relations,
@@ -157,6 +159,94 @@ def test_criterion_and_cofactor_profiles_over_qq_q(ws):
                             ws.model)
     assert (sqf_profile(cofactor, x, QQ_Q)
             == stats.details["cofactor_squarefree_profile_t0"] == {1: 4})
+
+
+# ---------------------------------------------------------------------------
+# polynomials in one variable: the squarefree route and Q(x)
+# ---------------------------------------------------------------------------
+
+X_ONLY = VarContext(("X",), (1,))
+T_AND_X = VarContext(("t", "X"), (-1, 1), nilpotent={"t": 2})
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+nonzero = rationals.filter(bool)
+# (a, b, c) is a X^2 + b X + c: linear when a = 0
+factor = st.tuples(rationals, rationals, rationals).filter(
+    lambda f: f[0] or f[1])
+products = st.tuples(nonzero, st.integers(0, 3), st.lists(
+    st.tuples(factor, st.integers(1, 3)), max_size=3))
+
+
+def product_poly(ctx, product):
+    """c X^k prod f_i^e_i in ctx, from a drawn (c, k, [(f_i, e_i)])."""
+    const, k, factors = product
+    x = ctx.var("X")
+    p = const * x ** k
+    for (a, b, c), e in factors:
+        p = p * (a * x * x + b * x + c) ** e
+    return p
+
+
+def in_x(p):
+    """p, a polynomial in X alone, as a sympy Poly over QQ."""
+    i = p.ctx.index["X"]
+    return sympy.Poly.from_dict(
+        {(e[i],): sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, sympy.Symbol("X"), domain=sympy.QQ)
+
+
+@settings(max_examples=30, deadline=None)
+@given(products, products)
+@example((Fraction(3), 0, []), (Fraction(-1, 2), 2, []))
+def test_squarefree_profile_and_gcd_match_sympy(first, second):
+    a, b = product_poly(X_ONLY, first), product_poly(X_ONLY, second)
+    want = {mult: f.degree() for f, mult in in_x(a).sqf_list()[1]}
+    assert squarefree_profile(a, "X") == want
+    # the criterion's context: t occurs nowhere, t^2 = 0 all the same
+    assert squarefree_profile(product_poly(T_AND_X, first), "X") == want
+    if a.is_scalar():
+        assert want == {}
+    assert in_x(poly_gcd(a, b)) == in_x(a).gcd(in_x(b)).monic()
+
+
+def test_squarefree_profile_refuses_a_second_variable():
+    t, x = T_AND_X.var("t"), T_AND_X.var("X")
+    with pytest.raises(ValueError, match="not a polynomial in X alone"):
+        squarefree_profile(x * x + t, "X")
+
+
+RATFUNC_PAIRS = (
+    (([-1, 0, 1], [2, 1]), ([1, 1], [4, 4, 1])),
+    (([3], [0, 2]), ([-1, 1], [0, 0, 1])),
+    (([Fraction(1, 2), 0, 3], [1]), ([0, 1, 1], [Fraction(-2, 3), 1])),
+    (([0], [1, 1]), ([5, 0, -1], [1, 0, 0, 7])),
+)
+
+
+def ratfunc_to_sympy(r):
+    x = sympy.Symbol("x")
+    assert r.num.ctx == r.den.ctx == RATFUNC_CONTEXT
+    gcd = sympy.gcd(to_sympy(r.num), to_sympy(r.den))
+    lead = sympy.Poly(to_sympy(r.den), x).LC()
+    assert gcd.is_number and lead == 1, (str(r.num), str(r.den))
+    return to_sympy(r.num) / to_sympy(r.den)
+
+
+@pytest.mark.parametrize("pair", range(len(RATFUNC_PAIRS)))
+def test_ratfunc_arithmetic_matches_sympy_cancel(pair):
+    (an, ad), (bn, bd) = RATFUNC_PAIRS[pair]
+    x = sympy.Symbol("x")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(c) * x ** k for k, c in enumerate(coeffs))
+
+    a, b = RatFunc(an, ad), RatFunc(bn, bd)
+    sa, sb = expr(an) / expr(ad), expr(bn) / expr(bd)
+    results = {"+": (a + b, sa + sb), "-": (a - b, sa - sb),
+               "*": (a * b, sa * sb)}
+    if b:
+        results["/"] = (a / b, sa / sb)
+    for op, (got, want) in results.items():
+        assert sympy.cancel(ratfunc_to_sympy(got) - sympy.cancel(want)) == 0, op
 
 
 def sparse_matrices():
