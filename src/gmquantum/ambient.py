@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .linalg import Matrix, inverse_field
 from .schubert import Grassmannian2
@@ -36,18 +36,14 @@ LIFT_PARTITIONS = ((0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (3, 1))
 DIM = 6
 
 
-def unit(index: int) -> Vec:
-    return tuple(Fraction(1 if i == index else 0) for i in range(DIM))
-
-
 class AmbientRing:
     """The triple intersection numbers of the ambient classes, with the
     Gram matrix, dual basis and cup table they determine, all computed
     once on construction.
 
-    `triples[i][j][l]` is T_ijl for every ordered triple and
-    `cup_table[i][j]` is e_i e_j in the basis; `cup` and `pairing` are
-    the bilinear maps these tables define.
+    `triples[i][j][l]` is T_ijl for every ordered triple,
+    `cup_table[i][j]` is e_i e_j in the basis and `gram()` is the
+    intersection pairing on the basis.
     """
 
     def __init__(self):
@@ -74,49 +70,9 @@ class AmbientRing:
                                  for dual in self._duals)
                            for row in plane] for plane in self.triples]
 
-    def pairing(self, a: Sequence, b: Sequence) -> Fraction:
-        """Intersection number on the fourfold of two ambient classes."""
-        rows = self._gram.rows
-        return sum((x * y * rows[i][j] for i, x in enumerate(a) if x
-                    for j, y in enumerate(b) if y), Fraction(0))
-
-    def integrate(self, a: Sequence) -> Fraction:
-        return self.pairing(a, unit(0))
-
     def gram(self) -> Matrix:
         return self._gram
 
     def dual_basis(self) -> List[Vec]:
-        """Vectors d_j with pairing(e_i, d_j) = delta_ij."""
+        """Vectors d_j with e_i . d_j = delta_ij under the Gram matrix."""
         return self._duals
-
-    def cup(self, a: Sequence, b: Sequence) -> Vec:
-        """Product of two ambient classes, expanded in the fixed basis."""
-        out = [Fraction(0)] * DIM
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                if x and y:
-                    out = [o + x * y * c
-                           for o, c in zip(out, self.cup_table[i][j])]
-        return tuple(out)
-
-    def point_class(self) -> Vec:
-        return tuple(Fraction(1, 2) * c for c in unit(BASIS_NAMES.index("s31")))
-
-    def format(self, vec: Sequence) -> str:
-        parts = []
-        for c, name in zip(vec, BASIS_NAMES):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append("-" + name)
-            else:
-                parts.append("%s*%s" % (c, name))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out

@@ -25,15 +25,14 @@ multiplicity on the ambient block is at most two while the model keeps a
 nonzero (3, 1) slot.
 
 Every entry is homogeneous (deg t = -1 included), so ranks, kernels and
-squarefree profiles over Q(q) are read at q = 1 over Q, by the
-conjugation argument in `linalg`, once `at_q_one` has checked the
-homogeneity.  Ranks away from t = 0 are taken on the eigenspace columns
-restored to Q[q, t]; nothing is claimed beyond first order.
+squarefree profiles over Q(q) are read at q = 1 over Q, and ranks over
+Q(q, t) at q = 1 over Q(t), by the conjugation argument in `linalg`,
+once `at_q_one` has checked the homogeneity; nothing is claimed beyond
+first order.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -41,8 +40,9 @@ from typing import Dict, List, Sequence, Tuple
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
     Matrix, at_q_one, block_diag, char_poly, mat_add, matmul,
-    matrix_at_q_one, matvec, nullspace_field, poly_exact_div, rank_checked,
-    rank_field, restore_q, scalar_matrix, solve_field, squarefree_profile,
+    matrix_at_q_one, matvec, nullspace_field, poly_exact_div, rank_at_points,
+    rank_field, scalar_matrix, solve_field, squarefree_profile,
+    vector_at_q_one,
 )
 from .poly import MultiPoly, VarContext
 from .quantum import QuantumRing, associativity_failures
@@ -51,8 +51,6 @@ AMBIENT = "ambient-6"
 FULL = "full-28"
 PRIMITIVE_DIM = 22
 FULL_DIM = DIM + PRIMITIVE_DIM
-
-RANK_SEED = 20260822
 
 
 def truncated_context() -> VarContext:
@@ -297,13 +295,13 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     and a primitive block equal to -4qt times the identity.  The shifted
     operator K - lambda is then zero on the 22 primitive slots, which
     are unit kernel lines of E with zero image, and all elimination runs
-    on the 6 x 6 shifted ambient block, at q = 1 after the homogeneity
-    guard (see the module docstring): the cofactor profile is read there,
-    and E_amb is found at order zero and lifted to first order over Q,
-    each column restored to Q[q, t] by its weights.  Dimensions and ranks
-    away from t = 0 are taken over Q(q, t) on the restored
-    representatives.  The primitive lines add 22 to dim E, lie in the
-    kernel, and meet the tagged rows of the model one line per slot.
+    on the 6 x 6 shifted ambient block.  Its entries pass the homogeneity
+    guard once and everything after runs at q = 1 over Q[t]/(t^2) (see
+    the module docstring): the cofactor profile is read there, E_amb is
+    found at order zero and lifted to first order, and ranks away from
+    t = 0 are taken over Q(t).  The primitive lines add 22 to dim E, lie
+    in the kernel, and meet the tagged rows of the model one line per
+    slot.
     """
     amb_block, unmixed, scalar = _block_structure(op)
     if not unmixed:
@@ -311,86 +309,83 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     if not scalar:
         raise ValueError("the primitive block is not -4*q*t times the identity")
     tctx = op.ctx
-    plain = tctx.without_truncation()
     lam = eigenvalue(tctx)
-    amb = Matrix([[amb_block[i, j] - (lam if i == j else tctx.zero())
-                   for j in range(DIM)] for i in range(DIM)])
+    shifted = Matrix([[amb_block[i, j] - (lam if i == j else tctx.zero())
+                       for j in range(DIM)] for i in range(DIM)])
+    # the guard: entry (i, j) of K - lambda has degree d_j - d_i + 1
+    amb = matrix_at_q_one(shifted, 1, BASIS_DEGREES, "K - lambda")
+    ctx = tctx.without("q")
 
     # multiplicity through the shifted characteristic of the ambient block:
     # Y^0 and Y^1 coefficients vanish identically, Y^2 survives at t = 0,
     # so the ambient block carries the eigenvalue exactly twice and the
     # scalar primitive block adds twenty two
     hpoly = char_poly(amb, var="Y")
-    # guarded first, so an off-weight block is refused before any check
-    hpoly_t0 = at_q_one(hpoly.coefficient_of("t", 0), DIM,
-                        "shifted characteristic polynomial")
-    h0 = hpoly.coefficient_of("Y", 0)
-    h1 = hpoly.coefficient_of("Y", 1)
-    h2 = hpoly.coefficient_of("Y", 2)
-    low_coeffs_vanish = h0.is_zero() and h1.is_zero()
-    if not low_coeffs_vanish or h2.coefficient_of("t", 0).is_zero():
+    low_coeffs_vanish = (hpoly.coefficient_of("Y", 0).is_zero()
+                         and hpoly.coefficient_of("Y", 1).is_zero())
+    hpoly_t0 = hpoly.coefficient_of("t", 0)
+    if not low_coeffs_vanish or hpoly_t0.coefficient_of("Y", 2).is_zero():
         raise ValueError("eigenvalue multiplicity is not 24")
     multiplicity = 2 + PRIMITIVE_DIM
 
     # the four moving eigenvalue branches stay simple at t = 0
-    plain_t0 = hpoly_t0.ctx.without_truncation()
+    plain = hpoly.ctx.without_truncation()
     cofactor_profile = squarefree_profile(
-        poly_exact_div(MultiPoly(plain_t0, hpoly_t0.terms),
-                       plain_t0.var("Y") ** 2), "Y")
+        poly_exact_div(MultiPoly(plain, hpoly_t0.terms),
+                       plain.var("Y") ** 2), "Y")
 
-    # order zero eigenspace at q = 1, then the first order lift:
+    # order zero eigenspace, then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
-    # N0^2 f = -(N0 N1 + N1 N0) e.  N0 shifts degrees by 1 and N1 by 2.
-    n0 = amb.map(lambda e: e.coefficient_of("t", 0))
-    n1 = amb.map(lambda e: e.coefficient_of("t", 1))
-    sq = matrix_at_q_one(matmul(n0, n0), 2, BASIS_DEGREES, "N0^2")
-    cross = matrix_at_q_one(mat_add(matmul(n0, n1), matmul(n1, n0)), 3,
-                            BASIS_DEGREES, "N0 N1 + N1 N0")
+    # N0^2 f = -(N0 N1 + N1 N0) e
+    n0 = amb.map(lambda e: e.coefficient_of("t", 0).scalar_value())
+    n1 = amb.map(lambda e: e.coefficient_of("t", 1).scalar_value())
+    sq = matmul(n0, n0)
+    cross = mat_add(matmul(n0, n1), matmul(n1, n0))
+    t = ctx.var("t")
     columns = []
     for e in nullspace_field(sq, Fraction(1)):
         f = solve_field(sq, [-x for x in matvec(cross, e)])
         if f is None:
             raise ValueError("first order lift of the eigenspace is obstructed")
-        # e has the weight of its free column, its last nonzero slot, and
-        # e + tf keeps that weight, so f has one more (deg t = -1)
-        weight = BASIS_DEGREES[max(j for j, c in enumerate(e) if c)]
-        columns.append(restore_q([(e, weight), (f, weight + 1)],
-                                 BASIS_DEGREES, plain))
+        columns.append([ctx.scalar(a) + t * b for a, b in zip(e, f)])
 
     # exact check: (K - lambda)^2 annihilates every lifted column mod t^2
     images = []
     for col in columns:
-        w = matvec(amb, [c.substitute({}, tctx) for c in col])
+        w = matvec(amb, col)
         if any(not c.is_zero() for c in matvec(amb, w)):
             raise ValueError("lifted basis escapes the generalized eigenspace")
-        images.append([c.substitute({}, plain) for c in w])
+        images.append(w)
 
-    rng = random.Random(RANK_SEED)
-    e_amb = rank_checked(_columns_matrix(columns), rng)
+    # ranks over Q(t) of the t^2 = 0 representatives, which have degree
+    # at most one in t
+    e_amb = rank_at_points(_columns_matrix(columns), "t")
     e_dim = e_amb + PRIMITIVE_DIM
     if e_dim != multiplicity:
         raise ValueError("eigenvalue multiplicity is not 24")
 
     image_mat = _columns_matrix(images)
-    gamma = rank_checked(image_mat, rng)
+    gamma = rank_at_points(image_mat, "t")
 
     # image structure: on the beta line (t beta(t) agrees with t times
     # the t = 0 part of beta modulo t^2); it stays in the ambient slots
-    # because the certified off-diagonal blocks vanish
+    # because the certified off-diagonal blocks vanish.  beta has weight
+    # deg s31 = 4
     alpha, beta = jordan_pair(tctx)
-    beta_plain = [b.coefficient_of("t", 0).substitute({}, plain) for b in beta]
+    beta_line = [ctx.scalar(c) for c in vector_at_q_one(
+        [b.coefficient_of("t", 0) for b in beta], 4, BASIS_DEGREES, "beta")]
     on_beta_line = True
     for j in range(image_mat.ncols):
         col = image_mat.col(j)
         if all(c.is_zero() for c in col):
             continue
-        span = Matrix([[col[i], beta_plain[i]] for i in range(DIM)])
-        if rank_checked(span, rng) != 1:
+        span = Matrix([[col[i], beta_line[i]] for i in range(DIM)])
+        if rank_at_points(span, "t") != 1:
             on_beta_line = False
 
     # kernel of the restriction: the primitive slots and the beta line
-    beta_killed = all(c.is_zero() for c in matvec(amb, beta))
-    alpha_moves = any(not c.is_zero() for c in matvec(amb, alpha))
+    beta_killed = all(c.is_zero() for c in matvec(shifted, beta))
+    alpha_moves = any(not c.is_zero() for c in matvec(shifted, alpha))
 
     # overlaps of E = E_amb + (primitive slots) with the coordinate
     # subspaces of the model: E meets the ambient slots in E_amb and
@@ -410,8 +405,7 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
         "beta_in_kernel": beta_killed,
         "alpha_has_nonzero_image": alpha_moves,
         "primitive_columns_killed": PRIMITIVE_DIM,
-        "ambient_kernel_dim_t0": DIM - rank_field(
-            matrix_at_q_one(n0, 1, BASIS_DEGREES, "N0")),
+        "ambient_kernel_dim_t0": DIM - rank_field(n0),
         "ambient_char_low_coeffs_vanish": low_coeffs_vanish,
         "cofactor_squarefree_profile_t0": cofactor_profile,
     }

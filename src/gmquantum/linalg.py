@@ -4,16 +4,16 @@
   several variables and Euclidean division in one; the monic gcd in one
   variable, and from its chain the squarefree profile.
 * Matrix routines, split by what they assume of the entries: Gaussian
-  elimination needs a field, Bareiss elimination an integral domain with
-  exact division, and the subset cofactor expansion works over any
-  commutative ring, truncated rings included.
+  elimination needs a field, and the subset cofactor expansion works over
+  any commutative ring, truncated rings included.  The rank over Q(t) of
+  a matrix of polynomials in t is read at a few rational points: a
+  nonzero r x r minor of degree at most r D has at most r D roots.
 * Characteristic polynomials, returned as `MultiPoly` in the entry context
   extended by the chosen variable, so their homogeneity can be checked
   against the grading.
 * The grading itself: deg q = 2 makes every q-dependent problem here
   conjugate to its value at q = 1, so `at_q_one` checks homogeneity and
-  sets q = 1, and `restore_q` puts the q powers back on a solution.  No
-  elimination runs over Q(q).
+  sets q = 1.  No elimination runs over Q(q).
 
 `RatFunc`, the field Q(q), is a pair of `MultiPoly` in one variable:
 numerator and monic denominator, coprime.  The package does not use it.
@@ -38,7 +38,11 @@ def poly_divmod(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """(quotient, rest) with a = quotient * b + rest.
 
     Leading terms are divided while b's divides the rest's, so in one
-    variable the rest is the Euclidean remainder.
+    variable the rest is the Euclidean remainder.  With a variable of
+    negative degree the monomial order is not a well-order, so the loop
+    also stops once a quotient exponent exceeds a's degree in that
+    variable: an exact quotient never does, and below that bound the
+    rest's leading monomials descend through finitely many.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -47,11 +51,14 @@ def poly_divmod(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
         raise ValueError("division needs an untruncated ring")
     quotient = {}
     bexp, bc = b.leading()
+    top = [a.max_power(name) for name in ctx.names]
     while a:
         aexp, ac = a.leading()
         if any(x < y for x, y in zip(aexp, bexp)):
             break
         exp = tuple(x - y for x, y in zip(aexp, bexp))
+        if any(e > d for e, d in zip(exp, top)):
+            break
         quotient[exp] = ac / bc
         a = a - ctx.monomial(exp, quotient[exp]) * b
     return MultiPoly(ctx, quotient), a
@@ -213,9 +220,6 @@ class Matrix:
     def col(self, j: int) -> List:
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
@@ -319,6 +323,20 @@ def rank_field(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def rank_at_points(m: Matrix, var: str) -> int:
+    """Rank over Q(var) of a matrix of `MultiPoly` in `var` alone.
+
+    With D the largest degree of an entry, a nonzero r x r minor has
+    degree at most r D <= min(rows, cols) D, so it vanishes at no more
+    than that many of the points var = 0, 1, ..., min(rows, cols) D; the
+    rank is the largest rank over Q at them.  Each entry is read as the
+    polynomial it stores (a t^2 = 0 representative included).
+    """
+    degree = max(x.max_power(var) for row in m.rows for x in row)
+    return max(rank_field(m.map(lambda x: x.evaluate({var: Fraction(point)})))
+               for point in range(min(m.nrows, m.ncols) * degree + 1))
+
+
 def solve_field(a: Matrix, b: Sequence) -> Optional[List]:
     """One solution of a x = b over a field, or None if inconsistent.
 
@@ -364,71 +382,6 @@ def inverse_field(m: Matrix, one) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([red.rows[i][n:] for i in range(n)])
-
-
-# -- domain elimination (fraction free) -------------------------------------
-
-
-def rank_bareiss(m: Matrix) -> int:
-    """Rank of a MultiPoly matrix over the fraction field, by fraction-free
-    elimination.
-
-    Row and column swaps are both allowed, so any nonzero entry of the
-    trailing block can serve as the pivot.
-    """
-    a = m.copy_rows()
-    nr, nc = m.nrows, m.ncols
-    sample = a[0][0]
-    zero = sample - sample
-    rank = 0
-    prev = None
-    for k in range(min(nr, nc)):
-        pr = pc = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-        for i in range(k + 1, nr):
-            lead = a[i][k]
-            for j in range(k + 1, nc):
-                num = a[k][k] * a[i][j] if a[i][j] else zero
-                if lead and a[k][j]:
-                    num = num - lead * a[k][j]
-                a[i][j] = (num if prev is None or not num
-                           else poly_exact_div(num, prev))
-            a[i][k] = zero
-        prev = a[k][k]
-        rank += 1
-    return rank
-
-
-def rank_checked(m: Matrix, rng, samples: int = 3) -> int:
-    """Symbolic rank of a MultiPoly matrix with a random rational
-    evaluation cross check.
-
-    Every evaluated rank must be <= the symbolic rank; the symbolic value
-    is returned.
-    """
-    names = m.rows[0][0].ctx.names
-    symbolic = rank_bareiss(m)
-    for _ in range(samples):
-        values = {name: Fraction(rng.randint(1, 400), rng.randint(1, 40))
-                  for name in names}
-        ev = rank_field(m.map(lambda x: x.evaluate(values)))
-        if ev > symbolic:
-            raise AssertionError("evaluated rank %d exceeds symbolic rank %d"
-                                 % (ev, symbolic))
-    return symbolic
 
 
 # -- characteristic polynomials ---------------------------------------------
@@ -497,13 +450,17 @@ def char_poly(m: Matrix, var: str = "X") -> MultiPoly:
 
 
 
-# -- the grading: q = 1 and back ---------------------------------------------
+# -- the grading: q = 1 -----------------------------------------------------
 #
 # deg q = 2.  A matrix whose entry (i, j) is homogeneous of degree
 # d_j - d_i + s reads M(q) = q^(s/2) D^-1 M(1) D over Q(sqrt q), with
 # D = diag(q^(d_j / 2)); a vector of weight w reads q^(w/2) D^-1 v(1).  So
 # ranks, kernels, squarefree profiles and Groebner leading terms over Q(q)
 # are those of the value at q = 1, once the guard has checked homogeneity.
+# A further variable t of degree e enters as q^(e/2) t: M(q, t) is
+# conjugate to q^(s/2) M(1, q^(e/2) t), and t -> q^(e/2) t is a field
+# automorphism of Q(sqrt q)(t), so ranks over Q(q, t) are ranks over Q(t)
+# at q = 1.
 
 
 def at_q_one(p: MultiPoly, degree: Optional[int], entry: str) -> MultiPoly:
@@ -517,11 +474,9 @@ def at_q_one(p: MultiPoly, degree: Optional[int], entry: str) -> MultiPoly:
         raise ValueError("%s is not homogeneous%s: %s"
                          % (entry, "" if degree is None
                             else " of degree %d" % degree, p))
-    ctx = p.ctx
-    i = ctx.index["q"]
-    rest = VarContext(ctx.names[:i] + ctx.names[i + 1:],
-                      ctx.degrees[:i] + ctx.degrees[i + 1:], ctx.nilpotent)
-    return MultiPoly(rest, {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
+    i = p.ctx.index["q"]
+    return MultiPoly(p.ctx.without("q"),
+                     {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
 
 
 def vector_at_q_one(vec: Sequence[MultiPoly], weight: int,
@@ -533,38 +488,8 @@ def vector_at_q_one(vec: Sequence[MultiPoly], weight: int,
 
 def matrix_at_q_one(m: Matrix, shift: int, degrees: Sequence[int],
                     what: str) -> Matrix:
-    """m at q = 1: entry (i, j) has degree d_j - d_i + shift."""
+    """m at q = 1, entries in their context without q: entry (i, j) has
+    degree d_j - d_i + shift."""
     return Matrix([[at_q_one(m.rows[i][j], degrees[j] - degrees[i] + shift,
-                             "%s entry (%d, %d)" % (what, i, j)).scalar_value()
+                             "%s entry (%d, %d)" % (what, i, j))
                     for j in range(m.ncols)] for i in range(m.nrows)])
-
-
-def restore_q(parts: Sequence[Tuple[Sequence[Fraction], int]],
-              degrees: Sequence[int], ctx: VarContext) -> List[MultiPoly]:
-    """The column sum_k t^k v_k over Q[q, t] from its parts at q = 1.
-
-    Part k is (v_k at q = 1, offset): coordinate j of v_k has degree
-    offset - d_j, so c_j becomes c_j q^((offset - d_j) / 2); an odd
-    exponent raises ValueError.  The column is then multiplied by the
-    least power of q that makes it polynomial.
-    """
-    terms = []
-    for k, (values, offset) in enumerate(parts):
-        for j, c in enumerate(values):
-            if not c:
-                continue
-            a, odd = divmod(offset - degrees[j], 2)
-            if odd:
-                raise ValueError("coordinate %d of part %d has odd degree %d"
-                                 " in q" % (j, k, offset - degrees[j]))
-            terms.append((j, k, a, c))
-    shift = max([0] + [-a for _, _, a, _ in terms])
-    out: List[Dict[Tuple[int, ...], Fraction]] = [{} for _ in degrees]
-    for j, k, a, c in terms:
-        exp = [0] * ctx.nvars
-        exp[ctx.index["q"]] = a + shift
-        if k:
-            exp[ctx.index["t"]] = k
-        out[j][tuple(exp)] = Fraction(c)
-    return [MultiPoly(ctx, t) for t in out]
-

@@ -78,6 +78,7 @@ class VarContext:
         self._keys: Dict[Exponent, int] = {}
         self._exponents: Dict[int, Exponent] = {}
         self._order: Dict[int, tuple] = {}
+        self._without: Dict[str, VarContext] = {}
 
     @property
     def nvars(self):
@@ -155,6 +156,17 @@ class VarContext:
 
     def without_truncation(self) -> "VarContext":
         return VarContext(self.names, self.degrees)
+
+    def without(self, name: str) -> "VarContext":
+        """This context with the variable `name` dropped, memoised."""
+        rest = self._without.get(name)
+        if rest is None:
+            i = self.index[name]
+            rest = self._without[name] = VarContext(
+                self.names[:i] + self.names[i + 1:],
+                self.degrees[:i] + self.degrees[i + 1:],
+                {n: o for n, o in self.nilpotent.items() if n != name})
+        return rest
 
     def __eq__(self, other):
         return (isinstance(other, VarContext)
@@ -327,10 +339,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.nums, key=self.ctx.order_key)
         return self.ctx.exponent(key), Fraction(self.nums[key], self.den)
-
-    def weighted_degree(self):
-        """Max weighted degree over terms; None for the zero polynomial."""
-        return max((self.ctx.order_key(k)[0] for k in self.nums), default=None)
 
     def is_homogeneous(self, degree=None) -> bool:
         degs = {self.ctx.order_key(k)[0] for k in self.nums}

@@ -674,7 +674,8 @@ def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
     rmat = Matrix([vector_at_q_one(alpha, 2, BASIS_DEGREES, "alpha"),
                    vector_at_q_one(beta, 4, BASIS_DEGREES, "beta")])
     independent = rank_field(rmat) == 2
-    mh1 = matrix_at_q_one(ring.h_matrix, 1, BASIS_DEGREES, "h matrix")
+    mh1 = matrix_at_q_one(ring.h_matrix, 1, BASIS_DEGREES,
+                          "h matrix").map(MultiPoly.scalar_value)
     null = nullspace_field(mh1, Fraction(1))
     spans = len(null) == 2
     for vec in null:

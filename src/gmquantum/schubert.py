@@ -30,12 +30,6 @@ class Grassmannian2:
                            for b in range(a + 1)]
         self.point = (self.width, self.width)
 
-    def degree(self, part: Partition) -> int:
-        return part[0] + part[1]
-
-    def zero(self) -> SchubertClass:
-        return {}
-
     def sigma(self, a: int, b: int = 0, coeff=1) -> SchubertClass:
         if not (self.width >= a >= b >= 0):
             raise ValueError("partition (%d, %d) leaves the %d x 2 box"
@@ -112,24 +106,3 @@ class Grassmannian2:
     def integrate(self, x: SchubertClass) -> Fraction:
         """Coefficient of the point class (the full box)."""
         return x.get(self.point, Fraction(0))
-
-    def pair(self, x: SchubertClass, y: SchubertClass) -> Fraction:
-        return self.integrate(self.multiply(x, y))
-
-    def format(self, x: SchubertClass) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for part in sorted(x, key=lambda p: (self.degree(p), p)):
-            c = x[part]
-            name = "s[%d,%d]" % part
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append("-" + name)
-            else:
-                parts.append("%s*%s" % (c, name))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out

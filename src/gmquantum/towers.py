@@ -237,9 +237,6 @@ class G24Base:
         # eliminate the quotient classes from (1+a1+a2)(1+b1+b2)=1
         return [a1 ** 3 - 2 * a1 * a2, a1 ** 2 * a2 - a2 ** 2]
 
-    def point_exponents(self) -> Dict[str, int]:
-        return {self.names[1]: 2}
-
     def integrate(self, p: MultiPoly) -> Fraction:
         i1 = p.ctx.index[self.names[0]]
         i2 = p.ctx.index[self.names[1]]
@@ -322,9 +319,6 @@ class ProjStage:
             rel = rel + self.chern[i] * z ** (self.rank - i)
         return [rel]
 
-    def point_factor(self) -> Dict[str, int]:
-        return {self.var: self.rank - 1}
-
     def push(self, p: MultiPoly) -> MultiPoly:
         return proj_push(p, self.var, self.rank, self.chern)
 
@@ -359,9 +353,6 @@ class Grass2Stage:
             whitney = whitney - c
         return [whitney.graded_part(d) for d in range(1, 5)
                 if not whitney.graded_part(d).is_zero()]
-
-    def point_factor(self) -> Dict[str, int]:
-        return {self.names[1]: 2}
 
     def push(self, p: MultiPoly) -> MultiPoly:
         ctx = p.ctx
@@ -454,25 +445,6 @@ class Tower:
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         return self.ideal.reduce(p)
-
-    def point_class(self) -> MultiPoly:
-        exps = dict(self.base.point_exponents())
-        for stage in self.stages:
-            exps.update(stage.point_factor())
-        mono = self.ctx.one()
-        for name, e in exps.items():
-            mono = mono * self.ctx.var(name) ** e
-        return mono
-
-    def presentation_report(self) -> Dict[str, object]:
-        """Rank data of the presented ring plus the point normalization."""
-        sm = self.ideal.standard_monomials()
-        top = [m for m in sm if self.ctx.weighted_degree(m) == self.dim]
-        return {
-            "quotient_rank": len(sm),
-            "top_degree_rank": len(top),
-            "point_integral": self.integrate(self.point_class()),
-        }
 
     # -- integration ------------------------------------------------------
 

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from gmquantum.ambient import (
-    AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM, LIFT_PARTITIONS, unit,
+    AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM, LIFT_PARTITIONS,
 )
 from gmquantum.certificates import Workspace
 from gmquantum.cli import verify_all_certificates
@@ -25,16 +25,16 @@ EXPECTED_GRAM = (
 )
 
 EXPECTED_CUP = {
-    ("s1", "s1"): "s2 + s11",
-    ("s1", "s2"): "3*s3",
-    ("s1", "s11"): "2*s3",
-    ("s1", "s3"): "s31",
-    ("s1", "s31"): "0",
-    ("s2", "s2"): "2*s31",
-    ("s2", "s11"): "s31",
-    ("s11", "s11"): "s31",
-    ("s2", "s3"): "0",
-    ("s3", "s3"): "0",
+    ("s1", "s1"): {"s2": 1, "s11": 1},
+    ("s1", "s2"): {"s3": 3},
+    ("s1", "s11"): {"s3": 2},
+    ("s1", "s3"): {"s31": 1},
+    ("s1", "s31"): {},
+    ("s2", "s2"): {"s31": 2},
+    ("s2", "s11"): {"s31": 1},
+    ("s11", "s11"): {"s31": 1},
+    ("s2", "s3"): {},
+    ("s3", "s3"): {},
 }
 
 
@@ -43,8 +43,30 @@ def amb():
     return AmbientRing()
 
 
+def unit(index):
+    return tuple(Fraction(1 if i == index else 0) for i in range(DIM))
+
+
 def basis_vector(name):
     return unit(BASIS_NAMES.index(name))
+
+
+def cup(amb, a, b):
+    """The product of two ambient classes, from the cup table."""
+    out = [Fraction(0)] * DIM
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for k, c in enumerate(amb.cup_table[i][j]):
+                out[k] += x * y * c
+    return tuple(out)
+
+
+def pairing(amb, a, b):
+    """The intersection number of two ambient classes, from the Gram
+    matrix."""
+    rows = amb.gram().rows
+    return sum((x * y * rows[i][j] for i, x in enumerate(a)
+                for j, y in enumerate(b)), Fraction(0))
 
 
 def degree_of(vec):
@@ -72,29 +94,30 @@ def test_gram_matrix(amb):
 
 def test_fourfold_has_degree_ten(amb):
     h = basis_vector("s1")
-    h2 = amb.cup(h, h)
-    assert amb.pairing(h2, h2) == 10
+    h2 = cup(amb, h, h)
+    assert pairing(amb, h2, h2) == 10
 
 
 def test_cup_products_match_frozen(amb):
-    for (a, b), want in EXPECTED_CUP.items():
-        got = amb.format(amb.cup(basis_vector(a), basis_vector(b)))
+    for (a, b), spec in EXPECTED_CUP.items():
+        want = tuple(Fraction(spec.get(name, 0)) for name in BASIS_NAMES)
+        got = amb.cup_table[BASIS_NAMES.index(a)][BASIS_NAMES.index(b)]
         assert got == want, (a, b, got)
 
 
 def test_cup_is_commutative_and_unital(amb):
     for a in BASIS_NAMES:
         va = basis_vector(a)
-        assert amb.cup(basis_vector("s0"), va) == va
+        assert cup(amb, basis_vector("s0"), va) == va
         for b in BASIS_NAMES:
             vb = basis_vector(b)
-            assert amb.cup(va, vb) == amb.cup(vb, va)
+            assert cup(amb, va, vb) == cup(amb, vb, va)
 
 
 def test_cup_respects_grading(amb):
     for i, a in enumerate(BASIS_NAMES):
         for j, b in enumerate(BASIS_NAMES):
-            prod = amb.cup(basis_vector(a), basis_vector(b))
+            prod = cup(amb, basis_vector(a), basis_vector(b))
             want = BASIS_DEGREES[i] + BASIS_DEGREES[j]
             deg = degree_of(prod)
             assert deg is None or deg == want
@@ -105,12 +128,12 @@ def test_dual_basis_is_dual(amb):
     for i in range(DIM):
         for j in range(DIM):
             want = Fraction(1) if i == j else Fraction(0)
-            assert amb.pairing(unit(i), duals[j]) == want
+            assert pairing(amb, unit(i), duals[j]) == want
 
 
 def test_point_class_is_half_s31(amb):
-    pt = amb.point_class()
-    assert amb.integrate(pt) == 1
+    pt = tuple(c / 2 for c in basis_vector("s31"))
+    assert pairing(amb, pt, basis_vector("s0")) == 1
     assert pt == (0, 0, 0, 0, 0, Fraction(1, 2))
 
 
@@ -119,7 +142,7 @@ def test_poincare_pairing_respects_degrees(amb):
     for i in range(DIM):
         for j in range(DIM):
             if BASIS_DEGREES[i] + BASIS_DEGREES[j] != 4:
-                assert amb.pairing(unit(i), unit(j)) == 0
+                assert pairing(amb, unit(i), unit(j)) == 0
 
 
 def test_degree_of_rejects_mixed():
@@ -137,7 +160,7 @@ HYPER2 = G25.power(G25.sigma(1), 2)
 
 def lift(vec):
     """Schubert class on G(2, 5) restricting to the ambient class vec."""
-    out = G25.zero()
+    out = {}
     for coeff, (a, b) in zip(vec, LIFT_PARTITIONS):
         out = G25.add(out, G25.sigma(a, b, coeff))
     return out
@@ -168,7 +191,6 @@ def test_gram_and_cups_match_the_schubert_route(amb):
     duals = [tuple(inv.rows[l][k] for l in range(DIM)) for k in range(DIM)]
     for i, j in product(range(DIM), repeat=2):
         want = tuple(fourfold_integral(unit(i), unit(j), d) for d in duals)
-        assert amb.cup(unit(i), unit(j)) == want, (i, j)
         assert amb.cup_table[i][j] == want, (i, j)
 
 

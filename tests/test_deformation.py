@@ -1,13 +1,12 @@
 """First order deformation of the hyperplane action and its Jordan data."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from gmquantum.ambient import DIM
 from gmquantum.deformation import (
-    FULL, PRIMITIVE_DIM, RANK_SEED, AtomStatistics, HodgeModel,
+    FULL, PRIMITIVE_DIM, AtomStatistics, HodgeModel,
     TruncatedOperator, _columns_matrix,
     assemble_full_operator, atom_statistics, build_deformed_matrix,
     eigenvalue, homogeneity_failures, irrationality_criterion, jordan_pair,
@@ -15,7 +14,7 @@ from gmquantum.deformation import (
 )
 from gmquantum.linalg import (
     Matrix, RatFunc, char_poly, mat_add, matmul, matvec, nullspace_field,
-    poly_exact_div, poly_gcd, rank_checked, scalar_matrix, solve_field,
+    poly_exact_div, poly_gcd, scalar_matrix, solve_field,
 )
 from gmquantum.poly import MultiPoly
 from gmquantum.quantum import perturbed_ring, quantum_context, standard_ring
@@ -202,14 +201,30 @@ def column_to_polys(order0, order1, plain):
     return out
 
 
+def sympy_expr(p):
+    """p as a sympy expression in symbols named after its variables."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(p.ctx.names)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g ** e for g, e in zip(gens, exp)])
+                for exp, c in p.terms.items()), sympy.Integer(0))
+
+
+def sympy_rank(m):
+    """Rank over Q(q, t) of a matrix of polynomials in q and t, taken by
+    sympy's `DomainMatrix`."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    domain = sympy.QQ.frac_field(*sympy.symbols("q t"))
+    rows = [[domain.from_sympy(sympy_expr(x)) for x in row] for row in m.rows]
+    return DomainMatrix(rows, (m.nrows, m.ncols), domain).rank()
+
+
 def sympy_squarefree_profile(p, var):
     """{multiplicity: degree} of the squarefree decomposition of p, a
     polynomial in q and var, in var over Q(q), computed by sympy."""
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols(p.ctx.names)
-    expr = sum((sympy.Rational(c.numerator, c.denominator)
-                * sympy.prod([g ** e for g, e in zip(gens, exp)])
-                for exp, c in p.terms.items()), sympy.Integer(0))
+    expr = sympy_expr(p)
     domain = sympy.QQ.frac_field(sympy.Symbol("q"))
     _, factors = sympy.Poly(expr, sympy.Symbol(var), domain=domain).sqf_list()
     return {mult: f.degree() for f, mult in factors}
@@ -225,7 +240,8 @@ def full_atom_statistics(op, model):
 
     Assumes nothing about the block structure: E is the order zero
     kernel of (K - lambda)^2 over Q(q) on the full operator, lifted to
-    first order, and every overlap is a rank over Q(q, t).
+    first order, and every overlap is a rank over Q(q, t), taken by
+    sympy so that no rank code is shared with the package.
     """
     assert op.basis == FULL
     tctx = op.ctx
@@ -263,11 +279,10 @@ def full_atom_statistics(op, model):
         assert all(c.is_zero() for c in matvec(shifted, w))
         images.append([c.substitute({}, plain) for c in w])
 
-    rng = random.Random(RANK_SEED)
     basis = _columns_matrix(columns)
-    e_dim = rank_checked(basis, rng)
+    e_dim = sympy_rank(basis)
     image_mat = _columns_matrix(images)
-    gamma = rank_checked(image_mat, rng)
+    gamma = sympy_rank(image_mat)
     image_in_ambient = all(image_mat[i, j].is_zero()
                            for i in range(DIM, n)
                            for j in range(image_mat.ncols))
@@ -280,7 +295,7 @@ def full_atom_statistics(op, model):
         if all(c.is_zero() for c in col):
             continue
         span = Matrix([[col[i], beta_full[i]] for i in range(n)])
-        if rank_checked(span, rng) != 1:
+        if sympy_rank(span) != 1:
             on_beta_line = False
     pad = [tctx.zero()] * PRIMITIVE_DIM
     beta_killed = all(c.is_zero() for c in matvec(shifted, beta + pad))
@@ -290,9 +305,9 @@ def full_atom_statistics(op, model):
         if all(columns[j][i].is_zero() for i in range(DIM))
         and all(image_mat[i, j].is_zero() for i in range(n)))
 
-    rho = e_dim - rank_checked(_drop_rows(basis, range(DIM)), rng)
+    rho = e_dim - sympy_rank(_drop_rows(basis, range(DIM)))
     h31_rows = model.rows_with_tag((3, 1))
-    nu = (e_dim - rank_checked(_drop_rows(basis, h31_rows), rng)
+    nu = (e_dim - sympy_rank(_drop_rows(basis, h31_rows))
           if h31_rows else 0)
     details = {
         "multiplicity": multiplicity,
@@ -304,9 +319,8 @@ def full_atom_statistics(op, model):
         "beta_in_kernel": beta_killed,
         "alpha_has_nonzero_image": alpha_moves,
         "primitive_columns_killed": primitive_killed,
-        "ambient_kernel_dim_t0": DIM - rank_checked(
-            Matrix([[n0[i, j].substitute({}, plain) for j in range(DIM)]
-                    for i in range(DIM)]), rng),
+        "ambient_kernel_dim_t0": DIM - sympy_rank(
+            Matrix([[n0[i, j] for j in range(DIM)] for i in range(DIM)])),
         "ambient_char_low_coeffs_vanish": low_vanish,
         "cofactor_squarefree_profile_t0": cofactor_profile,
     }

@@ -2,22 +2,21 @@
 
 The guard (`at_q_one`) refuses any value that is not homogeneous of its
 expected degree, so each of the five sites that set q = 1 must fail on an
-off-weight input rather than report a q = 1 answer.  `restore_q` puts the
-q powers back on a solved column.  Nothing at runtime builds a `RatFunc`.
+off-weight input rather than report a q = 1 answer.  The context without
+q is derived once per context.  Nothing at runtime builds a `RatFunc`.
 """
 
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
-from gmquantum.ambient import BASIS_DEGREES
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main, verify_all_certificates
 from gmquantum.deformation import (
     HodgeModel, TruncatedOperator, assemble_full_operator, atom_statistics,
-    build_deformed_matrix, irrationality_criterion, truncated_context,
+    build_deformed_matrix, irrationality_criterion,
 )
-from gmquantum.linalg import Matrix, RatFunc, at_q_one, restore_q
+from gmquantum.linalg import Matrix, RatFunc, at_q_one
 from gmquantum.poly import VarContext
 from gmquantum.quantum import (
     QuantumRing, kernel_basis, presentation_report, spectral_report,
@@ -48,27 +47,24 @@ def test_at_q_one_drops_q_and_keeps_every_term():
         at_q_one(p + q, None, "cp")
 
 
-def test_restore_q_gives_the_generic_kernel_of_n0_squared():
-    """The q = 1 kernel of N0^2, restored with the free column's degree."""
-    plain = truncated_context().without_truncation()
-    restored = [restore_q([(v, BASIS_DEGREES[free])], BASIS_DEGREES, plain)
-                for v, free in (
-                    ([Fraction(2, 3), 0, Fraction(-2, 3), 1, 0, 0], 3),
-                    ([-4, 0, -2, 0, 0, 1], 5))]
-    assert [[str(c) for c in col] for col in restored] == [
-        ["2/3*q", "0", "-2/3", "1", "0", "0"],
-        ["-4*q^2", "0", "-2*q", "0", "0", "1"]]
+def test_at_q_one_derives_each_context_once(monkeypatch):
+    """Values of one context land in one context without q, and a cold
+    `verify-all` builds few contexts although it sets q = 1 ~200 times."""
+    ctx = VarContext(("q", "t"), (2, -1), nilpotent={"t": 2})
+    q, t = ctx.var("q"), ctx.var("t")
+    one, two = at_q_one(q * t, 1, "a"), at_q_one(q * q, 4, "b")
+    assert one.ctx is two.ctx
+    assert one.ctx == VarContext(("t",), (-1,), nilpotent={"t": 2})
+    made = Counter()
+    init = VarContext.__init__
 
+    def counted(self, *args, **kwargs):
+        made["contexts"] += 1
+        init(self, *args, **kwargs)
 
-def test_restore_q_clears_negative_powers_and_refuses_odd_ones():
-    plain = truncated_context().without_truncation()
-    # offsets 0 and 1 put q^-2 on s31 and q^-1 on the t part of s3; the
-    # column is multiplied by q^2
-    col = restore_q([([1, 0, 0, 0, 0, 1], 0), ([0, 0, 0, 0, 3, 0], 1)],
-                    BASIS_DEGREES, plain)
-    assert [str(c) for c in col] == ["q^2", "0", "0", "0", "3*q*t", "1"]
-    with pytest.raises(ValueError, match="odd degree"):
-        restore_q([([0, 1, 0, 0, 0, 0], 0)], BASIS_DEGREES, plain)
+    monkeypatch.setattr(VarContext, "__init__", counted)
+    assert len(verify_all_certificates(Workspace(), 0)) == 42
+    assert made["contexts"] <= 60
 
 
 # ---------------------------------------------------------------------------

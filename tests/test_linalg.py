@@ -1,15 +1,20 @@
 """The linear algebra kernel skips products with a zero factor without
-changing a result, its type or its context."""
+changing a result, its type or its context; ranks over Q(t) are read at
+rational points, and division by leading terms ends in every grading."""
 
-import random
+import math
+import signal
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmquantum.certificates import Workspace
 from gmquantum.cli import verify_all_certificates
-from gmquantum.linalg import Matrix, matmul, matvec, rank_bareiss, rank_field
+from gmquantum.linalg import (
+    Matrix, matmul, matvec, poly_exact_div, rank_at_points,
+)
 from gmquantum.poly import MultiPoly, VarContext
 
 CTX = VarContext(("q", "s"), (2, 1))
@@ -29,35 +34,90 @@ def test_all_zero_sums_are_zeros_of_the_entry_context():
     assert matvec(Matrix([[Fraction(0)]]), [Fraction(3)]) == [Fraction(0)]
 
 
-coeff = st.integers(-3, 3)
-entries = st.one_of(st.just(None), st.just(None),
-                    st.tuples(coeff, coeff, coeff))
+# ---------------------------------------------------------------------------
+# ranks over Q(t) by points against sympy
+# ---------------------------------------------------------------------------
 
 
-def polynomial(entry):
-    """None is the zero entry; (a, b, c) is a q + b s^2 + c s q."""
-    if entry is None:
-        return CTX.zero()
-    a, b, c = entry
-    q, s = CTX.var("q"), CTX.var("s")
-    return a * q + b * s * s + c * s * q
+T_CTX = VarContext(("t",), (-1,))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=5)))
-def test_rank_bareiss_matches_rank_at_random_points(rows):
-    m = Matrix([[polynomial(e) for e in row] for row in rows])
-    symbolic = rank_bareiss(m)
-    rng = random.Random(7)
-    evaluated = []
-    for _ in range(3):
-        point = {name: Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-                 for name in CTX.names}
-        evaluated.append(rank_field(m.map(lambda x: x.evaluate(point))))
-    # a nonzero minor has few rational roots: the generic rank shows up
-    assert max(evaluated) == symbolic
-    assert all(r <= symbolic for r in evaluated)
+def t_poly(coeffs):
+    """sum_k coeffs[k] t^k; None is the zero entry."""
+    return MultiPoly(T_CTX, {(k,): c for k, c in enumerate(coeffs or ())})
+
+
+def sympy_rank_over_q_t(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    t = sympy.Symbol("t")
+    domain = sympy.QQ.frac_field(t)
+    rows = [[domain.from_sympy(sum((c * t ** k for (k,), c in x.terms.items()),
+                                   sympy.Integer(0)))
+             for x in row] for row in m.rows]
+    return DomainMatrix(rows, (m.nrows, m.ncols), domain).rank()
+
+
+entries = st.one_of(st.none(), st.none(),
+                    st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+
+
+@st.composite
+def t_matrices(draw):
+    """Up to 5 x 5, entries of t-degree at most 2, with zero rows and
+    columns drawn in on purpose."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [None] * m
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = None
+    return Matrix([[t_poly(e) for e in row] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(t_matrices())
+def test_rank_at_points_matches_sympy(m):
+    assert rank_at_points(m, "t") == sympy_rank_over_q_t(m)
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_rank_at_points_reaches_the_last_point(degree):
+    """prod_{k < D} (t - k) vanishes at every point but t = D, the last
+    one a 1-column matrix of degree D is read at."""
+    p = math.prod((T_CTX.var("t") - k for k in range(degree)), start=T_CTX.one())
+    zero = T_CTX.zero()
+    assert rank_at_points(Matrix([[p]]), "t") == 1
+    assert rank_at_points(Matrix([[p], [zero]]), "t") == 1
+    assert rank_at_points(Matrix([[zero, p, zero]]), "t") == 1
+
+
+# ---------------------------------------------------------------------------
+# division with a variable of negative degree
+# ---------------------------------------------------------------------------
+
+
+def test_inexact_division_with_a_negative_degree_ends():
+    """In Q[q, t] with deg t = -1 the monomial order is not a well-order;
+    1 / (1 - t) must still be refused, not divided forever."""
+    ctx = VarContext(("q", "t"), (2, -1))
+    q, t = ctx.var("q"), ctx.var("t")
+
+    def timed_out(signum, frame):
+        raise TimeoutError("poly_exact_div did not return")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="not exact"):
+            poly_exact_div(ctx.one(), ctx.one() - t)
+        assert poly_exact_div((1 - t) * (q + t * t), 1 - t) == q + t * t
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_verify_all_multiplies_by_zero_rarely(monkeypatch):

@@ -1,8 +1,13 @@
 """Guards on the source tree itself rather than on what it computes."""
 
 import ast
+import contextlib
+import io
+import sys
 from collections import Counter
 from pathlib import Path
+
+from gmquantum.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,7 +33,7 @@ def test_every_def_is_referenced():
     belongs in the tests.  Words in strings, comments and docstrings do
     not count either.  Matching is by name, not by resolution: a dead
     method that shares its name with a live function elsewhere (say
-    `power`) still passes.
+    `power`) still passes here, and `test_every_def_runs` catches it.
     """
     trees = {path: ast.parse(path.read_text())
              for folder in ("src", "bench")
@@ -47,3 +52,98 @@ def test_every_def_is_referenced():
                 unreferenced.append("%s:%d %s" % (path.name, node.lineno,
                                                   name))
     assert unreferenced == []
+
+
+# defs that no command runs but the benchmark in bench/ calls or hooks
+RUN_EXEMPT = {
+    ("linalg.py", "RatFunc"):
+        "bench/spans.py hooks RatFunc.__mul__; the tests' Q(q) oracle",
+    ("quantum.py", "standard_ring"):
+        "bench/ builds its ring with it and bench/spans.py hooks it",
+    ("gwcounts.py", "CountSet.from_geometry"):
+        "standard_ring's counts",
+    ("quantum.py", "QuantumRing.pairing"):
+        "the ring-products workload of bench/ times it",
+}
+
+COMMANDS = (
+    [["verify-all", "--seed", "0"], ["verify-all", "--seed", "7"]]
+    + [[name, "--format", fmt]
+       for name in ("gw", "matrix", "table", "presentation", "deform",
+                    "criterion")
+       for fmt in ("markdown", "json")]
+    + [[name, "--at", spec]
+       for name, specs in (("matrix", ("q=0", "q=-7/3")),
+                           ("table", ("q=0", "q=-7/3")),
+                           ("deform", ("q=0,t=1/3", "q=-7/3,t=1/3")),
+                           ("criterion", ("q=0", "q=-7/3")))
+       for spec in specs]
+    # the bad inputs of test_cli.test_bad_at_exits_2
+    + [["matrix", "--at", spec] for spec in ("q=banana", "t=1", "", "q=1e5000")]
+    + [["criterion", "--at", "q=" + "1" * 5000],
+       ["criterion", "--at", "q=1e16000000"]]
+)
+
+
+def defined_functions(path: Path):
+    """(first line of the code object, qualified name) of every non-dunder
+    def in a module, nested ones included; a decorated def's code starts
+    at its first decorator."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    out.append((first, name))
+                walk(child, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text()), "")
+    return out
+
+
+def test_every_def_runs():
+    """Each non-dunder def in src/gmquantum is called by some command.
+
+    `verify-all` at two seeds, the six reports in both formats, `--at` at
+    q = 0 and at a negative q, and the refused `--at` inputs run under a
+    profile hook that records every Python frame entered; unlike the name
+    match above, a dead method cannot hide behind a live function of the
+    same name.  Only the defs in RUN_EXEMPT, which the benchmark needs,
+    may stay idle.
+    """
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for argv in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                with contextlib.suppress(SystemExit):
+                    main(argv + ["--no-timestamp"])
+    finally:
+        sys.setprofile(previous)
+    ran = {(Path(filename).resolve(), line) for filename, line in entered}
+    idle = []
+    for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
+        for line, name in defined_functions(path):
+            parts = name.split(".")
+            if any((path.name, ".".join(parts[:k])) in RUN_EXEMPT
+                   for k in range(1, len(parts) + 1)):
+                continue
+            if (path, line) not in ran:
+                idle.append("%s:%d %s" % (path.name, line, name))
+    assert idle == []

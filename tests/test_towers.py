@@ -37,6 +37,18 @@ def gamma_tower():
 # ---------------------------------------------------------------------------
 
 
+def presentation(tower, point):
+    """Rank data of the presented ring and the integral of the point
+    class, the monomial `point` in the tower's variables."""
+    sm = tower.ideal.standard_monomials()
+    return {
+        "quotient_rank": len(sm),
+        "top_degree_rank": sum(1 for m in sm
+                               if tower.ctx.weighted_degree(m) == tower.dim),
+        "point_integral": tower.integrate(point),
+    }
+
+
 def test_point_base_grass_bundle_matches_schubert_everywhere():
     tower = Tower(ProjBase([]),
                   [("grass2", Trivial(4), ("H", "A", "Hp", "Ap"))])
@@ -60,7 +72,7 @@ def test_point_base_quotient_variables():
     assert tower.integrate(tower.var("Hp") ** 4) == 2
     assert tower.integrate(tower.var("Ap") ** 2) == 1
     assert tower.integrate(tower.var("H") ** 2 * tower.var("Ap")) == 1
-    rep = tower.presentation_report()
+    rep = presentation(tower, tower.var("A") ** 2)
     assert rep == {"quotient_rank": 6, "top_degree_rank": 1,
                    "point_integral": Fraction(1)}
 
@@ -76,7 +88,7 @@ def test_gamma_tower_integrals():
     assert gamma.dim == 4
     assert gamma.integrate(h * H ** 3) == 1
     assert gamma.integrate(H ** 4) == -1
-    assert gamma.presentation_report() == {
+    assert presentation(gamma, h * H ** 3) == {
         "quotient_rank": 8, "top_degree_rank": 1,
         "point_integral": Fraction(1)}
 
@@ -92,7 +104,7 @@ def test_g24_base_del_pezzo_degree():
     tower = Tower(G24Base())
     a1 = tower.var("a1")
     assert tower.integrate(a1 ** 4) == 2
-    assert tower.presentation_report() == {
+    assert presentation(tower, tower.var("a2") ** 2) == {
         "quotient_rank": 6, "top_degree_rank": 1,
         "point_integral": Fraction(1)}
 
