@@ -31,7 +31,6 @@ from .deformation import (
 )
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
 from .linalg import scalar_matrix
-from .poly import MultiPoly
 from .quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
@@ -72,8 +71,6 @@ def _plain(v):
         return str(v)
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, MultiPoly):
-        return str(v)
     if isinstance(v, dict):
         return {str(k): _plain(x) for k, x in
                 sorted(v.items(), key=lambda kv: str(kv[0]))}

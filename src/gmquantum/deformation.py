@@ -77,16 +77,11 @@ class TruncatedOperator:
         return self.matrix.map(lambda e: e.coefficient_of("t", 0))
 
 
-def _degrees(basis: str) -> Tuple[int, ...]:
-    if basis == AMBIENT:
-        return BASIS_DEGREES
-    # primitive slots all sit in the middle cohomology
-    return BASIS_DEGREES + (2,) * PRIMITIVE_DIM
-
-
 def homogeneity_failures(op: TruncatedOperator) -> List[Tuple[int, int]]:
     """Entries not homogeneous of degree deg(col) - deg(row) + 1."""
-    degs = _degrees(op.basis)
+    if op.basis != AMBIENT:
+        raise ValueError("homogeneity check expects the ambient operator")
+    degs = BASIS_DEGREES
     bad = []
     for i in range(op.dim):
         for j in range(op.dim):

@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 
 from .towers import (
     BaseSub, Dual, G24Base, ProjBase, Sym2, TautSub, Tower, Trivial,
-    bundle_sum, chern_of, line_bundle, segre_of, twist,
+    bundle_sum, chern_of, line_bundle, segre_of, total_class, twist,
 )
 
 
@@ -122,23 +122,13 @@ def compute_i2() -> CountReport:
     """
     tower = Tower(ProjBase([("h", 1)]),
                   [("proj", bundle_sum(Trivial(2), line_bundle({"h": -2})), "l")])
-    ctx = tower.ctx
     l2 = bundle_sum(Trivial(1), line_bundle({"h": -1}))
-    factors = [chern_of(Sym2(Dual(l2)), tower),
-               chern_of(twist(Dual(l2), {"l": 1}), tower),
-               chern_of(line_bundle({"l": 2}), tower)]
-    prod = ctx.one()
-    for _, total in factors:
-        layer = ctx.zero()
-        for c in total:
-            layer = layer + c
-        prod = prod * layer
+    _, cond = chern_of(bundle_sum(Sym2(Dual(l2)), twist(Dual(l2), {"l": 1}),
+                                  line_bundle({"l": 2})), tower)
     denom = segre_of(bundle_sum(line_bundle({"h": 1}), line_bundle({"h": 2})),
                      tower, 3)
-    layer = ctx.zero()
-    for s in denom:
-        layer = layer + s
-    integrand = tower.normal_form((prod * layer).graded_part(3))
+    integrand = tower.normal_form(
+        (total_class(cond) * total_class(denom)).graded_part(3))
     return _finish(
         "I2", "<s3, dual(s0)>_2", tower, integrand, 2,
         ["conics through a general point; P(E) over P^1 with c1(E) = -2h",

@@ -70,9 +70,7 @@ def _vsub(x: QVec, y: QVec) -> QVec:
 
 
 def _vscale(c, x: QVec) -> QVec:
-    """c * x, multiplying only nonzero coordinates by a nonzero c."""
-    if not c:
-        return _vzero(x[0].ctx)
+    """c * x, multiplying only the nonzero coordinates."""
     return tuple(a * c if a else a for a in x)
 
 

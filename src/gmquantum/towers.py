@@ -18,9 +18,12 @@ E/L1 with c(E/L1) = c(E)/(1-u)) and u (rank 4 bundle E).
 
 Sheaf expressions are trees over a few atoms, closed under dual, sum,
 twist by a line bundle (rank <= 3), Sym^2 and wedge^2 (rank 2 or 3, via
-formal Chern roots).  Chern classes of a sheaf expression come back in
-normal form modulo the tower's presented Chow ring, so they match printed
-closed forms like c2 = alpha + hH on rings where h^2 = 0.
+formal Chern roots).  One walk over an expression yields both its rank and
+its Chern classes.  A tower builds its stages in order from that walk, so a
+stage's bundle may use only the base and the stages below it.  Chern classes
+of a sheaf expression come back in normal form modulo the tower's presented
+Chow ring, so they match printed closed forms like c2 = alpha + hH on rings
+where h^2 = 0.
 """
 
 from __future__ import annotations
@@ -68,18 +71,8 @@ class TautSub:
 
 
 @dataclass(frozen=True)
-class TautQuot:
-    stage: int
-
-
-@dataclass(frozen=True)
 class BaseSub:
     """Tautological rank 2 sub on a G(2,4) base."""
-
-
-@dataclass(frozen=True)
-class BaseQuot:
-    """Tautological rank 2 quotient on a G(2,4) base."""
 
 
 @dataclass(frozen=True)
@@ -207,13 +200,10 @@ class ProjBase:
     def relations(self, ctx: VarContext) -> List[MultiPoly]:
         return [ctx.var(name) ** (n + 1) for name, n in self.factors]
 
-    def point_exponents(self) -> Dict[str, int]:
-        return {name: n for name, n in self.factors}
-
     def integrate(self, p: MultiPoly) -> Fraction:
         """Coefficient of the product of top powers; only base variables allowed."""
-        target = tuple(self.point_exponents().get(name, 0)
-                       for name in p.ctx.names)
+        top = dict(self.factors)
+        target = tuple(top.get(name, 0) for name in p.ctx.names)
         return p.terms.get(target, Fraction(0))
 
     def describe(self) -> str:
@@ -259,6 +249,11 @@ class G24Base:
 # ---------------------------------------------------------------------------
 
 
+def total_class(chern: List[MultiPoly]) -> MultiPoly:
+    """c(E) = c0 + c1 + ... as one inhomogeneous class."""
+    return sum(chern[1:], chern[0])
+
+
 def segre_from_chern(chern: List[MultiPoly], upto: int) -> List[MultiPoly]:
     """s(E) = 1/c(E) as graded classes s0..s_upto."""
     ctx = chern[0].ctx
@@ -300,17 +295,11 @@ def _project(p: MultiPoly, target: VarContext) -> MultiPoly:
 
 
 class ProjStage:
-    kind = "projective"
-
-    def __init__(self, expr, var: str, rank: int):
-        self.expr = expr
+    def __init__(self, var: str, rank: int, chern: List[MultiPoly]):
         self.var = var
         self.rank = rank
-        self.chern: List[MultiPoly] = []
+        self.chern = chern
         self.fiber_dim = rank - 1
-
-    def var_specs(self):
-        return [(self.var, 1)]
 
     def relation_polys(self, ctx: VarContext) -> List[MultiPoly]:
         z = ctx.var(self.var)
@@ -327,30 +316,19 @@ class ProjStage:
 
 
 class Grass2Stage:
-    kind = "grassmann"
-
-    def __init__(self, expr, names: Tuple[str, str, str, str]):
-        self.expr = expr
+    def __init__(self, names: Tuple[str, str, str, str],
+                 chern: List[MultiPoly]):
         self.names = names
-        self.rank = 4
-        self.chern: List[MultiPoly] = []
+        self.chern = chern
         self.fiber_dim = 4
-
-    def var_specs(self):
-        # quotient classes first so normal forms eliminate them in favor
-        # of the sub classes
-        h, a, hp, ap = self.names
-        return [(hp, 1), (ap, 2), (h, 1), (a, 2)]
 
     def dual_chern(self) -> List[MultiPoly]:
         return [c if i % 2 == 0 else -c for i, c in enumerate(self.chern)]
 
     def relation_polys(self, ctx: VarContext) -> List[MultiPoly]:
         h, a, hp, ap = (ctx.var(n) for n in self.names)
-        cdual = self.dual_chern()
-        whitney = (ctx.one() + h + a) * (ctx.one() + hp + ap)
-        for i, c in enumerate(cdual):
-            whitney = whitney - c
+        whitney = ((ctx.one() + h + a) * (ctx.one() + hp + ap)
+                   - total_class(self.dual_chern()))
         return [whitney.graded_part(d) for d in range(1, 5)
                 if not whitney.graded_part(d).is_zero()]
 
@@ -370,17 +348,8 @@ class Grass2Stage:
         v = flag.var("v_")
         p = p.substitute({h: u + v, a: u * v}, flag) * u
         chern_flag = [c.substitute({}, flag) for c in self.chern]
-        # rank 3 quotient E/L1 with c = c(E)/(1-u)
-        needed = p.max_power("v_")
-        geom = flag.one()
-        upow = flag.one()
-        for _ in range(max(needed, 3)):
-            upow = upow * u
-            geom = geom + upow
-        quots = flag.zero()
-        for c in chern_flag:
-            quots = quots + c
-        cq_total = quots * geom
+        # rank 3 quotient E/L1 with c = c(E)/(1-u), read up to degree 3
+        cq_total = total_class(chern_flag) * (flag.one() + u + u ** 2 + u ** 3)
         cq = [cq_total.graded_part(k) for k in range(4)]
         p = proj_push(p, "v_", 3, cq)
         p = proj_push(p, "u_", 4, chern_flag)
@@ -396,35 +365,35 @@ class Tower:
 
     def __init__(self, base, stage_specs: Sequence[Tuple] = ()):
         self.base = base
-        self.stages: List = []
-        for spec in stage_specs:
-            if spec[0] == "proj":
-                _, expr, var = spec
-                stage = ProjStage(expr, var, rank_of(expr, self))
-            elif spec[0] == "grass2":
-                _, expr, names = spec
-                if rank_of(expr, self) != 4:
-                    raise ValueError("Grassmann stage needs a rank 4 bundle")
-                stage = Grass2Stage(expr, tuple(names))
-            else:
-                raise ValueError("unknown stage kind %r" % (spec[0],))
-            self.stages.append(stage)
         # fiber variables first (later stages earliest) so that normal
-        # forms eliminate them in favor of base classes
-        var_specs = []
-        for stage in reversed(self.stages):
-            var_specs.extend(stage.var_specs())
-        var_specs.extend(base.var_specs)
-        names = tuple(n for n, _ in var_specs)
-        degrees = tuple(d for _, d in var_specs)
-        self.ctx = VarContext(names, degrees)
+        # forms eliminate them in favor of base classes; a Grassmann
+        # stage lists its quotient classes first so that normal forms
+        # eliminate them in favor of the sub classes
+        var_specs = list(base.var_specs)
+        for kind, _, names in stage_specs:
+            if kind == "proj":
+                var_specs[:0] = [(names, 1)]
+            elif kind == "grass2":
+                h, a, hp, ap = names
+                var_specs[:0] = [(hp, 1), (ap, 2), (h, 1), (a, 2)]
+            else:
+                raise ValueError("unknown stage kind %r" % (kind,))
+        self.ctx = VarContext(tuple(n for n, _ in var_specs),
+                              tuple(d for _, d in var_specs))
         self.base_ctx = VarContext(tuple(n for n, _ in base.var_specs),
                                    tuple(d for _, d in base.var_specs))
-        self.dim = base.dim + sum(s.fiber_dim for s in self.stages)
         self._ideal: Optional[PolyIdeal] = None
-        for stage in self.stages:
-            _, chern = _chern_raw(stage.expr, self)
-            stage.chern = chern
+        # each bundle sees only the stages built before it
+        self.stages: List = []
+        for kind, expr, names in stage_specs:
+            rank, chern = _chern_raw(expr, self)
+            if kind == "proj":
+                self.stages.append(ProjStage(names, rank, chern))
+            elif rank != 4:
+                raise ValueError("Grassmann stage needs a rank 4 bundle")
+            else:
+                self.stages.append(Grass2Stage(tuple(names), chern))
+        self.dim = base.dim + sum(s.fiber_dim for s in self.stages)
 
     # -- ring presentation ------------------------------------------------
 
@@ -477,37 +446,6 @@ class Tower:
 # ---------------------------------------------------------------------------
 
 
-def rank_of(expr, tower: Optional["Tower"] = None) -> int:
-    if isinstance(expr, Trivial):
-        if expr.rank < 0:
-            raise ValueError("negative rank")
-        return expr.rank
-    if isinstance(expr, Line):
-        return 1
-    if isinstance(expr, (BaseSub, BaseQuot)):
-        return 2
-    if isinstance(expr, (TautSub, TautQuot)):
-        if tower is None:
-            raise ValueError("tautological bundle rank needs the tower")
-        stage = _stage_of(tower, expr.stage)
-        if stage.kind == "projective":
-            return 1 if isinstance(expr, TautSub) else stage.rank - 1
-        return 2
-    if isinstance(expr, Dual):
-        return rank_of(expr.inner, tower)
-    if isinstance(expr, Sum):
-        return sum(rank_of(p, tower) for p in expr.parts)
-    if isinstance(expr, Twist):
-        return rank_of(expr.inner, tower)
-    if isinstance(expr, Sym2):
-        r = rank_of(expr.inner, tower)
-        return r * (r + 1) // 2
-    if isinstance(expr, Wedge2):
-        r = rank_of(expr.inner, tower)
-        return r * (r - 1) // 2
-    raise ValueError("unknown sheaf expression %r" % (expr,))
-
-
 def _divisor_class(div: Divisor, ctx: VarContext) -> MultiPoly:
     out = ctx.zero()
     for name, coeff in div:
@@ -533,41 +471,22 @@ def _stage_of(tower: Tower, index: int):
 def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
     ctx = tower.ctx
     if isinstance(expr, Trivial):
+        if expr.rank < 0:
+            raise ValueError("negative rank")
         return expr.rank, [ctx.one()] + [ctx.zero()] * expr.rank
     if isinstance(expr, Line):
         return 1, [ctx.one(), _divisor_class(expr.divisor, ctx)]
-    if isinstance(expr, BaseSub) or isinstance(expr, BaseQuot):
+    if isinstance(expr, BaseSub):
         if not isinstance(tower.base, G24Base):
             raise ValueError("base tautological bundle needs a G(2,4) base")
-        a1 = ctx.var(tower.base.names[0])
-        a2 = ctx.var(tower.base.names[1])
-        if isinstance(expr, BaseSub):
-            return 2, [ctx.one(), -a1, a2]
-        # c(Q^v) = 1/c(S^v) truncated at rank 2, then dualize
-        return 2, [ctx.one(), a1, a1 * a1 - a2]
+        a1, a2 = (ctx.var(n) for n in tower.base.names)
+        return 2, [ctx.one(), -a1, a2]
     if isinstance(expr, TautSub):
         stage = _stage_of(tower, expr.stage)
-        if stage.kind == "projective":
+        if isinstance(stage, ProjStage):
             return 1, [ctx.one(), -ctx.var(stage.var)]
         h, a, _, _ = stage.names
         return 2, [ctx.one(), -ctx.var(h), ctx.var(a)]
-    if isinstance(expr, TautQuot):
-        stage = _stage_of(tower, expr.stage)
-        if stage.kind == "projective":
-            r = stage.rank - 1
-            z = ctx.var(stage.var)
-            geom = ctx.one()
-            zpow = ctx.one()
-            for _ in range(r):
-                zpow = zpow * z
-                geom = geom + zpow
-            total = ctx.zero()
-            for c in stage.chern:
-                total = total + c
-            total = total * geom
-            return r, [total.graded_part(k) for k in range(r + 1)]
-        _, _, hp, ap = stage.names
-        return 2, [ctx.one(), -ctx.var(hp), ctx.var(ap)]
     if isinstance(expr, Dual):
         r, total = _chern_raw(expr.inner, tower)
         return r, [c if i % 2 == 0 else -c for i, c in enumerate(total)]
@@ -576,10 +495,7 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
         rank = sum(r for r, _ in ranks_totals)
         prod = ctx.one()
         for _, total in ranks_totals:
-            layer = ctx.zero()
-            for c in total:
-                layer = layer + c
-            prod = prod * layer
+            prod = prod * total_class(total)
         return rank, [prod.graded_part(k) for k in range(rank + 1)]
     if isinstance(expr, Twist):
         r, total = _chern_raw(expr.inner, tower)
@@ -602,9 +518,7 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
     raise ValueError("unknown sheaf expression %r" % (expr,))
 
 
-def segre_of(expr, tower: Tower, upto: Optional[int] = None) -> List[MultiPoly]:
+def segre_of(expr, tower: Tower, upto: int) -> List[MultiPoly]:
     """Segre classes s0..s_upto of the expression, in normal form."""
-    if upto is None:
-        upto = tower.dim
     _, chern = chern_of(expr, tower)
     return [tower.normal_form(s) for s in segre_from_chern(chern, upto)]

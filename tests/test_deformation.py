@@ -67,6 +67,14 @@ def test_operator_is_homogeneous(operator):
     assert specialization_failures(operator, standard_ring()) == []
 
 
+def test_homogeneity_check_refuses_the_full_operator(operator):
+    full = assemble_full_operator(operator, HodgeModel.standard())
+    with pytest.raises(ValueError, match="ambient operator"):
+        homogeneity_failures(full)
+    with pytest.raises(ValueError, match="ambient operator"):
+        specialization_failures(full, standard_ring())
+
+
 def test_build_rejects_wrong_rings(ring):
     bad_ctx_ring = standard_ring()
     # a ring rebuilt over extra symbols is refused

@@ -1,0 +1,132 @@
+"""Atiyah-Bott localization as an independent check of the tower integrals.
+
+For a torus T acting on a smooth projective X with isolated fixed points,
+
+    int_X c = sum over fixed points p of c|_p / e(T_p X)
+
+for every equivariant class c (Atiyah-Bott, "The moment map and
+equivariant cohomology", Topology 23, 1984).  When c has degree dim X the
+sum is a rational number, the ordinary integral.  It does not depend on
+which polynomial in the generators stands for c: a relation of top degree
+integrates to zero equivariantly as well.
+
+Conventions, the same as in `gmquantum.towers`:
+
+- P^1 with hyperplane class h: T scales the two coordinates with weights
+  a_0, a_1.  Fixed point k has h|_k = -a_k and tangent weight
+  a_(1-k) - a_k.
+- P(E) is the bundle of lines in E, and z is the hyperplane class of the
+  dual tautological line, so prod_j (z + x_j) = 0 for the Chern roots x_j
+  of E.  For E = sum_j O(c_j h), with T scaling the j-th summand by
+  weight e_j, the root x_j restricts to c_j h|_k + e_j over base point k.
+  Fiber point i has z = -x_i and fiber tangent weights x_j - x_i, j != i.
+
+Level 1, here: the three counts whose towers have only projective stages
+are P(E) over P^1.  P^1 x P^2 is P(O^3).  Each count's own integrand, as
+it reaches `Tower.integrate`, is evaluated at the fixed points.  This
+checks the pushforwards and the relations of the tower code, but not its
+Chern classes.  A weight choice with a zero tangent weight is refused,
+never divided by.
+"""
+
+from fractions import Fraction
+from math import prod
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gmquantum.gwcounts import compute_i11, compute_i12, compute_i2
+from gmquantum.towers import Tower
+
+# count -> (computation, fiber variable, twists c_j of E, the integral);
+# I2's integral is the invariant before its factor 2
+TOWERS = {
+    "I11": (compute_i11, "H", (0, 0, 0), 6),
+    "I12": (compute_i12, "H", (1, 0, 0, 0), 10),
+    "I2": (compute_i2, "l", (0, 0, -2), 6),
+}
+
+BASE_WEIGHTS = (0, 1)
+FIBER_WEIGHTS = (2, 5, 11, 17)
+
+
+def fixed_points(twists, base_weights, fiber_weights):
+    """(h|_p, z|_p, e(T_p)) at each fixed point of P(E) over P^1."""
+    for k in (0, 1):
+        h = -base_weights[k]
+        roots = [c * h + w for c, w in zip(twists, fiber_weights)]
+        for i, x in enumerate(roots):
+            weights = [base_weights[1 - k] - base_weights[k]]
+            weights += [y - x for j, y in enumerate(roots) if j != i]
+            if 0 in weights:
+                raise ValueError("zero tangent weight at fixed point (%d, %d)"
+                                 % (k, i))
+            yield h, -x, prod(weights)
+
+
+def bott_sum(poly, fiber_var, twists, base_weights=BASE_WEIGHTS,
+             fiber_weights=FIBER_WEIGHTS):
+    return sum(Fraction(poly.evaluate({"h": h, fiber_var: z})) / euler
+               for h, z, euler in fixed_points(twists, base_weights,
+                                               fiber_weights))
+
+
+def integrated(compute):
+    """(report, tower, integrand) of one count, as it calls Tower.integrate."""
+    with mock.patch.object(Tower, "integrate", autospec=True,
+                           side_effect=Tower.integrate) as spy:
+        report = compute()
+    assert spy.call_count == 1
+    (tower, integrand), _ = spy.call_args
+    return report, tower, integrand
+
+
+CAPTURED = {name: integrated(compute)
+            for name, (compute, _, _, _) in TOWERS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_bott_sum_of_each_integrand(name):
+    _, fiber_var, twists, value = TOWERS[name]
+    report, tower, integrand = CAPTURED[name]
+    assert set(tower.ctx.names) == {"h", fiber_var}
+    assert tower.dim == len(twists)
+    assert bott_sum(integrand, fiber_var, twists) == value
+    assert tower.integrate(integrand) == value
+    assert report.value == (2 if name == "I2" else 1) * value
+
+
+def test_zero_tangent_weight_is_refused():
+    _, fiber_var, twists, _ = TOWERS["I12"]
+    _, _, integrand = CAPTURED["I12"]
+    with pytest.raises(ValueError, match="zero tangent weight"):
+        bott_sum(integrand, fiber_var, twists, fiber_weights=(2, 5, 5, 17))
+    with pytest.raises(ValueError, match="zero tangent weight"):
+        bott_sum(integrand, fiber_var, twists, base_weights=(3, 3))
+    # over the second base point the root of O(h) is -1 + 2 = 1 = 0 + 1
+    with pytest.raises(ValueError, match="zero tangent weight"):
+        bott_sum(integrand, fiber_var, twists, fiber_weights=(2, 1, 5, 17))
+
+
+weight = st.integers(-30, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TOWERS)), h_power=st.integers(0, 4),
+       coeff=st.integers(-5, 5).filter(bool),
+       base_weights=st.tuples(weight, weight),
+       fiber_weights=st.tuples(weight, weight, weight, weight))
+def test_random_top_monomials_match_integrate(name, h_power, coeff,
+                                              base_weights, fiber_weights):
+    _, fiber_var, twists, _ = TOWERS[name]
+    _, tower, _ = CAPTURED[name]
+    h_power = min(h_power, tower.dim)
+    monomial = coeff * tower.var("h") ** h_power \
+        * tower.var(fiber_var) ** (tower.dim - h_power)
+    try:
+        expected = bott_sum(monomial, fiber_var, twists, base_weights,
+                            fiber_weights)
+    except ValueError:
+        assume(False)
+    assert tower.integrate(monomial) == expected

@@ -147,3 +147,49 @@ def test_every_def_runs():
             if (path, line) not in ran:
                 idle.append("%s:%d %s" % (path.name, line, name))
     assert idle == []
+
+
+# classes that no code in src/ or bench/ builds but the tests do
+BUILD_EXEMPT = {
+    ("towers.py", "Wedge2"):
+        "test_criterion_10_oracle_suites and"
+        " test_sym2_wedge2_match_formal_roots check wedge^2 against the"
+        " splitting-principle oracle",
+}
+
+
+def test_every_class_is_built():
+    """Each class in src/gmquantum is built by code in src/ or bench/.
+
+    A class counts as built when some code calls it, subclasses it or
+    reads an attribute `Name.attr` off it.  Naming it in `isinstance`
+    does not count: a branch for a kind of object that nothing makes is
+    dead.  Only the classes in BUILD_EXEMPT may stay unbuilt.
+    """
+    def name_of(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return None
+
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    built = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                built.add(name_of(node.func))
+            elif isinstance(node, ast.ClassDef):
+                built.update(name_of(base) for base in node.bases)
+            elif isinstance(node, ast.Attribute):
+                built.add(name_of(node.value))
+    unbuilt = []
+    for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if (isinstance(node, ast.ClassDef) and node.name not in built
+                    and (path.name, node.name) not in BUILD_EXEMPT):
+                unbuilt.append("%s:%d %s" % (path.name, node.lineno,
+                                             node.name))
+    assert unbuilt == []

@@ -265,6 +265,38 @@ def test_grass2_stage_needs_rank_four():
               [("grass2", Trivial(5), ("a", "b", "c", "d"))])
 
 
+def test_negative_rank_stage_bundle():
+    with pytest.raises(ValueError, match="negative rank"):
+        Tower(ProjBase([("h", 1)]), [("proj", Trivial(-1), "z")])
+
+
+def test_stage_bundle_sees_only_lower_stages():
+    base = ProjBase([("h", 1)])
+    # its own stage
+    with pytest.raises(ValueError, match="out of range"):
+        Tower(base, [("proj", bundle_sum(TautSub(0), Trivial(1)), "z")])
+    # a later stage
+    with pytest.raises(ValueError, match="out of range"):
+        Tower(base, [("proj", bundle_sum(TautSub(1), Trivial(1)), "z"),
+                     ("proj", Trivial(2), "w")])
+    # the stage below is fine
+    tower = Tower(base, [("proj", Trivial(2), "z"),
+                         ("proj", bundle_sum(TautSub(0), Trivial(1)), "w")])
+    assert tower.dim == 3
+
+
+def test_unknown_stage_kind():
+    with pytest.raises(ValueError, match="unknown stage kind"):
+        Tower(ProjBase([("h", 1)]), [("flag", Trivial(3), "z")])
+
+
+def test_base_sub_needs_a_g24_base():
+    with pytest.raises(ValueError, match=r"G\(2,4\) base"):
+        Tower(ProjBase([("h", 1)]), [("proj", BaseSub(), "z")])
+    with pytest.raises(ValueError, match=r"G\(2,4\) base"):
+        chern_of(BaseSub(), gamma_tower())
+
+
 def test_integrate_records_stage_trace():
     sigma = Tower(ProjBase([("h", 1)]),
                   [("grass2", bundle_sum(line_bundle({"h": 1}), Trivial(3)),
