@@ -11,8 +11,8 @@ command line tool emitting machine checkable certificates.
 from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .certificates import Certificate, Workspace
 from .deformation import (
-    HodgeModel, TruncatedOperator, assemble_full_operator, atom_statistics,
-    build_deformed_matrix, irrationality_criterion, verify_jordan_pair,
+    HodgeModel, assemble_full_operator, atom_statistics, build_deformed_matrix,
+    irrationality_criterion, verify_jordan_pair,
 )
 from .gwcounts import (
     CountSet, EXPECTED_VALUES, all_reports, compute_i11, compute_i12,
@@ -32,9 +32,8 @@ __version__ = "1.0.0"
 __all__ = [
     "AmbientRing", "BASIS_DEGREES", "BASIS_NAMES", "DIM",
     "Certificate", "Workspace",
-    "HodgeModel", "TruncatedOperator", "assemble_full_operator",
-    "atom_statistics", "build_deformed_matrix", "irrationality_criterion",
-    "verify_jordan_pair",
+    "HodgeModel", "assemble_full_operator", "atom_statistics",
+    "build_deformed_matrix", "irrationality_criterion", "verify_jordan_pair",
     "CountSet", "EXPECTED_VALUES", "all_reports", "compute_i11",
     "compute_i12", "compute_i13", "compute_i2", "compute_j12", "derive_j11",
     "Matrix", "char_poly",

@@ -19,15 +19,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ambient import BASIS_NAMES, DIM
 from .deformation import (
-    CriterionReport, HodgeModel, PRIMITIVE_DIM, TruncatedOperator,
-    assemble_full_operator, atom_statistics, build_deformed_matrix,
-    eigenvalue, homogeneity_failures, irrationality_criterion,
-    specialization_failures, verify_jordan_pair,
+    AMBIENT, HodgeModel, PRIMITIVE_DIM, assemble_full_operator, at_t_zero,
+    atom_statistics, build_deformed_matrix, eigenvalue, homogeneity_failures,
+    irrationality_criterion, specialization_failures, verify_jordan_pair,
 )
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
 from .linalg import scalar_matrix
@@ -39,6 +39,7 @@ from .quantum import (
 )
 
 SCHEMA_VERSION = "1.0"
+SAMPLES = 100  # random triples in the seeded property check
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -186,68 +187,51 @@ R3_COFACTOR_IDENTITY = "R3 = (5*s11 + 2*h^2 + 6*q)*R1 - 5*h*R2"
 # ---------------------------------------------------------------------------
 
 
+# Each node maps to the nodes it reads and its builder.  A builder looks
+# its function up in this module when it runs, not when the table is
+# made: the tracer in bench/spans.py rebinds module names such as
+# `all_reports` to count their calls, and a function captured here would
+# escape it.
+NODES: Dict[str, Tuple[Tuple[str, ...], Callable[..., object]]] = {
+    "reports": ((), lambda: all_reports()),
+    "counts": (("reports",), lambda reports: CountSet.from_reports(reports)),
+    "solve": (("counts",),
+              lambda counts: solve_three_point_invariants(counts, counts.J12)),
+    "ring": (("counts", "solve"),
+             lambda counts, solve: ring_from_solve(counts, solve)),
+    "spectrum": (("ring",), lambda ring: spectral_report(ring)),
+    "presentation": (("ring",), lambda ring: presentation_report(ring)),
+    "operator": (("ring",), lambda ring: build_deformed_matrix(ring)),
+    "model": ((), lambda: HodgeModel.standard()),
+    "full_operator": (("operator",), lambda op: assemble_full_operator(op)),
+    "statistics": (("full_operator", "model"),
+                   lambda full, model: atom_statistics(full, model)),
+    "criterion": (("operator", "model"), lambda op, model:
+                  irrationality_criterion(at_t_zero(op), model)),
+}
+
+
 class Workspace:
-    """Lazily built shared objects behind the certificate builders."""
+    """The nodes of NODES, each built once on first read.
+
+    Every node is a property of the same name.  A node reads its inputs
+    as attributes, so the build of one node nests inside the reads of
+    those it depends on.
+    """
 
     def __init__(self):
         self._cache: Dict[str, object] = {}
 
-    def _get(self, key: str, build: Callable[[], object]):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def _get(self, name: str):
+        if name not in self._cache:
+            inputs, build = NODES[name]
+            self._cache[name] = build(*(getattr(self, n) for n in inputs))
+        return self._cache[name]
 
-    @property
-    def reports(self):
-        return self._get("reports", all_reports)
 
-    @property
-    def counts(self) -> CountSet:
-        return self._get("counts",
-                         lambda: CountSet.from_reports(self.reports))
-
-    @property
-    def solve(self):
-        return self._get("solve", lambda: solve_three_point_invariants(
-            self.counts, self.counts.J12))
-
-    @property
-    def ring(self) -> QuantumRing:
-        return self._get("ring", lambda: ring_from_solve(self.counts,
-                                                         self.solve))
-
-    @property
-    def spectrum(self) -> Dict[str, object]:
-        return self._get("spectrum", lambda: spectral_report(self.ring))
-
-    @property
-    def presentation(self) -> Dict[str, object]:
-        return self._get("presentation",
-                         lambda: presentation_report(self.ring))
-
-    @property
-    def operator(self) -> TruncatedOperator:
-        return self._get("operator", lambda: build_deformed_matrix(self.ring))
-
-    @property
-    def model(self) -> HodgeModel:
-        return self._get("model", HodgeModel.standard)
-
-    @property
-    def full_operator(self) -> TruncatedOperator:
-        return self._get("full_operator", lambda: assemble_full_operator(
-            self.operator, self.model))
-
-    @property
-    def statistics(self):
-        return self._get("statistics",
-                         lambda: atom_statistics(self.full_operator,
-                                                 self.model))
-
-    @property
-    def criterion(self) -> CriterionReport:
-        return self._get("criterion", lambda: irrationality_criterion(
-            self.operator.at_t_zero(), self.model))
+for _node in NODES:
+    setattr(Workspace, _node, property(partial(Workspace._get, name=_node)))
+del _node
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +446,11 @@ def presentation_certificates(ws: Workspace) -> List[Certificate]:
 
 def deform_certificates(ws: Workspace) -> List[Certificate]:
     op = ws.operator
-    rows = tuple(tuple(str(op.entry(i, j)) for j in range(DIM))
+    rows = tuple(tuple(str(op[i, j]) for j in range(DIM))
                  for i in range(DIM))
     certs = [make(
         "deform.operator", rows, FROZEN_DEFORMED, FROZEN,
-        inputs=(("basis", op.basis),),
+        inputs=(("basis", AMBIENT),),
         trace=("first order deformation of the degree operator on the"
                " ambient classes: K = 2*M_h + t*D with D scaling the"
                " degree d layer of s2 * (-) by 2d - 1",))]
@@ -483,7 +467,7 @@ def deform_certificates(ws: Workspace) -> List[Certificate]:
         witness=("; ".join("(%d, %d)" % ij for ij in spec_bad)
                  if spec_bad else None)))
     certs.append(make(
-        "deform.eigenvalue", str(eigenvalue(op.ctx)), "-4*q*t", FROZEN,
+        "deform.eigenvalue", str(eigenvalue(op[0, 0].ctx)), "-4*q*t", FROZEN,
         trace=("the distinguished eigenvalue of K modulo t^2",)))
     jp = verify_jordan_pair(op)
     certs.append(make(
@@ -567,7 +551,7 @@ def criterion_certificates(ws: Workspace) -> List[Certificate]:
         inputs=(("max_multiplicity", scalar.max_multiplicity),),
         trace=("control: 2 * identity has one eigenvalue of multiplicity"
                " 6 and must fail the multiplicity bound",)))
-    deaf = irrationality_criterion(ws.operator.at_t_zero(),
+    deaf = irrationality_criterion(at_t_zero(ws.operator),
                                    model.without_h31())
     certs.append(make(
         "criterion.control.no-h31", deaf.satisfied, False, REDERIVED,
@@ -612,15 +596,14 @@ def random_identity_failures(ring: QuantumRing, rng: random.Random,
     return bad
 
 
-def property_certificates(ws: Workspace, seed: int,
-                          samples: int = 100) -> List[Certificate]:
+def property_certificates(ws: Workspace, seed: int) -> List[Certificate]:
     rng = random.Random(seed)
-    bad = random_identity_failures(ws.ring, rng, samples)
+    bad = random_identity_failures(ws.ring, rng, SAMPLES)
     return [make(
         "property.random-identities", len(bad), 0, SAMPLED,
-        inputs=(("seed", seed), ("samples", samples)),
+        inputs=(("seed", seed), ("samples", SAMPLES)),
         trace=("associativity, commutativity, Frobenius and bilinearity"
-               " on %d random rational triples" % samples,),
+               " on %d random rational triples" % SAMPLES,),
         witness="; ".join(bad[:5]) if bad else None)]
 
 

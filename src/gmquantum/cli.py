@@ -23,7 +23,6 @@ from .certificates import (
     property_certificates,
 )
 from .deformation import eigenvalue, irrationality_criterion
-from .linalg import Matrix
 from .quantum import surd_pair_solves
 
 COMMANDS = ("gw", "matrix", "table", "presentation", "deform",
@@ -71,8 +70,8 @@ def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
     return out
 
 
-def _clip(value: str, width: int = 24) -> str:
-    return value if len(value) <= width else value[:width] + "..."
+def _clip(value: str) -> str:
+    return value if len(value) <= 24 else value[:24] + "..."
 
 
 def _exponent_too_large(value: str, limit: int) -> bool:
@@ -158,20 +157,19 @@ def deform_at(ws: Workspace, qval: Fraction,
               tval: Fraction) -> Dict[str, object]:
     op = ws.operator
     vals = {"q": qval, "t": tval}
-    rows = [[str(op.entry(i, j).evaluate(vals)) for j in range(DIM)]
+    rows = [[str(op[i, j].evaluate(vals)) for j in range(DIM)]
             for i in range(DIM)]
     return {
         "matrix": rows,
-        "eigenvalue": str(eigenvalue(op.ctx).evaluate(vals)),
+        "eigenvalue": str(eigenvalue(op[0, 0].ctx).evaluate(vals)),
         "note": "entries are reduced modulo t^2 before evaluation",
     }
 
 
 def criterion_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
-    m0 = ws.operator.at_t_zero()
-    numeric = [[m0.rows[i][j].evaluate({"q": qval, "t": Fraction(0)})
-                for j in range(DIM)] for i in range(DIM)]
-    rep = irrationality_criterion(Matrix(numeric), ws.model)
+    vals = {"q": qval, "t": Fraction(0)}
+    numeric = ws.operator.map(lambda e: e.evaluate(vals))
+    rep = irrationality_criterion(numeric, ws.model)
     return {
         "profile": {str(k): v for k, v in sorted(rep.profile.items())},
         "satisfied": rep.satisfied,
@@ -276,12 +274,12 @@ def build_payload(command: str, summary: Dict[str, object],
     return payload
 
 
-def _cell(value, width: int = 60) -> str:
+def _cell(value) -> str:
     text = json.dumps(value, sort_keys=True) if not isinstance(value, str) \
         else value
     text = text.replace("|", "/")
-    if len(text) > width:
-        text = text[:width - 3] + "..."
+    if len(text) > 60:
+        text = text[:57] + "..."
     return text
 
 

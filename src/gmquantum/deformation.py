@@ -29,6 +29,10 @@ squarefree profiles over Q(q) are read at q = 1 over Q, and ranks over
 Q(q, t) at q = 1 over Q(t), by the conjugation argument in `linalg`,
 once `at_q_one` has checked the homogeneity; nothing is claimed beyond
 first order.
+
+An operator is a plain `Matrix` over Q[q, t]/(t^2), the context of its
+entries.  Its shape is its basis: 6 x 6 on the ambient classes, 28 x 28
+with the 22 primitive slots appended; each check refuses the other shape.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .poly import MultiPoly, VarContext
 from .quantum import QuantumRing, associativity_failures
 
 AMBIENT = "ambient-6"
-FULL = "full-28"
 PRIMITIVE_DIM = 22
 FULL_DIM = DIM + PRIMITIVE_DIM
 
@@ -58,54 +61,40 @@ def truncated_context() -> VarContext:
     return VarContext(("q", "t"), (2, -1), nilpotent={"t": 2})
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """Matrix over Q[q, t]/(t^2) together with its basis tag."""
-
-    matrix: Matrix
-    basis: str
-    ctx: VarContext
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.nrows
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.matrix[i, j]
-
-    def at_t_zero(self) -> Matrix:
-        return self.matrix.map(lambda e: e.coefficient_of("t", 0))
+def at_t_zero(op: Matrix) -> Matrix:
+    """The t = 0 part of a matrix over Q[q, t]/(t^2)."""
+    return op.map(lambda e: e.coefficient_of("t", 0))
 
 
-def homogeneity_failures(op: TruncatedOperator) -> List[Tuple[int, int]]:
+def homogeneity_failures(op: Matrix) -> List[Tuple[int, int]]:
     """Entries not homogeneous of degree deg(col) - deg(row) + 1."""
-    if op.basis != AMBIENT:
+    if (op.nrows, op.ncols) != (DIM, DIM):
         raise ValueError("homogeneity check expects the ambient operator")
     degs = BASIS_DEGREES
     bad = []
-    for i in range(op.dim):
-        for j in range(op.dim):
-            e = op.matrix[i, j]
+    for i in range(DIM):
+        for j in range(DIM):
+            e = op[i, j]
             if not e.is_zero() and not e.is_homogeneous(degs[j] - degs[i] + 1):
                 bad.append((i, j))
     return bad
 
 
-def specialization_failures(op: TruncatedOperator,
+def specialization_failures(op: Matrix,
                             ring: QuantumRing) -> List[Tuple[int, int]]:
     """Ambient entries whose t = 0 part differs from twice the h-matrix."""
-    if op.basis != AMBIENT:
+    if (op.nrows, op.ncols) != (DIM, DIM):
         raise ValueError("specialization check expects the ambient operator")
     bad = []
     for i in range(DIM):
         for j in range(DIM):
-            want = (ring.h_matrix[i, j] * 2).substitute({}, op.ctx)
-            if op.matrix[i, j].coefficient_of("t", 0) != want:
+            want = (ring.h_matrix[i, j] * 2).substitute({}, op[i, j].ctx)
+            if op[i, j].coefficient_of("t", 0) != want:
                 bad.append((i, j))
     return bad
 
 
-def build_deformed_matrix(ring: QuantumRing) -> TruncatedOperator:
+def build_deformed_matrix(ring: QuantumRing) -> Matrix:
     """Ambient matrix of the deformed Euler operator 2h - t s2.
 
     The q^d t coefficient of the action on e_b is 2d - 1 times the q^d
@@ -124,7 +113,7 @@ def build_deformed_matrix(ring: QuantumRing) -> TruncatedOperator:
             entry = (ring.h_matrix[i, j] * 2).substitute({}, tctx)
             rows[i][j] = entry + MultiPoly(tctx, {
                 (d, 1): (2 * d - 1) * c for (d,), c in prod[i].terms.items()})
-    return TruncatedOperator(Matrix(rows), AMBIENT, tctx)
+    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +152,16 @@ class JordanPairReport:
         return self.ok
 
 
-def verify_jordan_pair(op: TruncatedOperator) -> JordanPairReport:
+def verify_jordan_pair(op: Matrix) -> JordanPairReport:
     """Check K alpha = -4qt alpha - t beta(t) and K beta = -4qt beta mod t^2."""
-    if op.basis != AMBIENT:
+    if (op.nrows, op.ncols) != (DIM, DIM):
         raise ValueError("the Jordan pair lives on the ambient operator")
-    tctx = op.ctx
+    tctx = op[0, 0].ctx
     t = tctx.var("t")
     lam = eigenvalue(tctx)
     alpha, beta = jordan_pair(tctx)
-    ka = matvec(op.matrix, alpha)
-    kb = matvec(op.matrix, beta)
+    ka = matvec(op, alpha)
+    kb = matvec(op, beta)
     res_a = tuple(x - (lam * a - t * b) for x, a, b in zip(ka, alpha, beta))
     res_b = tuple(x - lam * b for x, b in zip(kb, beta))
     classical = all(x.coefficient_of("t", 0).is_zero() for x in ka)
@@ -209,11 +198,6 @@ class HodgeModel:
     def h31(self) -> int:
         return sum(1 for tag in self.primitive_tags if tag == (3, 1))
 
-    def rows_with_tag(self, tag) -> Tuple[int, ...]:
-        """Row indices of the tagged slots inside the 28 dimensional basis."""
-        return tuple(DIM + i for i, x in enumerate(self.primitive_tags)
-                     if x == tag)
-
     def matches_diamond(self) -> bool:
         counts = {tag: 0 for tag in ALLOWED_TAGS}
         for tag in self.primitive_tags:
@@ -227,20 +211,17 @@ class HodgeModel:
         return HodgeModel(tags)
 
 
-def assemble_full_operator(op: TruncatedOperator,
-                           model: HodgeModel) -> TruncatedOperator:
+def assemble_full_operator(op: Matrix) -> Matrix:
     """Block diagonal operator on all 28 classes.
 
     The primitive block is the scalar -4qt (a model axiom; at t = 0 the
     hyperplane annihilates every primitive class, and the first order
     term is the stated scalar).  No ambient/primitive mixing occurs.
     """
-    if op.basis != AMBIENT:
+    if (op.nrows, op.ncols) != (DIM, DIM):
         raise ValueError("expected the ambient operator")
-    lam = eigenvalue(op.ctx)
-    prim = scalar_matrix(PRIMITIVE_DIM, lam)
-    full = block_diag([op.matrix, prim])
-    return TruncatedOperator(full, FULL, op.ctx)
+    prim = scalar_matrix(PRIMITIVE_DIM, eigenvalue(op[0, 0].ctx))
+    return block_diag([op, prim])
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +246,17 @@ def _columns_matrix(cols: Sequence[Sequence[MultiPoly]]) -> Matrix:
                    for i in range(len(cols[0]))])
 
 
-def _block_structure(op: TruncatedOperator) -> Tuple[Matrix, bool, bool]:
+def _block_structure(op: Matrix) -> Tuple[Matrix, bool, bool]:
     """Split the full operator into its ambient block and two exact checks.
 
     Returns the 6 x 6 ambient block, whether every ambient/primitive
     entry vanishes, and whether the primitive block equals eigenvalue(ctx)
     times the identity.
     """
-    if op.basis != FULL or op.dim != FULL_DIM:
+    if (op.nrows, op.ncols) != (FULL_DIM, FULL_DIM):
         raise ValueError("expected the full 28 dimensional operator")
-    lam = eigenvalue(op.ctx)
-    rows = op.matrix.rows
+    lam = eigenvalue(op[0, 0].ctx)
+    rows = op.rows
     unmixed = all(rows[i][j].is_zero() and rows[j][i].is_zero()
                   for i in range(DIM) for j in range(DIM, FULL_DIM))
     scalar = all(rows[i][j] == lam if i == j else rows[i][j].is_zero()
@@ -283,7 +264,7 @@ def _block_structure(op: TruncatedOperator) -> Tuple[Matrix, bool, bool]:
     return Matrix([r[:DIM] for r in rows[:DIM]]), unmixed, scalar
 
 
-def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
+def atom_statistics(op: Matrix, model: HodgeModel) -> AtomStatistics:
     """Certify the Jordan data of the eigenvalue -4qt on the full operator.
 
     The block structure is certified first: no ambient/primitive entry
@@ -303,7 +284,7 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
         raise ValueError("the operator mixes ambient and primitive slots")
     if not scalar:
         raise ValueError("the primitive block is not -4*q*t times the identity")
-    tctx = op.ctx
+    tctx = op[0, 0].ctx
     lam = eigenvalue(tctx)
     shifted = Matrix([[amb_block[i, j] - (lam if i == j else tctx.zero())
                        for j in range(DIM)] for i in range(DIM)])
@@ -386,7 +367,7 @@ def atom_statistics(op: TruncatedOperator, model: HodgeModel) -> AtomStatistics:
     # subspaces of the model: E meets the ambient slots in E_amb and
     # contains every primitive slot, the (3, 1) ones included
     rho = e_amb
-    nu = len(model.rows_with_tag((3, 1)))
+    nu = model.h31()
     # odd cohomology is absent, so the second overlap is empty
     nu_prime = 0
 

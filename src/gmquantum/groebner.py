@@ -11,6 +11,9 @@ from typing import List, Sequence
 
 from .poly import Exponent, MultiPoly, weighted_grevlex_key
 
+# more standard monomials than this signals an infinite quotient
+MONOMIAL_CAP = 1000
+
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -123,11 +126,11 @@ class PolyIdeal:
     def leading_exponents(self) -> List[Exponent]:
         return [g.leading()[0] for g in self.basis]
 
-    def standard_monomials(self, cap: int = 1000) -> List[Exponent]:
+    def standard_monomials(self) -> List[Exponent]:
         """Monomials outside the leading-term ideal, found by breadth search.
 
-        Raises if more than `cap` are found, which signals an infinite
-        (or just too large) quotient vector space.
+        Raises if more than MONOMIAL_CAP are found, which signals an
+        infinite (or just too large) quotient vector space.
         """
         leads = self.leading_exponents()
         n = self.ctx.nvars
@@ -140,8 +143,9 @@ class PolyIdeal:
             if any(_divides(l, exp) for l in leads):
                 continue
             out.append(exp)
-            if len(out) > cap:
-                raise ValueError("standard monomial count exceeds cap %d" % cap)
+            if len(out) > MONOMIAL_CAP:
+                raise ValueError("standard monomial count exceeds cap %d"
+                                 % MONOMIAL_CAP)
             for i in range(n):
                 nxt = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
                 if nxt not in seen:
@@ -150,5 +154,5 @@ class PolyIdeal:
         out.sort(key=lambda e: weighted_grevlex_key(self.ctx, e))
         return out
 
-    def quotient_dimension(self, cap: int = 1000) -> int:
-        return len(self.standard_monomials(cap))
+    def quotient_dimension(self) -> int:
+        return len(self.standard_monomials())

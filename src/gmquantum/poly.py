@@ -147,12 +147,10 @@ class VarContext:
     def monomial(self, expvec: Exponent, coeff=1) -> "MultiPoly":
         return MultiPoly(self, {tuple(expvec): coeff})
 
-    def extended(self, names, degrees, nilpotent=None) -> "VarContext":
-        """New context with extra variables appended."""
-        nil = dict(self.nilpotent)
-        nil.update(nilpotent or {})
+    def extended(self, names, degrees) -> "VarContext":
+        """New context with extra variables appended, none truncated."""
         return VarContext(self.names + tuple(names), self.degrees + tuple(degrees),
-                          nilpotent=nil)
+                          nilpotent=self.nilpotent)
 
     def without_truncation(self) -> "VarContext":
         return VarContext(self.names, self.degrees)

@@ -30,12 +30,11 @@ class Grassmannian2:
                            for b in range(a + 1)]
         self.point = (self.width, self.width)
 
-    def sigma(self, a: int, b: int = 0, coeff=1) -> SchubertClass:
+    def sigma(self, a: int, b: int = 0) -> SchubertClass:
         if not (self.width >= a >= b >= 0):
             raise ValueError("partition (%d, %d) leaves the %d x 2 box"
                              % (a, b, self.width))
-        c = Fraction(coeff)
-        return {(a, b): c} if c else {}
+        return {(a, b): Fraction(1)}
 
     def add(self, x: SchubertClass, y: SchubertClass) -> SchubertClass:
         out = dict(x)

@@ -215,9 +215,9 @@ class ProjBase:
 class G24Base:
     """G(2,4) presented by the Chern classes a1, a2 of the dual taut sub."""
 
-    def __init__(self, names: Tuple[str, str] = ("a1", "a2")):
-        self.names = names
-        self.var_specs = [(names[0], 1), (names[1], 2)]
+    def __init__(self):
+        self.names = ("a1", "a2")
+        self.var_specs = [(self.names[0], 1), (self.names[1], 2)]
         self.dim = 4
         self.g = Grassmannian2(4)
 

@@ -13,7 +13,7 @@ import pytest
 from gmquantum.ambient import BASIS_NAMES
 from gmquantum.certificates import Workspace, random_identity_failures
 from gmquantum.deformation import (
-    HodgeModel, build_deformed_matrix, irrationality_criterion,
+    HodgeModel, at_t_zero, build_deformed_matrix, irrationality_criterion,
     verify_jordan_pair,
 )
 from gmquantum.gwcounts import CountSet, all_reports, derive_j11
@@ -157,7 +157,7 @@ def test_criterion_07_deformation():
         ("0", "-3*t", "6", "4", "10*q*t", "12*q"),
         ("0", "0", "-2*t", "-t", "2", "0"),
     )
-    rows = tuple(tuple(str(op.entry(i, j)) for j in range(6))
+    rows = tuple(tuple(str(op[i, j]) for j in range(6))
                  for i in range(6))
     pair = verify_jordan_pair(op)
     ok = rows == expected and pair.ok
@@ -181,7 +181,7 @@ def test_criterion_08_atom_statistics():
 
 def test_criterion_09_irrationality_flag():
     op = build_deformed_matrix(WS.ring)
-    crit = irrationality_criterion(op.at_t_zero(), HodgeModel.standard())
+    crit = irrationality_criterion(at_t_zero(op), HodgeModel.standard())
     ok = (crit.satisfied and crit.profile == {1: 4, 2: 1}
           and crit.zero_multiplicity == 2 and crit.simple_nonzero == 4
           and crit.h31 == 1)

@@ -162,7 +162,7 @@ def lift(vec):
     """Schubert class on G(2, 5) restricting to the ambient class vec."""
     out = {}
     for coeff, (a, b) in zip(vec, LIFT_PARTITIONS):
-        out = G25.add(out, G25.sigma(a, b, coeff))
+        out = G25.add(out, G25.scale(G25.sigma(a, b), coeff))
     return out
 
 

@@ -265,6 +265,10 @@ def test_parse_at_returns_fractions_or_an_at_error(spec):
     assert all(isinstance(v, Fraction) for v in out.values())
 
 
+NODE_NAMES = ("reports", "counts", "solve", "ring", "spectrum", "presentation",
+              "operator", "model", "full_operator", "statistics", "criterion")
+
+
 def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
     made = Counter()
     workspaces = []
@@ -284,6 +288,13 @@ def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
             super().__init__()
             workspaces.append(self)
 
+    built = Counter()
+    for name, (inputs, build) in list(certificates.NODES.items()):
+        def counted_build(*args, name=name, build=build):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setitem(certificates.NODES, name, (inputs, counted_build))
     monkeypatch.setattr(QuantumRing, "__init__", counted_init)
     monkeypatch.setattr(quantum, "_associativity_scan", counted_scan)
     monkeypatch.setattr(cli, "Workspace", Recorded)
@@ -291,8 +302,44 @@ def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
     # the solver's symbolic and solved rings and the perturbed control;
     # the solved ring's scan serves the solver, the table and the operator
     assert made == {"rings": 3, "scans": 2}
+    # a cold verify-all reads every node and builds each one once
+    assert built == dict.fromkeys(NODE_NAMES, 1)
     ws, = workspaces
     assert ws.solve.ring is ws.ring
+
+
+def test_node_table_is_an_acyclic_graph():
+    nodes = certificates.NODES
+    assert sorted(nodes) == sorted(NODE_NAMES)
+    for name, (inputs, _) in nodes.items():
+        assert set(inputs) <= set(nodes), name
+        assert isinstance(vars(Workspace)[name], property), name
+    # the full operator reads the ambient one and nothing else
+    assert nodes["full_operator"][0] == ("operator",)
+    done = []
+    while len(done) < len(nodes):
+        ready = [name for name, (inputs, _) in nodes.items()
+                 if name not in done and set(inputs) <= set(done)]
+        assert ready, "cycle among %s" % sorted(set(nodes) - set(done))
+        done += ready
+
+
+def test_node_builders_look_up_their_function_when_run(monkeypatch):
+    """A builder that captured `build_deformed_matrix` when the module
+    was imported would not see it rebound, as the benchmark's tracer
+    rebinds it."""
+    calls = []
+    build = certificates.build_deformed_matrix
+
+    def counted(ring):
+        calls.append(ring)
+        return build(ring)
+
+    monkeypatch.setattr(certificates, "build_deformed_matrix", counted)
+    ws = Workspace()
+    op = ws.operator
+    assert ws.operator is op
+    assert calls == [ws.ring]
 
 
 def test_criterion_command_runs_the_criterion_three_times(monkeypatch,

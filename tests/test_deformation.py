@@ -6,9 +6,8 @@ import pytest
 
 from gmquantum.ambient import DIM
 from gmquantum.deformation import (
-    FULL, PRIMITIVE_DIM, AtomStatistics, HodgeModel,
-    TruncatedOperator, _columns_matrix,
-    assemble_full_operator, atom_statistics, build_deformed_matrix,
+    PRIMITIVE_DIM, AtomStatistics, HodgeModel, _columns_matrix,
+    assemble_full_operator, at_t_zero, atom_statistics, build_deformed_matrix,
     eigenvalue, homogeneity_failures, irrationality_criterion, jordan_pair,
     specialization_failures, truncated_context, verify_jordan_pair,
 )
@@ -47,15 +46,14 @@ def test_truncated_context_kills_t_squared():
 
 
 def test_deformed_matrix_frozen(operator):
-    rendered = tuple(tuple(str(operator.entry(i, j)) for j in range(6))
+    rendered = tuple(tuple(str(operator[i, j]) for j in range(6))
                      for i in range(6))
     assert rendered == DEFORMED
-    assert operator.dim == 6
-    assert operator.basis == "ambient-6"
+    assert (operator.nrows, operator.ncols) == (6, 6)
 
 
 def test_t_zero_slice_is_twice_the_h_action(operator, ring):
-    m0 = operator.at_t_zero()
+    m0 = at_t_zero(operator)
     for i in range(6):
         for j in range(6):
             lifted = ring.h_matrix[i, j] * 2
@@ -68,11 +66,16 @@ def test_operator_is_homogeneous(operator):
 
 
 def test_homogeneity_check_refuses_the_full_operator(operator):
-    full = assemble_full_operator(operator, HodgeModel.standard())
+    full = assemble_full_operator(operator)
     with pytest.raises(ValueError, match="ambient operator"):
         homogeneity_failures(full)
     with pytest.raises(ValueError, match="ambient operator"):
         specialization_failures(full, standard_ring())
+
+
+def test_jordan_pair_refuses_the_full_operator(operator):
+    with pytest.raises(ValueError, match="ambient operator"):
+        verify_jordan_pair(assemble_full_operator(operator))
 
 
 def test_build_rejects_wrong_rings(ring):
@@ -108,9 +111,9 @@ def test_jordan_pair_verifies(operator):
 
 
 def test_jordan_pair_detects_mutation(operator):
-    rows = [[operator.entry(i, j) for j in range(6)] for i in range(6)]
-    rows[2][0] = rows[2][0] + operator.ctx.var("t")
-    mutated = TruncatedOperator(Matrix(rows), operator.basis, operator.ctx)
+    rows = operator.copy_rows()
+    rows[2][0] = rows[2][0] + operator[0, 0].ctx.var("t")
+    mutated = Matrix(rows)
     rep = verify_jordan_pair(mutated)
     assert not rep.ok
     assert any(not r.is_zero() for r in rep.residual_alpha)
@@ -121,8 +124,6 @@ def test_hodge_model_shape():
     assert len(model.primitive_tags) == 22
     assert model.h31() == 1
     assert model.matches_diamond()
-    assert model.rows_with_tag((3, 1)) == (6,)
-    assert len(model.rows_with_tag((2, 2))) == 20
     control = model.without_h31()
     assert control.h31() == 0
     assert not control.matches_diamond()
@@ -137,26 +138,24 @@ def test_hodge_model_shape():
 
 
 def test_full_operator_block_structure(operator):
-    model = HodgeModel.standard()
-    full = assemble_full_operator(operator, model)
-    assert full.dim == 28
-    assert full.basis == "full-28"
-    lam = eigenvalue(operator.ctx)
+    full = assemble_full_operator(operator)
+    assert (full.nrows, full.ncols) == (28, 28)
+    lam = eigenvalue(operator[0, 0].ctx)
     for i in range(28):
         for j in range(28):
             if i < 6 and j < 6:
-                assert full.entry(i, j) == operator.entry(i, j)
+                assert full[i, j] == operator[i, j]
             elif i == j:
-                assert full.entry(i, j) == lam
+                assert full[i, j] == lam
             else:
-                assert full.entry(i, j).is_zero(), (i, j)
+                assert full[i, j].is_zero(), (i, j)
     with pytest.raises(ValueError):
-        assemble_full_operator(full, model)
+        assemble_full_operator(full)
 
 
 def test_atom_statistics(operator):
     model = HodgeModel.standard()
-    full = assemble_full_operator(operator, model)
+    full = assemble_full_operator(operator)
     stats = atom_statistics(full, model)
     assert (stats.nu, stats.nu_prime, stats.gamma, stats.rho) == (1, 0, 1, 2)
     d = stats.details
@@ -251,12 +250,12 @@ def full_atom_statistics(op, model):
     first order, and every overlap is a rank over Q(q, t), taken by
     sympy so that no rank code is shared with the package.
     """
-    assert op.basis == FULL
-    tctx = op.ctx
+    assert (op.nrows, op.ncols) == (28, 28)
+    tctx = op[0, 0].ctx
     plain = tctx.without_truncation()
     lam = eigenvalue(tctx)
-    n = op.dim
-    shifted = Matrix([[op.matrix[i, j] - (lam if i == j else tctx.zero())
+    n = op.nrows
+    shifted = Matrix([[op[i, j] - (lam if i == j else tctx.zero())
                        for j in range(n)] for i in range(n)])
 
     amb = Matrix([[shifted[i, j] for j in range(DIM)] for i in range(DIM)])
@@ -314,7 +313,8 @@ def full_atom_statistics(op, model):
         and all(image_mat[i, j].is_zero() for i in range(n)))
 
     rho = e_dim - sympy_rank(_drop_rows(basis, range(DIM)))
-    h31_rows = model.rows_with_tag((3, 1))
+    h31_rows = [DIM + i for i, tag in enumerate(model.primitive_tags)
+                if tag == (3, 1)]
     nu = (e_dim - sympy_rank(_drop_rows(basis, h31_rows))
           if h31_rows else 0)
     details = {
@@ -342,7 +342,7 @@ TWO_H31 = HodgeModel(((3, 1),) * 2 + ((2, 2),) * 19 + ((1, 3),))
     HodgeModel.standard(), HodgeModel.standard().without_h31(), TWO_H31,
 ], ids=["standard", "without-h31", "two-h31"])
 def test_block_route_matches_full_oracle(operator, model):
-    full = assemble_full_operator(operator, model)
+    full = assemble_full_operator(operator)
     block = atom_statistics(full, model)
     oracle = full_atom_statistics(full, model)
     assert block.lambda0 == oracle.lambda0
@@ -353,22 +353,21 @@ def test_block_route_matches_full_oracle(operator, model):
 
 
 def _mutated_full(operator, i, j, delta):
-    full = assemble_full_operator(operator, HodgeModel.standard())
-    rows = full.matrix.copy_rows()
+    rows = assemble_full_operator(operator).copy_rows()
     rows[i][j] = rows[i][j] + delta
-    return TruncatedOperator(Matrix(rows), full.basis, full.ctx)
+    return Matrix(rows)
 
 
 @pytest.mark.parametrize("i, j", [(2, 6), (6, 2), (27, 0), (0, 27)])
 def test_atom_statistics_rejects_block_mixing(operator, i, j):
-    q = operator.ctx.var("q")
+    q = operator[0, 0].ctx.var("q")
     with pytest.raises(ValueError, match="mixes"):
         atom_statistics(_mutated_full(operator, i, j, q), HodgeModel.standard())
 
 
 @pytest.mark.parametrize("i, j", [(6, 6), (27, 27), (7, 20)])
 def test_atom_statistics_rejects_nonscalar_primitive_block(operator, i, j):
-    t = operator.ctx.var("t")
+    t = operator[0, 0].ctx.var("t")
     with pytest.raises(ValueError, match="primitive block"):
         atom_statistics(_mutated_full(operator, i, j, t),
                         HodgeModel.standard())
@@ -381,7 +380,7 @@ def test_atom_statistics_rejects_the_ambient_operator(operator):
 
 def test_irrationality_criterion(operator):
     model = HodgeModel.standard()
-    crit = irrationality_criterion(operator.at_t_zero(), model)
+    crit = irrationality_criterion(at_t_zero(operator), model)
     assert crit.satisfied
     assert crit.profile == {1: 4, 2: 1}
     assert crit.max_multiplicity == 2
@@ -396,7 +395,7 @@ def test_criterion_controls_fail(operator):
     flat = irrationality_criterion(scalar, model)
     assert not flat.satisfied
     assert flat.max_multiplicity == 6
-    no31 = irrationality_criterion(operator.at_t_zero(), model.without_h31())
+    no31 = irrationality_criterion(at_t_zero(operator), model.without_h31())
     assert not no31.satisfied
     assert no31.h31 == 0
 

@@ -13,7 +13,7 @@ import pytest
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main, verify_all_certificates
 from gmquantum.deformation import (
-    HodgeModel, TruncatedOperator, assemble_full_operator, atom_statistics,
+    HodgeModel, assemble_full_operator, at_t_zero, atom_statistics,
     build_deformed_matrix, irrationality_criterion,
 )
 from gmquantum.linalg import Matrix, RatFunc, at_q_one
@@ -93,16 +93,15 @@ def _off_weight_table(ring):
 
 def _off_weight_full(operator):
     """The full operator with q added to ambient entry (0, 0), of degree 1."""
-    full = assemble_full_operator(operator, HodgeModel.standard())
-    rows = full.matrix.copy_rows()
-    rows[0][0] = rows[0][0] + operator.ctx.var("q")
-    return TruncatedOperator(Matrix(rows), full.basis, full.ctx)
+    rows = assemble_full_operator(operator).copy_rows()
+    rows[0][0] = rows[0][0] + operator[0, 0].ctx.var("q")
+    return Matrix(rows)
 
 
 def _off_weight_t0(operator):
     """The t = 0 operator with q added to entry (0, 0), of degree 1."""
-    rows = operator.at_t_zero().copy_rows()
-    rows[0][0] = rows[0][0] + operator.ctx.var("q")
+    rows = at_t_zero(operator).copy_rows()
+    rows[0][0] = rows[0][0] + operator[0, 0].ctx.var("q")
     return Matrix(rows)
 
 

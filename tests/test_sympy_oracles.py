@@ -21,7 +21,7 @@ from sympy.polys.orderings import MonomialOrder  # noqa: E402
 from gmquantum import cli  # noqa: E402
 from gmquantum.certificates import Workspace  # noqa: E402
 from gmquantum.deformation import (  # noqa: E402
-    HodgeModel, assemble_full_operator, atom_statistics,
+    HodgeModel, assemble_full_operator, at_t_zero, atom_statistics,
     irrationality_criterion,
 )
 from gmquantum.groebner import PolyIdeal  # noqa: E402
@@ -148,14 +148,14 @@ def test_groebner_basis_over_qq_q():
 
 def test_criterion_and_cofactor_profiles_over_qq_q(ws):
     x = sympy.Symbol("X")
-    m0 = ws.operator.at_t_zero()
+    m0 = at_t_zero(ws.operator)
     cp = to_sympy(char_poly(m0, var="X"))
     crit = irrationality_criterion(m0, HodgeModel.standard())
     assert sqf_profile(cp, x, QQ_Q) == crit.profile == {1: 4, 2: 1}
     # at t = 0 the eigenvalue -4qt is 0, so the shifted characteristic
     # polynomial is cp itself; its Y^0 and Y^1 coefficients vanish
     cofactor = sympy.Poly(cp, x).exquo(sympy.Poly(x ** 2, x)).as_expr()
-    stats = atom_statistics(assemble_full_operator(ws.operator, ws.model),
+    stats = atom_statistics(assemble_full_operator(ws.operator),
                             ws.model)
     assert (sqf_profile(cofactor, x, QQ_Q)
             == stats.details["cofactor_squarefree_profile_t0"] == {1: 4})
@@ -330,7 +330,7 @@ def test_criterion_at_matches_sympy(ws, value):
         return
     assert code == 0, err
     qval = sympy.Rational(value)
-    m0 = ws.operator.at_t_zero()
+    m0 = at_t_zero(ws.operator)
     numeric = sympy.Matrix([[to_sympy(e).subs({"q": qval, "t": 0})
                              for e in row] for row in m0.rows])
     x = sympy.Symbol("X")

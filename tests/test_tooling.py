@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from gmquantum.certificates import Workspace
 from gmquantum.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,3 +194,89 @@ def test_every_class_is_built():
                 unbuilt.append("%s:%d %s" % (path.name, node.lineno,
                                              node.name))
     assert unbuilt == []
+
+
+def _positional_params(node: ast.FunctionDef, in_class: bool):
+    """The parameters a call can fill by position, without `self`/`cls`
+    for a method that is not a staticmethod."""
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    return params[1:] if in_class and not static else params
+
+
+def _overrides(call: ast.Call, positional, param: str) -> bool:
+    """Whether `call` passes `param`, by keyword or by position; a call
+    that spreads `*args` or `**kwargs` counts as passing everything."""
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True
+        if k < len(positional) and positional[k] == param:
+            return True
+    return False
+
+
+def test_every_default_is_set():
+    """Each parameter default in src/gmquantum is overridden, by keyword
+    or by position, by some call in src/ or bench/.
+
+    A default that no caller ever changes is a constant spelled as a
+    knob.  Calls from tests/ do not count.  Calls are matched by name (a
+    function, a method, or a class for its `__init__`), not by
+    resolution.
+    """
+    def name_of(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return None
+
+    calls = {}
+    for folder in ("src", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(name_of(node.func), []).append(node)
+    unset = []
+
+    def visit(parent, prefix, in_class, path):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.ClassDef):
+                visit(node, prefix + node.name + ".", True, path)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = (prefix.rstrip(".").rpartition(".")[2]
+                          if node.name == "__init__" else node.name)
+                positional = _positional_params(node, in_class)
+                args = node.args
+                defaulted = ([a.arg for a in (args.posonlyargs + args.args)
+                              [-len(args.defaults):]] if args.defaults else [])
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                              if d is not None]
+                for param in defaulted:
+                    if not any(_overrides(c, positional, param)
+                               for c in calls.get(called, ())):
+                        unset.append("%s:%d %s%s.%s" % (
+                            path.name, node.lineno, prefix, node.name, param))
+                visit(node, prefix + node.name + ".<locals>.", False, path)
+            else:
+                visit(node, prefix, in_class, path)
+
+    for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
+        visit(ast.parse(path.read_text()), "", False, path)
+    assert unset == []
+
+
+def test_traced_nodes_are_workspace_properties():
+    """bench/spans.py wraps each name of its WORKSPACE_NODES as a property
+    of `Workspace`, and books a name that is not one as a missing hook."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    [names] = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["WORKSPACE_NODES"]]
+    assert len(names) == 8
+    for name in names:
+        assert isinstance(vars(Workspace).get(name), property), name
