@@ -196,7 +196,7 @@ NODES: Dict[str, Tuple[Tuple[str, ...], Callable[..., object]]] = {
     "reports": ((), lambda: all_reports()),
     "counts": (("reports",), lambda reports: CountSet.from_reports(reports)),
     "solve": (("counts",),
-              lambda counts: solve_three_point_invariants(counts, counts.J12)),
+              lambda counts: solve_three_point_invariants(counts)),
     "ring": (("counts", "solve"),
              lambda counts, solve: ring_from_solve(counts, solve)),
     "spectrum": (("ring",), lambda ring: spectral_report(ring)),

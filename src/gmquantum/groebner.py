@@ -1,18 +1,19 @@
 """Groebner bases over the rationals, in graded reverse lex order.
 
 Plain Buchberger with the coprime-leading-term criterion is enough for the
-tiny ideals handled here (two variables, a handful of generators).
+tiny ideals handled here (two variables, a handful of generators).  A
+quotient ring is decided finite or infinite exactly from the leading
+monomials of the reduced basis, and its standard monomials are read off
+the box their pure powers bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import product
+from typing import List, Optional, Sequence
 
 from .poly import Exponent, MultiPoly, weighted_grevlex_key
-
-# more standard monomials than this signals an infinite quotient
-MONOMIAL_CAP = 1000
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -126,33 +127,35 @@ class PolyIdeal:
     def leading_exponents(self) -> List[Exponent]:
         return [g.leading()[0] for g in self.basis]
 
-    def standard_monomials(self) -> List[Exponent]:
-        """Monomials outside the leading-term ideal, found by breadth search.
+    def _box(self) -> Optional[List[int]]:
+        """Per variable, its least pure power among the leading monomials.
 
-        Raises if more than MONOMIAL_CAP are found, which signals an
-        infinite (or just too large) quotient vector space.
+        None if some variable has no pure power there, which is exactly
+        when the quotient is infinite (Finiteness Theorem; Cox, Little and
+        O'Shea, Ideals, Varieties, and Algorithms, ch. 5 par. 3).
         """
         leads = self.leading_exponents()
-        n = self.ctx.nvars
-        origin = (0,) * n
-        seen = {origin}
-        queue = [origin]
-        out = []
-        while queue:
-            exp = queue.pop(0)
-            if any(_divides(l, exp) for l in leads):
-                continue
-            out.append(exp)
-            if len(out) > MONOMIAL_CAP:
-                raise ValueError("standard monomial count exceeds cap %d"
-                                 % MONOMIAL_CAP)
-            for i in range(n):
-                nxt = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        box = [min((l[i] for l in leads if sum(l) == l[i]), default=None)
+               for i in range(self.ctx.nvars)]
+        return None if None in box else box
+
+    def standard_monomials(self) -> List[Exponent]:
+        """Monomials outside the leading-term ideal, in grevlex order.
+
+        They lie in the box bounded by the pure powers among the leading
+        monomials.  Raises if the quotient is infinite.
+        """
+        box = self._box()
+        if box is None:
+            raise ValueError("the quotient ring is infinite-dimensional")
+        leads = self.leading_exponents()
+        out = [exp for exp in product(*(range(b) for b in box))
+               if not any(_divides(l, exp) for l in leads)]
         out.sort(key=lambda e: weighted_grevlex_key(self.ctx, e))
         return out
 
-    def quotient_dimension(self) -> int:
+    def quotient_dimension(self) -> Optional[int]:
+        """Dimension of the quotient over Q, or None if it is infinite."""
+        if self._box() is None:
+            return None
         return len(self.standard_monomials())

@@ -242,9 +242,6 @@ class QuantumRing:
     def zero(self) -> QVec:
         return _vzero(self.ctx)
 
-    def scalar(self, v) -> MultiPoly:
-        return self._coerce(v)
-
     def basis_element(self, name: str) -> QVec:
         i = BASIS_NAMES.index(name)
         return tuple(self.ctx.one() if k == i else self.ctx.zero()
@@ -449,7 +446,7 @@ def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
 
 
 def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
-    """Coefficient rows of an affine polynomial, or None if not affine.
+    """Coefficient rows of an affine polynomial; raises if it is not affine.
 
     Returns {q_exponent: (constant, coeff_u1, coeff_u2, ...)}.
     """
@@ -460,7 +457,7 @@ def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
     for exp, coeff in p.terms.items():
         udeg = sum(exp[i] for i in pos)
         if udeg > 1:
-            return None
+            raise ValueError("residual is not affine in the unknowns: %s" % p)
         row = rows.setdefault(exp[qpos], [Fraction(0)] * (1 + len(pos)))
         if udeg == 0:
             row[0] += coeff
@@ -470,7 +467,7 @@ def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
     return rows
 
 
-def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
+def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     """Determine J11 and J2 from associativity, given the geometric J12.
 
     Builds the table with symbolic unknowns in place of J11 and J2,
@@ -482,8 +479,8 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
     amb = AmbientRing()
-    ring = QuantumRing(counts, amb, ctx.var("uJ11"), j12, ctx.var("uJ2"),
-                       ctx=ctx)
+    ring = QuantumRing(counts, amb, ctx.var("uJ11"), counts.J12,
+                       ctx.var("uJ2"), ctx=ctx)
     t, g = ring.product_tensor, ring.gram_tensor
     residuals = _route_residuals(ring) + [
         g.contract(t.contract(a, b), c)[0] - g.contract(a, t.contract(b, c))[0]
@@ -493,10 +490,7 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     for r in residuals:
         if r.is_zero():
             continue
-        split = _affine_split(r, unknowns)
-        if split is None:
-            continue
-        for _, row in sorted(split.items()):
+        for _, row in sorted(_affine_split(r, unknowns).items()):
             rows.append([row[1], row[2]])
             rhs.append(-row[0])
     if not rows:
@@ -511,7 +505,7 @@ def solve_three_point_invariants(counts: CountSet, j12) -> SolveReport:
     if sol is None:
         raise ValueError("inconsistent associativity system")
     j11, j2 = sol
-    final = QuantumRing(counts, amb, j11, j12, j2)
+    final = QuantumRing(counts, amb, j11, counts.J12, j2)
     bad = associativity_failures(final)
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)
@@ -531,11 +525,11 @@ def degree_two_closed_form(counts: CountSet, j11) -> Fraction:
 def ring_from_solve(counts: CountSet, report: SolveReport) -> QuantumRing:
     """The solver's ring, once the report is known to belong to `counts`.
 
-    The report must have been solved from these counts and their J12,
-    and the solved J11 must agree with the J11 recorded in the counts.
+    The report must have been solved from these counts, and the solved
+    J11 must agree with the J11 recorded in the counts.
     """
     ring = report.ring
-    if ring.counts != counts or ring.three_point[1] != ring.scalar(counts.J12):
+    if ring.counts != counts:
         raise ValueError("the solve report was made from other counts")
     if report.j11 != counts.J11:
         raise ValueError("associativity J11 disagrees with the derived value")
@@ -545,8 +539,7 @@ def ring_from_solve(counts: CountSet, report: SolveReport) -> QuantumRing:
 def standard_ring() -> QuantumRing:
     """The ring with every invariant computed from geometry."""
     counts = CountSet.from_geometry()
-    return ring_from_solve(counts,
-                           solve_three_point_invariants(counts, counts.J12))
+    return ring_from_solve(counts, solve_three_point_invariants(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -788,11 +781,7 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     # no proper subset of the relations presents a rank 6 quotient
     necessity = {}
     for drop, keep in (("R3", (0, 1)), ("R2", (0, 2)), ("R1", (1, 2))):
-        sub = PolyIdeal([gens[i] for i in keep])
-        try:
-            dim = sub.quotient_dimension()
-        except ValueError:
-            dim = None
+        dim = PolyIdeal([gens[i] for i in keep]).quotient_dimension()
         necessity["without " + drop] = "infinite" if dim is None else dim
     return {
         "relations_vanish": vanish,

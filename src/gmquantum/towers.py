@@ -18,12 +18,12 @@ E/L1 with c(E/L1) = c(E)/(1-u)) and u (rank 4 bundle E).
 
 Sheaf expressions are trees over a few atoms, closed under dual, sum,
 twist by a line bundle (rank <= 3), Sym^2 and wedge^2 (rank 2 or 3, via
-formal Chern roots).  One walk over an expression yields both its rank and
-its Chern classes.  A tower builds its stages in order from that walk, so a
-stage's bundle may use only the base and the stages below it.  Chern classes
-of a sheaf expression come back in normal form modulo the tower's presented
-Chow ring, so they match printed closed forms like c2 = alpha + hH on rings
-where h^2 = 0.
+power sums of the Chern roots).  One walk over an expression yields both
+its rank and its Chern classes.  A tower builds its stages in order from
+that walk, so a stage's bundle may use only the base and the stages below
+it.  Chern classes of a sheaf expression come back in normal form modulo the
+tower's presented Chow ring, so they match printed closed forms like
+c2 = alpha + hH on rings where h^2 = 0.
 """
 
 from __future__ import annotations
@@ -110,78 +110,49 @@ class Wedge2:
 
 
 # ---------------------------------------------------------------------------
-# formal Chern roots for Sym^2 and wedge^2
+# Sym^2 and wedge^2 through power sums of the Chern roots
 # ---------------------------------------------------------------------------
 
 
-def _elementary(ctx: VarContext, vars_: Sequence[MultiPoly], k: int) -> MultiPoly:
-    out = ctx.zero()
-    n = len(vars_)
+def _power_sums(chern: List[MultiPoly], upto: int) -> List[MultiPoly]:
+    """Power sums p0..p_upto of the Chern roots of E, with p0 = rank.
 
-    def rec(start, left, acc):
-        nonlocal out
-        if left == 0:
-            out = out + acc
-            return
-        for i in range(start, n - left + 1):
-            rec(i + 1, left - 1, acc * vars_[i])
-
-    rec(0, k, ctx.one())
-    return out
-
-
-def symmetric_in_elementaries(p: MultiPoly, r: int) -> MultiPoly:
-    """Rewrite a symmetric polynomial in x1..xr in the elementary basis.
-
-    Input lives in a context whose first r variables are the roots; output
-    lives in a fresh context e1..er with deg(e_i) = i.  Uses the classical
-    leading-term subtraction, so it raises if p is not symmetric.
-    """
-    root_ctx = p.ctx
-    e_ctx = VarContext(tuple("e%d" % (i + 1) for i in range(r)),
-                       tuple(range(1, r + 1)))
-    roots = [root_ctx.var(root_ctx.names[i]) for i in range(r)]
-    elem = [None] + [_elementary(root_ctx, roots, k) for k in range(1, r + 1)]
-    result = e_ctx.zero()
-    work = p
-    while not work.is_zero():
-        exp, coeff = max(work.terms.items(), key=lambda t: t[0])
-        lam = list(exp[:r])
-        if any(exp[r:]) or any(lam[i] < lam[i + 1] for i in range(r - 1)):
-            raise ValueError("polynomial is not symmetric in the roots")
-        mults = [lam[i] - lam[i + 1] for i in range(r - 1)] + [lam[r - 1]]
-        e_mono = e_ctx.scalar(coeff)
-        x_mono = root_ctx.scalar(coeff)
-        for i, m in enumerate(mults):
-            if m:
-                e_mono = e_mono * e_ctx.var("e%d" % (i + 1)) ** m
-                x_mono = x_mono * elem[i + 1] ** m
-        result = result + e_mono
-        work = work - x_mono
-    return result
-
-
-def _pairs_construction(chern: List[MultiPoly], strict: bool) -> List[MultiPoly]:
-    """Total Chern class of Sym^2 (strict=False) or wedge^2 (strict=True).
-
-    `chern` is [c0..cr] of a bundle E in some tower context; the result is
-    the graded Chern list of the derived bundle, obtained by expanding
-    prod over root pairs of (1 + x_i + x_j) and eliminating the roots.
+    Newton's identities k c_k = sum_i (-1)^(i-1) c_(k-i) p_i, solved for p_k.
     """
     r = len(chern) - 1
     ctx = chern[0].ctx
-    root_ctx = VarContext(tuple("x%d" % (i + 1) for i in range(r)), (1,) * r)
-    roots = [root_ctx.var(n) for n in root_ctx.names]
-    prod = root_ctx.one()
-    for i in range(r):
-        start = i + 1 if strict else i
-        for j in range(start, r):
-            prod = prod * (root_ctx.one() + roots[i] + roots[j])
-    in_e = symmetric_in_elementaries(prod, r)
-    images = {"e%d" % (i + 1): chern[i + 1] for i in range(r)}
-    total = in_e.substitute(images, ctx)
-    new_rank = r * (r - 1) // 2 if strict else r * (r + 1) // 2
-    return [total.graded_part(k) for k in range(new_rank + 1)]
+    p = [ctx.scalar(r)]
+    for k in range(1, upto + 1):
+        acc = (-1) ** (k - 1) * k * chern[k] if k <= r else ctx.zero()
+        for i in range(1, min(k - 1, r) + 1):
+            acc = acc + (-1) ** (i - 1) * chern[i] * p[k - i]
+        p.append(acc)
+    return p
+
+
+def _pairs_construction(chern: List[MultiPoly], strict: bool) -> List[MultiPoly]:
+    """Chern classes of Sym^2 E (strict=False) or wedge^2 E (strict=True).
+
+    `chern` is [c0..cr] of E in some tower context.  The roots of the
+    derived bundle are x_i + x_j over pairs i <= j (i < j for wedge^2), so
+    its k-th power sum is half of sum_m C(k, m) p_m p_(k-m), the sum over
+    all ordered pairs, plus or minus the diagonal 2^k p_k.  Newton's
+    identities turn those power sums back into Chern classes.
+    """
+    r = len(chern) - 1
+    sign = -1 if strict else 1
+    new_rank = (r * r + sign * r) // 2
+    p = _power_sums(chern, new_rank)
+    sums = [None] + [
+        (sum(math.comb(k, m) * p[m] * p[k - m] for m in range(k + 1))
+         + sign * 2 ** k * p[k]) * Fraction(1, 2)
+        for k in range(1, new_rank + 1)]
+    out = [chern[0]]
+    for k in range(1, new_rank + 1):
+        acc = sum((-1) ** (i - 1) * out[k - i] * sums[i]
+                  for i in range(1, k + 1))
+        out.append(acc * Fraction(1, k))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ output) to read the lines.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from gmquantum.deformation import (
     verify_jordan_pair,
 )
 from gmquantum.gwcounts import CountSet, all_reports, derive_j11
-from gmquantum.poly import VarContext
 from gmquantum.quantum import (
     associativity_failures, classical_limit_failures, degree_two_closed_form,
     frobenius_failures, kernel_basis, presentation_report, spectral_report,

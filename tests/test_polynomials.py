@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmquantum.groebner import PolyIdeal
 from gmquantum.poly import MultiPoly, VarContext
 
 
@@ -293,3 +294,24 @@ def test_arithmetic_matches_plain_dicts(case):
         assert str(over) == str(r) and dict(over.terms) == dict(r.terms)
         assert over.evaluate(values) == r.evaluate(values)
         assert (over == ctx.zero()) == (not dict(r.terms))
+
+
+# ---------------------------------------------------------------------------
+# Groebner quotients
+# ---------------------------------------------------------------------------
+
+
+def test_large_finite_quotient_is_counted():
+    x, y = CTX.var("x"), CTX.var("y")
+    ideal = PolyIdeal([x ** 40, y ** 40])
+    assert ideal.quotient_dimension() == 1600
+    assert len(ideal.standard_monomials()) == 1600
+
+
+def test_infinite_quotient_has_no_dimension():
+    # no leading monomial is a pure power of y, so y^k survives for all k
+    x, y = CTX.var("x"), CTX.var("y")
+    ideal = PolyIdeal([x * y, x ** 2])
+    assert ideal.quotient_dimension() is None
+    with pytest.raises(ValueError, match="infinite"):
+        ideal.standard_monomials()

@@ -95,7 +95,7 @@ def test_structural_scanners_empty(ring):
 
 def test_solver_recovers_both_unknowns():
     counts = CountSet.from_geometry()
-    rep = solve_three_point_invariants(counts, counts.J12)
+    rep = solve_three_point_invariants(counts)
     assert rep.j11 == Fraction(24)
     assert rep.j2 == Fraction(32)
     assert rep.equations == 23
@@ -109,16 +109,17 @@ def test_solver_tracks_its_inputs():
     counts = CountSet.from_geometry()
     shifted = CountSet(counts.I11, counts.I12, counts.I13 + 1,
                        counts.I2, counts.J11, counts.J12)
-    rep = solve_three_point_invariants(shifted, shifted.J12)
+    rep = solve_three_point_invariants(shifted)
     assert (rep.j11, rep.j2) == (Fraction(32), Fraction(189, 5))
-    rep2 = solve_three_point_invariants(counts, counts.J12 + 1)
+    rep2 = solve_three_point_invariants(
+        dataclasses.replace(counts, J12=counts.J12 + 1))
     assert (rep2.j11, rep2.j2) == (Fraction(23), Fraction(33))
 
 
 def test_degree_two_closed_form_agrees():
     counts = CountSet.from_geometry()
     assert degree_two_closed_form(counts, Fraction(24)) == Fraction(32)
-    rep = solve_three_point_invariants(counts, counts.J12)
+    rep = solve_three_point_invariants(counts)
     assert degree_two_closed_form(counts, rep.j11) == rep.j2
 
 
@@ -140,7 +141,7 @@ def test_spectral_report(ring):
 
 def test_ring_from_solve_checks_j11(ring):
     counts = CountSet.from_geometry()
-    rep = solve_three_point_invariants(counts, counts.J12)
+    rep = solve_three_point_invariants(counts)
     assert ring_from_solve(counts, rep) is rep.ring
     assert rep.ring.table == ring.table
     wrong = dataclasses.replace(counts, J11=counts.J11 + 1)
@@ -153,11 +154,23 @@ def test_ring_from_solve_refuses_a_report_of_other_inputs():
     # solved from shifted counts, or from another J12, the report's ring
     # is not the ring of `counts`, even where the solved J11 agrees
     shifted = dataclasses.replace(counts, I2=counts.I2 + 1)
-    other_j12 = solve_three_point_invariants(counts, counts.J12 + 1)
-    for rep in (solve_three_point_invariants(shifted, shifted.J12),
+    other_j12 = solve_three_point_invariants(
+        dataclasses.replace(counts, J12=counts.J12 + 1))
+    for rep in (solve_three_point_invariants(shifted),
                 other_j12, dataclasses.replace(other_j12, j11=counts.J11)):
         with pytest.raises(ValueError, match="other counts"):
             ring_from_solve(counts, rep)
+
+
+def test_solver_refuses_a_residual_that_is_not_affine(monkeypatch):
+    # a residual quadratic in an unknown cannot enter the linear system,
+    # and dropping it would hide the equation it carries
+    routes = quantum._route_residuals
+    monkeypatch.setattr(
+        quantum, "_route_residuals",
+        lambda ring: routes(ring) + [ring.ctx.var("uJ11") ** 2])
+    with pytest.raises(ValueError, match="not affine"):
+        solve_three_point_invariants(CountSet.from_geometry())
 
 
 def test_associativity_is_scanned_once_per_ring(monkeypatch, ring):

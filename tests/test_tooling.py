@@ -55,6 +55,34 @@ def test_every_def_is_referenced():
     assert unreferenced == []
 
 
+def test_no_unused_imports():
+    """Each name a module in src/ or tests/ imports is used in it.
+
+    A name counts as used when the module reads it (a Name node) or
+    exports it through `__all__`.  `from __future__` imports are exempt.
+    """
+    unused = []
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                    used.update(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound not in used:
+                            unused.append("%s:%d %s" % (
+                                path.relative_to(ROOT), node.lineno, bound))
+    assert unused == []
+
+
 # defs that no command runs but the benchmark in bench/ calls or hooks
 RUN_EXEMPT = {
     ("linalg.py", "RatFunc"):

@@ -11,12 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmquantum.poly import VarContext
 from gmquantum.schubert import Grassmannian2
 from gmquantum.towers import (
     BaseSub, Dual, G24Base, ProjBase, Sym2, TautSub, Tower, Trivial,
-    Wedge2, bundle_sum, chern_of, line_bundle, segre_of,
-    symmetric_in_elementaries, twist,
+    Wedge2, bundle_sum, chern_of, line_bundle, segre_of, twist,
 )
 
 
@@ -234,18 +232,6 @@ def test_wedge2_determinant_lines():
     assert cw3[1] == theta.normal_form(-6 * theta.var("h"))
     rank_s, _ = chern_of(Sym2(e3), theta)
     assert rank_s == 6
-
-
-def test_symmetric_in_elementaries():
-    ctx = VarContext(("x1", "x2"), (1, 1))
-    x1, x2 = ctx.var("x1"), ctx.var("x2")
-    p = (x1 + x2) ** 2 - 4 * x1 * x2
-    q = symmetric_in_elementaries(p, 2)
-    e_ctx = q.ctx
-    e1, e2 = e_ctx.var("e1"), e_ctx.var("e2")
-    assert q == e1 ** 2 - 4 * e2
-    with pytest.raises(ValueError):
-        symmetric_in_elementaries(x1, 2)
 
 
 # ---------------------------------------------------------------------------
