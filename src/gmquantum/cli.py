@@ -25,10 +25,6 @@ from .certificates import (
 from .deformation import eigenvalue, irrationality_criterion
 from .quantum import surd_pair_solves
 
-COMMANDS = ("gw", "matrix", "table", "presentation", "deform",
-            "criterion", "verify-all")
-
-
 def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
     """Parse "q=3/2" or "q=1,t=1/7" into exact values, one for each
     variable in `allowed`."""
@@ -110,53 +106,54 @@ def _format_numeric(values) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def matrix_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
-    """The h matrix at q = qval and its eigenvalue squares T = X^2.
+def matrix_at(ws: Workspace, q: Fraction) -> Dict[str, object]:
+    """The h matrix at q and its eigenvalue squares T = X^2.
 
     T has degree 2 = deg q, so the quadratic T^2 + a T + b at q = 1 becomes
     T^2 + a q T + b q^2, and its roots are q times the q = 1 roots.
     """
     mh = ws.ring.h_matrix
-    rows = [[str(mh.rows[i][j].evaluate({"q": qval})) for j in range(DIM)]
+    rows = [[str(mh.rows[i][j].evaluate({"q": q})) for j in range(DIM)]
             for i in range(DIM)]
     sp = ws.spectrum
     a1, b1 = sp["quadratic_at_q1"]
-    a, b = a1 * qval, b1 * qval * qval
+    a, b = a1 * q, b1 * q * q
     report: Dict[str, object] = {
         "matrix": rows,
         "eigenvalue_square_equation": "T^2 - %s*T - %s" % (-a, -b),
     }
-    if not qval:
+    if not q:
         report.update(eigenvalue_squares=["0 (double root)"], roots_verified=False,
                       note="q = 0 is a degenerate specialization (T^2 has the"
                       " double root 0); the certified statement is polynomial in q")
         return report
-    if sp["surd_at_q1"] is None or sp["surd_at_q1"][2] == 1:
+    if sp["surd_at_q1"] is None:
         report["eigenvalue_squares"] = [sp["roots_at_q1"]]
         report["roots_verified"] = False
         return report
+    # q (r0 +- r1 sqrt(d)) is the pair q r0 +- |q| r1 sqrt(d), written
+    # with a nonnegative surd coefficient
     r0, r1, d = sp["surd_at_q1"]
-    r0, r1 = r0 * qval, r1 * qval
+    r0, r1 = r0 * q, r1 * abs(q)
     report["eigenvalue_squares"] = ["%s + %s*sqrt(%d)" % (r0, r1, d),
                                     "%s - %s*sqrt(%d)" % (r0, r1, d)]
     report["roots_verified"] = surd_pair_solves(a, b, r0, r1, d)
     return report
 
 
-def table_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
+def table_at(ws: Workspace, q: Fraction) -> Dict[str, object]:
     ring = ws.ring
     products = {}
     for (i, j), vec in sorted(ring.table.items()):
         key = "%s*%s" % (BASIS_NAMES[i], BASIS_NAMES[j])
         products[key] = _format_numeric(
-            [c.evaluate({"q": qval}) for c in vec])
+            [c.evaluate({"q": q}) for c in vec])
     return {"products": products}
 
 
-def deform_at(ws: Workspace, qval: Fraction,
-              tval: Fraction) -> Dict[str, object]:
+def deform_at(ws: Workspace, q: Fraction, t: Fraction) -> Dict[str, object]:
     op = ws.operator
-    vals = {"q": qval, "t": tval}
+    vals = {"q": q, "t": t}
     rows = [[str(op[i, j].evaluate(vals)) for j in range(DIM)]
             for i in range(DIM)]
     return {
@@ -166,8 +163,8 @@ def deform_at(ws: Workspace, qval: Fraction,
     }
 
 
-def criterion_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
-    vals = {"q": qval, "t": Fraction(0)}
+def criterion_at(ws: Workspace, q: Fraction) -> Dict[str, object]:
+    vals = {"q": q, "t": Fraction(0)}
     numeric = ws.operator.map(lambda e: e.evaluate(vals))
     rep = irrationality_criterion(numeric, ws.model)
     return {
@@ -179,10 +176,7 @@ def criterion_at(ws: Workspace, qval: Fraction) -> Dict[str, object]:
 
 
 def gw_summary(ws: Workspace) -> Dict[str, object]:
-    reps = ws.reports
-    out = {}
-    for name in ("I11", "I12", "I13", "I2", "J12", "J11"):
-        out[name] = str(reps[name].value)
+    out = {name: str(rep.value) for name, rep in ws.reports.items()}
     out["J2"] = str(ws.solve.j2)
     return out
 
@@ -191,7 +185,7 @@ def matrix_summary(ws: Workspace) -> Dict[str, object]:
     sp = ws.spectrum
     return {
         "char_poly": sp["char_poly"],
-        "kernel_dimension": sp["kernel_dimension"],
+        "kernel_dimension": sp["kernel"]["dimension"],
         "eigenvalue_squares_at_q1": sp["roots_at_q1"],
     }
 
@@ -238,13 +232,21 @@ def criterion_summary(ws: Workspace) -> Dict[str, object]:
     }
 
 
-SUMMARIES = {
-    "gw": gw_summary,
-    "matrix": matrix_summary,
-    "table": table_summary,
-    "presentation": presentation_summary,
-    "deform": deform_summary,
-    "criterion": criterion_summary,
+# each report command: its help text, its --at variables, its summary
+# and its --at report, which takes the variables by name
+REPORTS = {
+    "gw": ("the seven Gromov-Witten numbers with derivation traces", (),
+           gw_summary, None),
+    "matrix": ("the h multiplication matrix and its spectrum", ("q",),
+               matrix_summary, matrix_at),
+    "table": ("the full quantum product table and its axioms", ("q",),
+              table_summary, table_at),
+    "presentation": ("the two generator presentation of the ring", (),
+                     presentation_summary, None),
+    "deform": ("the first order deformation and its Jordan data",
+               ("q", "t"), deform_summary, deform_at),
+    "criterion": ("the squarefree eigenvalue criterion", ("q",),
+                  criterion_summary, criterion_at),
 }
 
 
@@ -334,48 +336,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmquantum",
         description="exact verification of the quantum multiplication"
                     " data of the degree 10 fourfold")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(COMMANDS))
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join([*REPORTS, "verify-all"]))
 
-    def add(name, help_text, at_vars=None, seeded=False):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("markdown", "json"),
                        default="markdown")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte identical output")
+        return p
+
+    for name, (help_text, at_vars, _, _) in REPORTS.items():
+        p = add(name, help_text)
         if at_vars:
             p.add_argument(
                 "--at", metavar="SPEC",
                 help="evaluate at exact rationals, e.g. %s" %
                      ("q=1" if at_vars == ("q",) else "q=1,t=1/7"))
-            p.set_defaults(at_vars=at_vars)
-        if seeded:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for the random property sample")
-        return p
-
-    add("gw", "the seven Gromov-Witten numbers with derivation traces")
-    add("matrix", "the h multiplication matrix and its spectrum",
-        at_vars=("q",))
-    add("table", "the full quantum product table and its axioms",
-        at_vars=("q",))
-    add("presentation", "the two generator presentation of the ring")
-    add("deform", "the first order deformation and its Jordan data",
-        at_vars=("q", "t"))
-    add("criterion", "the squarefree eigenvalue criterion",
-        at_vars=("q",))
-    add("verify-all", "every certificate group plus random sampling",
-        seeded=True)
+    p = add("verify-all", "every certificate group plus random sampling")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random property sample")
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
     ws = Workspace()
+    command = args.command
     at = None
     at_report = None
     if getattr(args, "at", None) is not None:
-        at = parse_at(args.at, args.at_vars)
-    command = args.command
+        at = parse_at(args.at, REPORTS[command][1])
     if command == "verify-all":
         certs = verify_all_certificates(ws, args.seed)
         by_status = {VERIFIED: 0, MODEL_AXIOM: 0, FAILED: 0}
@@ -389,19 +381,12 @@ def run(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
     else:
+        _, _, summarize, report_at = REPORTS[command]
         certs = merge([GROUP_BUILDERS[command](ws)])
-        summary = SUMMARIES[command](ws)
+        summary = summarize(ws)
         if at is not None:
-            qval = at["q"]
             try:
-                if command == "matrix":
-                    at_report = matrix_at(ws, qval)
-                elif command == "table":
-                    at_report = table_at(ws, qval)
-                elif command == "deform":
-                    at_report = deform_at(ws, qval, at["t"])
-                else:
-                    at_report = criterion_at(ws, qval)
+                at_report = report_at(ws, **at)
             except ValueError as exc:
                 # str() of an entry past Python's int -> str digit limit
                 if "int_max_str_digits" not in str(exc):

@@ -11,11 +11,14 @@ which keeps every entry homogeneous of degree deg(col) - deg(row) + 1.
 
 On the 22 primitive middle classes the operator is, by the model axioms
 encoded in HodgeModel, the scalar -4qt; the full operator on all 28 even
-classes is therefore block diagonal.  `atom_statistics` certifies the
-Jordan structure of the eigenvalue -4qt of multiplicity 24: its
-generalized eigenspace E, the rank of the restriction (one, a single
-size-two block, living over the ambient block), and the overlap of E
-with the tagged slots of the model.  It first checks the block structure
+classes is therefore block diagonal.  On the ambient block the
+eigenvalue -4qt has the Jordan pair (alpha, beta(t)) of `jordan_pair`:
+alpha and beta(0) are the kernel pair of h * (-) from
+`quantum.kernel_pair`, and only beta's order t term is added here.
+`atom_statistics` certifies the Jordan structure of the eigenvalue -4qt
+of multiplicity 24: its generalized eigenspace E, the rank of the
+restriction (one, a single size-two block, living over the ambient
+block), and the overlap of E with the tagged slots of the model.  It first checks the block structure
 of the full operator exactly (no ambient/primitive entry, primitive
 block -4qt times the identity), then eliminates on the 6 x 6 shifted
 ambient block only; the 22 primitive slots enter as unit kernel lines
@@ -49,7 +52,7 @@ from .linalg import (
     vector_at_q_one,
 )
 from .poly import MultiPoly, VarContext
-from .quantum import QuantumRing, associativity_failures
+from .quantum import QuantumRing, associativity_failures, kernel_pair
 
 AMBIENT = "ambient-6"
 PRIMITIVE_DIM = 22
@@ -129,15 +132,15 @@ def eigenvalue(tctx: VarContext) -> MultiPoly:
 def jordan_pair(tctx: VarContext) -> Tuple[List[MultiPoly], List[MultiPoly]]:
     """The vectors alpha and beta(t) spanning the size-two block.
 
-    alpha = 2 s2 - 3 s11 - 2q s0 and beta(t) is the kernel vector
-    s31 - 2q s2 - 4q^2 s0 corrected at order t by -16q^2 t s1 - 4qt s3.
+    alpha and beta(0) are the kernel pair of h * (-) (`kernel_pair`);
+    beta(t) adds the order t correction -16q^2 t s1 - 4qt s3.
     """
     q = tctx.var("q")
     t = tctx.var("t")
-    zero = tctx.zero()
-    alpha = [q * (-2), zero, tctx.scalar(2), tctx.scalar(-3), zero, zero]
-    beta = [q * q * (-4), q * q * t * (-16), q * (-2), zero,
-            q * t * (-4), tctx.one()]
+    alpha, beta = ([coeffs.get(name, tctx.zero()) for name in BASIS_NAMES]
+                   for coeffs in kernel_pair(q))
+    beta[BASIS_NAMES.index("s1")] += q * q * t * (-16)
+    beta[BASIS_NAMES.index("s3")] += q * t * (-4)
     return alpha, beta
 
 

@@ -118,7 +118,6 @@ class PolyIdeal:
         for g in gens:
             if g.ctx != self.ctx:
                 raise ValueError("generators from mixed contexts")
-        self.generators = list(gens)
         self.basis = buchberger(gens)
 
     def reduce(self, poly: MultiPoly) -> MultiPoly:

@@ -569,24 +569,22 @@ def spectral_report(ring: QuantumRing) -> Dict[str, object]:
             == [2, 4, 6])
     a_val = cp1.coefficient_of("X", 4).scalar_value()
     b_val = cp1.coefficient_of("X", 2).scalar_value()
-    disc = a_val * a_val - 4 * b_val
-    kernel = kernel_basis(ring)
     report = {
         "char_poly": str(cp),
         "only_even_powers": even,
         "quadratic_in_Xsq": "T^2 + (%s) T + (%s)" % (a_val, b_val),
-        "discriminant_at_q1": disc,
-        "constant_term_at_q1": b_val,
-        "rank": DIM - kernel["dimension"],
-        "kernel_dimension": kernel["dimension"],
-        "kernel": kernel,
+        "kernel": kernel_basis(ring),
         "squarefree_profile": squarefree_profile(cp1, "X"),
     }
     # eigenvalues at q = 1: 0 twice plus the four square roots of the
     # two roots of T^2 + a T + b
-    report["roots_at_q1"], report["roots_verified"] = surd_roots(a_val, b_val)
+    split = surd_split(a_val, b_val)
+    report["roots_at_q1"], report["roots_verified"] = surd_roots(
+        a_val, b_val, split)
     report["quadratic_at_q1"] = (a_val, b_val)
-    report["surd_at_q1"] = surd_split(a_val, b_val)
+    # only a real surd pair, d > 1; otherwise roots_at_q1 says why not
+    report["surd_at_q1"] = (split if split is not None and split[2] != 1
+                            else None)
     return report
 
 
@@ -628,13 +626,15 @@ def surd_split(a: Fraction, b: Fraction
     return -a / 2, Fraction(s, 2 * disc.denominator), d
 
 
-def surd_roots(a: Fraction, b: Fraction) -> Tuple[str, bool]:
+def surd_roots(a: Fraction, b: Fraction,
+               split: Optional[Tuple[Fraction, Fraction, int]]
+               ) -> Tuple[str, bool]:
     """The roots r0 +- r1 sqrt(d) of T^2 + a T + b over Q, checked exactly.
 
-    A discriminant <= 0 or a rational square has no surd pair; the
-    returned note says so and the check reads False.
+    `split` is `surd_split(a, b)`.  A discriminant <= 0 or a rational
+    square has no surd pair; the returned note says so and the check
+    reads False.
     """
-    split = surd_split(a, b)
     if split is None:
         return ("no surd pair: the discriminant at q = 1 is %s <= 0"
                 % (a * a - 4 * b), False)
@@ -652,12 +652,20 @@ def surd_roots(a: Fraction, b: Fraction) -> Tuple[str, bool]:
 # ---------------------------------------------------------------------------
 
 
+def kernel_pair(q: MultiPoly) -> Tuple[Dict[str, MultiPoly],
+                                       Dict[str, MultiPoly]]:
+    """alpha = 2 s2 - 3 s11 - 2q s0 and beta = s31 - 2q s2 - 4q^2 s0, the
+    closed form kernel of h * (-), as coefficients over q's context."""
+    one = q.ctx.one()
+    return ({"s0": -2 * q, "s2": 2 * one, "s11": -3 * one},
+            {"s0": -4 * q * q, "s2": -2 * q, "s31": one})
+
+
 def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
-    """The closed form kernel vectors of h * (-) and their span checks."""
-    ctx = ring.ctx
-    q = ctx.var("q")
-    alpha = ring.element({"s0": -2 * q, "s2": 2, "s11": -3})
-    beta = ring.element({"s0": -4 * q * q, "s2": -2 * q, "s31": 1})
+    """The kernel pair of `kernel_pair` as ring elements, with checks that
+    h * (-) kills both and that they span its nullspace."""
+    alpha, beta = (ring.element(coeffs)
+                   for coeffs in kernel_pair(ring.ctx.var("q")))
     killed = (_is_zero_vec(ring.star_h(alpha))
               and _is_zero_vec(ring.star_h(beta)))
     # independence and span agreement with the generic nullspace, at

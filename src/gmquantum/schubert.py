@@ -23,7 +23,6 @@ class Grassmannian2:
     def __init__(self, n: int):
         if n < 3:
             raise ValueError("need an ambient space of dimension at least 3")
-        self.n = n
         self.width = n - 2
         self.dimension = 2 * (n - 2)
         self.partitions = [(a, b) for a in range(self.width + 1)

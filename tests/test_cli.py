@@ -1,6 +1,8 @@
 """End to end checks of the command line interface."""
 
+import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -145,6 +147,51 @@ def test_matrix_at_reads_the_spectrum(monkeypatch):
     rep = shifted_matrix_at(monkeypatch, "I2", -5, Fraction(2))
     assert rep["eigenvalue_squares"][0].startswith("no surd pair")
     assert rep["roots_verified"] is False
+
+
+def test_matrix_at_negative_q_writes_one_sign_before_the_surd(capsys):
+    # q times 22 +- 10 sqrt(5) at q = -7/3 is the pair -154/3 +- 70/3
+    # sqrt(5); the surd coefficient is written without a sign of its own
+    _, payload = run_json(capsys, ["matrix", "--format", "json",
+                                   "--no-timestamp", "--at", "q=-7/3"])
+    rep = payload["at_report"]
+    assert rep["eigenvalue_squares"] == ["-154/3 + 70/3*sqrt(5)",
+                                         "-154/3 - 70/3*sqrt(5)"]
+    assert rep["roots_verified"] is True
+
+
+def test_cold_matrix_command_splits_the_surd_once(monkeypatch, capsys):
+    calls = []
+    split = quantum.squarefree_part
+
+    def counted(n):
+        calls.append(n)
+        return split(n)
+
+    monkeypatch.setattr(quantum, "squarefree_part", counted)
+    assert main(["matrix", "--no-timestamp", "--at", "q=-7/3"]) == 0
+    # the discriminant 2000 of T^2 - 44 T - 16, split for the spectrum
+    # node and read from it by the summary and the --at report
+    assert calls == [2000]
+
+
+def test_reports_table_names_each_certificate_group():
+    assert set(cli.REPORTS) == set(certificates.GROUP_BUILDERS)
+
+
+def test_parser_offers_the_reports_then_verify_all():
+    sub, = [action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == [*cli.REPORTS, "verify-all"]
+
+
+def test_at_reports_take_their_variables_by_name():
+    for name, (_, at_vars, _, report_at) in cli.REPORTS.items():
+        if report_at is None:
+            assert at_vars == (), name
+        else:
+            params = list(inspect.signature(report_at).parameters)
+            assert params == ["ws", *at_vars], name
 
 
 def test_deform_at_specialization(capsys):

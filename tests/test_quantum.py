@@ -17,7 +17,7 @@ from gmquantum.quantum import (
     kernel_basis, perturbed_ring, presentation_relations,
     presentation_report, quantum_context,
     ring_from_solve, solve_three_point_invariants, spectral_report, squarefree_part,
-    standard_ring, star_h_matrix, surd_roots,
+    standard_ring, star_h_matrix, surd_roots, surd_split,
 )
 
 # the full table, frozen as rendered strings; every later claim about
@@ -129,13 +129,12 @@ def test_spectral_report(ring):
     assert rep["only_even_powers"] is True
     assert rep["quadratic_in_Xsq"] == "T^2 + (-44) T + (-16)"
     assert rep["squarefree_profile"] == {1: 4, 2: 1}
-    assert rep["kernel_dimension"] == 2
-    assert rep["rank"] == 4
+    assert rep["kernel"]["dimension"] == 2
     assert rep["roots_at_q1"] == "22 +- 10 sqrt(5)"
     assert rep["roots_verified"] is True
-    assert rep["discriminant_at_q1"] == Fraction(2000)
-    assert rep["constant_term_at_q1"] == Fraction(-16)
-    assert rep["quadratic_at_q1"] == (-44, -16)
+    a, b = rep["quadratic_at_q1"]
+    assert (a, b) == (-44, -16)
+    assert a * a - 4 * b == Fraction(2000)
     assert rep["surd_at_q1"] == (22, 10, 5)
 
 
@@ -223,11 +222,15 @@ def test_squarefree_part_rejects_non_positive():
             squarefree_part(n)
 
 
+def _surd_roots(a: Fraction, b: Fraction):
+    return surd_roots(a, b, surd_split(a, b))
+
+
 def test_surd_roots():
-    assert surd_roots(Fraction(-44), Fraction(-16)) == ("22 +- 10 sqrt(5)",
-                                                        True)
+    assert _surd_roots(Fraction(-44), Fraction(-16)) == ("22 +- 10 sqrt(5)",
+                                                         True)
     # disc = 1/9 + 4/7 = 43/63, sqrt = sqrt(301)/21
-    assert surd_roots(Fraction(1, 3), Fraction(-1, 7)) == \
+    assert _surd_roots(Fraction(1, 3), Fraction(-1, 7)) == \
         ("-1/6 +- 1/42 sqrt(301)", True)
 
 
@@ -235,10 +238,17 @@ def test_surd_roots():
     (0, 1, "-4 <= 0"), (-4, 4, "0 <= 0"),
     (-5, 6, "the roots 5/2 +- 1/2 are rational"),
 ])
-def test_surd_roots_degenerate_note(a, b, phrase):
-    note, ok = surd_roots(Fraction(a), Fraction(b))
+def test_surd_roots_degenerate_note(monkeypatch, ring, a, b, phrase):
+    note, ok = _surd_roots(Fraction(a), Fraction(b))
     assert note.startswith("no surd pair") and phrase in note
     assert ok is False
+    # a spectrum with this quadratic at q = 1 stores no surd pair, and
+    # its roots_at_q1 is the note
+    cp1 = MultiPoly(VarContext(("X",), (1,)), {(6,): 1, (4,): a, (2,): b})
+    monkeypatch.setattr(quantum, "at_q_one", lambda *args: cp1)
+    rep = spectral_report(ring)
+    assert rep["quadratic_at_q1"] == (a, b)
+    assert (rep["roots_at_q1"], rep["surd_at_q1"]) == (note, None)
 
 
 def test_kernel_basis_exact(ring):

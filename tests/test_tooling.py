@@ -308,3 +308,36 @@ def test_traced_nodes_are_workspace_properties():
     assert len(names) == 8
     for name in names:
         assert isinstance(vars(Workspace).get(name), property), name
+
+
+
+def test_every_attribute_is_read():
+    """Each attribute src/gmquantum stores is read somewhere.
+
+    An attribute is stored by `self.<name> = ...` or is a field of a
+    dataclass; it is read when code in src/, bench/ or tests/ loads
+    `<expr>.<name>`.  Matching is by name, not by resolution.  A stored
+    value that nothing reads is dead state.
+    """
+    read = {node.attr
+            for folder in ("src", "bench", "tests")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            stored = []
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and ast.unparse(node.value) == "self"):
+                stored.append(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass")
+                    for d in node.decorator_list):
+                stored.extend(item.target.id for item in node.body
+                              if isinstance(item, ast.AnnAssign))
+            unread.extend("%s:%d %s" % (path.name, node.lineno, name)
+                          for name in stored if name not in read)
+    assert unread == []
