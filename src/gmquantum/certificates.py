@@ -32,6 +32,7 @@ from .deformation import (
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
 from .linalg import scalar_matrix
 from .quantum import (
+    ASSOCIATIVITY_TRIPLES, FROBENIUS_TRIPLES,
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
     perturbed_ring, presentation_relations, presentation_report,
@@ -102,6 +103,16 @@ def make(claim: str, computed, expected, grounding: str,
     return Certificate(claim, status, grounding,
                        tuple((str(k), str(_plain(v))) for k, v in inputs),
                        comp, exp, tuple(trace), witness)
+
+
+def scan_certificate(claim: str, failures: Sequence, grounding: str,
+                     trace: Sequence[str], show: Callable[[object], str],
+                     inputs: Sequence[Tuple[str, object]] = ()
+                     ) -> Certificate:
+    """The claim that a scan found nothing: the number of failures must be
+    0, and a failed certificate lists each as `show` prints it."""
+    return make(claim, len(failures), 0, grounding, inputs=inputs,
+                trace=trace, witness="; ".join(map(show, failures)))
 
 
 def certificate_to_dict(cert: Certificate) -> Dict[str, object]:
@@ -342,40 +353,32 @@ def table_certificates(ws: Workspace) -> List[Certificate]:
         "table.products", computed, expected, FROZEN,
         inputs=(("entries", len(computed)),),
         trace=("all 21 unordered basis products of the quantum table",))]
-    t = ring.product_tensor
     basis = {x: ring.basis_element(x) for x in BASIS_NAMES}
     comm_bad = ["%s*%s" % (x, y) for x, y in product(BASIS_NAMES, repeat=2)
-                if t.contract(basis[x], basis[y])
-                != t.contract(basis[y], basis[x])]
-    certs.append(make(
-        "table.commutativity", len(comm_bad), 0, EXHAUSTIVE,
-        inputs=(("ordered_pairs", DIM * DIM),),
-        trace=("a*b = b*a on all 36 ordered basis pairs",),
-        witness="; ".join(comm_bad) if comm_bad else None))
-    assoc = associativity_failures(ring)
-    certs.append(make(
-        "table.associativity", len(assoc), 0, EXHAUSTIVE,
-        inputs=(("unordered_triples", 56),),
-        trace=("(a*b)*c = a*(b*c) on all 56 unordered basis triples",),
-        witness="; ".join("*".join(t) for t in assoc) if assoc else None))
-    frob = frobenius_failures(ring)
-    certs.append(make(
-        "table.frobenius", len(frob), 0, EXHAUSTIVE,
-        inputs=(("ordered_triples", DIM ** 3),),
-        trace=("<a*b, c> = <a, b*c> on all 216 ordered basis triples",),
-        witness="; ".join("*".join(t) for t in frob) if frob else None))
-    grad = grading_failures(ring)
-    certs.append(make(
-        "table.grading", len(grad), 0, EXHAUSTIVE,
-        trace=("every component of a*b is homogeneous of degree"
-               " deg(a) + deg(b) - deg(component) with deg q = 2",),
-        witness="; ".join(grad) if grad else None))
-    classical = classical_limit_failures(ring)
-    certs.append(make(
-        "table.classical-limit", len(classical), 0, EXHAUSTIVE,
-        trace=("setting q = 0 in every product recovers the cup product"
-               " of the ambient lattice",),
-        witness="; ".join(classical) if classical else None))
+                if ring.star(basis[x], basis[y])
+                != ring.star(basis[y], basis[x])]
+    certs.append(scan_certificate(
+        "table.commutativity", comm_bad, EXHAUSTIVE,
+        ("a*b = b*a on all 36 ordered basis pairs",), str,
+        inputs=(("ordered_pairs", DIM * DIM),)))
+    certs.append(scan_certificate(
+        "table.associativity", associativity_failures(ring), EXHAUSTIVE,
+        ("(a*b)*c = a*(b*c) on all %d unordered basis triples"
+         % ASSOCIATIVITY_TRIPLES,), "*".join,
+        inputs=(("unordered_triples", ASSOCIATIVITY_TRIPLES),)))
+    certs.append(scan_certificate(
+        "table.frobenius", frobenius_failures(ring), EXHAUSTIVE,
+        ("<a*b, c> = <a, b*c> on all %d ordered basis triples"
+         % FROBENIUS_TRIPLES,), "*".join,
+        inputs=(("ordered_triples", FROBENIUS_TRIPLES),)))
+    certs.append(scan_certificate(
+        "table.grading", grading_failures(ring), EXHAUSTIVE,
+        ("every component of a*b is homogeneous of degree"
+         " deg(a) + deg(b) - deg(component) with deg q = 2",), str))
+    certs.append(scan_certificate(
+        "table.classical-limit", classical_limit_failures(ring), EXHAUSTIVE,
+        ("setting q = 0 in every product recovers the cup product"
+         " of the ambient lattice",), str))
     broken = perturbed_ring(ring)
     bad = associativity_failures(broken)
     certs.append(make(
@@ -454,18 +457,15 @@ def deform_certificates(ws: Workspace) -> List[Certificate]:
         trace=("first order deformation of the degree operator on the"
                " ambient classes: K = 2*M_h + t*D with D scaling the"
                " degree d layer of s2 * (-) by 2d - 1",))]
-    hom = homogeneity_failures(op)
-    certs.append(make(
-        "deform.homogeneity", len(hom), 0, EXHAUSTIVE,
-        trace=("entry (i, j) is homogeneous of degree"
-               " deg(col) - deg(row) + 1 for deg q = 2, deg t = -1",),
-        witness="; ".join("(%d, %d)" % ij for ij in hom) if hom else None))
-    spec_bad = specialization_failures(op, ws.ring)
-    certs.append(make(
-        "deform.specialization", len(spec_bad), 0, IDENTITY,
-        trace=("setting t = 0 recovers twice the h action matrix",),
-        witness=("; ".join("(%d, %d)" % ij for ij in spec_bad)
-                 if spec_bad else None)))
+    certs.append(scan_certificate(
+        "deform.homogeneity", homogeneity_failures(op), EXHAUSTIVE,
+        ("entry (i, j) is homogeneous of degree"
+         " deg(col) - deg(row) + 1 for deg q = 2, deg t = -1",),
+        lambda ij: "(%d, %d)" % ij))
+    certs.append(scan_certificate(
+        "deform.specialization", specialization_failures(op, ws.ring),
+        IDENTITY, ("setting t = 0 recovers twice the h action matrix",),
+        lambda ij: "(%d, %d)" % ij))
     certs.append(make(
         "deform.eigenvalue", str(eigenvalue(op[0, 0].ctx)), "-4*q*t", FROZEN,
         trace=("the distinguished eigenvalue of K modulo t^2",)))
@@ -573,9 +573,9 @@ def random_rational(rng: random.Random) -> Fraction:
 def random_identity_failures(ring: QuantumRing, rng: random.Random,
                              samples: int) -> List[str]:
     """Associativity, commutativity, Frobenius and linearity on random
-    triples of constant vectors, every product a contraction; linearity
+    triples of constant vectors, through `star` and `pairing`; linearity
     compares a * (b + lam c) with a * b + a * (lam c)."""
-    t, g = ring.product_tensor, ring.gram_tensor
+    star, pairing = ring.star, ring.pairing
     bad = []
     for n in range(samples):
         xs = [[random_rational(rng) for _ in range(DIM)] for _ in range(3)]
@@ -583,15 +583,15 @@ def random_identity_failures(ring: QuantumRing, rng: random.Random,
         xs.append([lam * v for v in xs[2]])
         a, b, c, scaled = (tuple(map(ring.ctx.scalar, x)) for x in xs)
         shifted = tuple(x + y for x, y in zip(b, scaled))
-        ab, bc = t.contract(a, b), t.contract(b, c)
-        if t.contract(ab, c) != t.contract(a, bc):
+        ab, bc = star(a, b), star(b, c)
+        if star(ab, c) != star(a, bc):
             bad.append("sample %d: associativity" % n)
-        if ab != t.contract(b, a):
+        if ab != star(b, a):
             bad.append("sample %d: commutativity" % n)
-        if g.contract(ab, c) != g.contract(a, bc):
+        if pairing(ab, c) != pairing(a, bc):
             bad.append("sample %d: frobenius" % n)
-        if t.contract(a, shifted) != tuple(
-                x + y for x, y in zip(ab, t.contract(a, scaled))):
+        if star(a, shifted) != tuple(
+                x + y for x, y in zip(ab, star(a, scaled))):
             bad.append("sample %d: linearity" % n)
     return bad
 

@@ -23,7 +23,7 @@ from .certificates import (
     property_certificates,
 )
 from .deformation import eigenvalue, irrationality_criterion
-from .quantum import surd_pair_solves
+from .quantum import ASSOCIATIVITY_TRIPLES, FROBENIUS_TRIPLES, surd_pair_solves
 
 def parse_at(spec: str, allowed: Sequence[str]) -> Dict[str, Fraction]:
     """Parse "q=3/2" or "q=1,t=1/7" into exact values, one for each
@@ -194,8 +194,9 @@ def table_summary(ws: Workspace) -> Dict[str, object]:
     ring = ws.ring
     out: Dict[str, object] = {
         "products": len(ring.table),
-        "associativity": "checked on 56 unordered triples",
-        "frobenius": "checked on 216 ordered triples",
+        "associativity": "checked on %d unordered triples"
+                         % ASSOCIATIVITY_TRIPLES,
+        "frobenius": "checked on %d ordered triples" % FROBENIUS_TRIPLES,
     }
     for (i, j), vec in sorted(ring.table.items()):
         out["%s * %s" % (BASIS_NAMES[i], BASIS_NAMES[j])] = ring.format(vec)

@@ -3,10 +3,11 @@
 Elements are vectors over Q[q] (deg q = 2) in the basis (s0, s1, s2, s11,
 s3, s31).  The product is determined by the classical cup product, the
 two point counts I11, I12, I13, I2, and the three point counts J11, J12, J2
-attached to sigma_11:
+attached to sigma_11.  Two columns of the table come from the correction
+formula of Kontsevich-Manin (`corrected_product`),
+      a * b = a cup b + sum_d q^d sum_k <a, b, e_k>_d dual(e_k):
 
-* multiplication by h = s1 comes from the divisor axiom,
-      h * b = h cup b + sum_d d q^d <b, e_k>_d dual(e_k),
+* h * b, where the divisor axiom gives <h, b, e_k>_d = d <b, e_k>_d,
 * s11 * s11 = s31 + q (J11 dual(s2) + J12 dual(s11)) + J2 q^2,
 * every other product follows by associativity chains through the h
   column: s2 = h*h - s11 - I11 q, 2 s3 = h*s11 - I13 q s1, and
@@ -24,8 +25,9 @@ holds their integer numerators, keyed by monomial as in `poly`, over one
 denominator, and contracts two vectors of `MultiPoly` into a vector of
 `MultiPoly` with Python int products and sums alone.  On the standard ring
 the key is the q exponent, and the solver's symbolic (q, uJ11, uJ2) ring
-runs through the same code.  `star` and `pairing` are contractions; the
-ring-identity checks compare their unreduced results by cross-multiplying.
+runs through the same code.  Only `star` and `pairing` contract the
+tensors, which `QuantumRing` keeps private; every check multiplies and
+pairs through them and compares unreduced results by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -82,57 +84,39 @@ def _is_zero_vec(x: QVec) -> bool:
     return all(c.is_zero() for c in x)
 
 
-def two_point_table(counts: CountSet) -> Dict[Tuple[str, str, int], Fraction]:
-    """All nonzero <a, b>_d on basis classes, for d = 1, 2.
-
-    The normalization <sigma, dual> used for the counts halves the raw
-    pairings, hence the factors of two.
-    """
-    data = {
-        ("s1", "s31", 1): 2 * counts.I11,
-        ("s2", "s3", 1): 2 * counts.I12,
-        ("s11", "s3", 1): 2 * counts.I13,
-        ("s3", "s31", 2): 2 * counts.I2,
-    }
-    for (a, b, d), v in list(data.items()):
-        data[(b, a, d)] = v
-    return data
+def corrected_product(cup: Sequence[Fraction],
+                      invariants: Mapping[Tuple[str, int], object],
+                      amb: AmbientRing, ctx: VarContext) -> QVec:
+    """a * b = a cup b + sum_d q^d sum_k <a, b, e_k>_d dual(e_k), from the
+    cup product vector of a and b and {(name of e_k, d): <a, b, e_k>_d}."""
+    duals = amb.dual_basis()
+    q = ctx.var("q")
+    out = _lift(cup, ctx)
+    for (name, d), val in invariants.items():
+        dual = _lift(duals[BASIS_NAMES.index(name)], ctx)
+        out = _vadd(out, _vscale(q ** d * val, dual))
+    return out
 
 
 def star_h_matrix(counts: CountSet, amb: AmbientRing,
                   ctx: VarContext) -> Matrix:
-    """The matrix of h * (-) on the basis; column j is h * e_j."""
-    twopt = two_point_table(counts)
-    duals = amb.dual_basis()
-    q = ctx.var("q")
-    cols = []
-    for j, bname in enumerate(BASIS_NAMES):
-        col = list(_lift(amb.cup_table[BASIS_NAMES.index("s1")][j], ctx))
-        for d in (1, 2):
-            qd = q ** d * d
-            for k, ename in enumerate(BASIS_NAMES):
-                val = twopt.get((bname, ename, d))
-                if val is None:
-                    continue
-                term = _vscale(qd * val, _lift(duals[k], ctx))
-                col = [a + b for a, b in zip(col, term)]
-        cols.append(col)
+    """The matrix of h * (-) on the basis; column j is h * e_j.
+
+    The nonzero two point counts <a, b>_d on basis classes enter through
+    the divisor axiom <h, a, b>_d = d <a, b>_d.  The normalization
+    <sigma, dual> used for the counts halves the raw pairings, hence the
+    factors of two.
+    """
+    invariants = {name: {} for name in BASIS_NAMES}
+    for a, b, d, count in (("s1", "s31", 1, counts.I11),
+                           ("s2", "s3", 1, counts.I12),
+                           ("s11", "s3", 1, counts.I13),
+                           ("s3", "s31", 2, counts.I2)):
+        invariants[a][(b, d)] = invariants[b][(a, d)] = d * 2 * count
+    h = BASIS_NAMES.index("s1")
+    cols = [corrected_product(amb.cup_table[h][j], invariants[name], amb, ctx)
+            for j, name in enumerate(BASIS_NAMES)]
     return Matrix([[cols[j][i] for j in range(DIM)] for i in range(DIM)])
-
-
-def sigma11_square(j11, j12, j2, amb: AmbientRing, ctx: VarContext) -> QVec:
-    """s11 * s11 from the three point counts."""
-    duals = amb.dual_basis()
-    q = ctx.var("q")
-    s11 = BASIS_NAMES.index("s11")
-    out = list(_lift(amb.cup_table[s11][s11], ctx))
-    for val, name in ((j11, "s2"), (j12, "s11")):
-        term = _vscale(q * val, _lift(duals[BASIS_NAMES.index(name)], ctx))
-        out = [a + b for a, b in zip(out, term)]
-    # d = 2 insertion is the point class, dual(s31) = s0 / 2, and the
-    # count against 2 pt doubles: net coefficient j2 on s0
-    out[0] = out[0] + q * q * j2
-    return tuple(out)
 
 
 class StructureTensor:
@@ -204,27 +188,25 @@ class QuantumRing:
     computation shares one.  The table is built from the counts unless
     one is given; either way it is read-only, so the structure tensors
     derived from it here always describe the product that `table` shows.
+    J12 comes from the counts; J11 and J2 may be unknowns of `ctx`.
     """
 
-    def __init__(self, counts: CountSet, amb: AmbientRing, j11, j12, j2,
+    def __init__(self, counts: CountSet, amb: AmbientRing, j11, j2,
                  ctx: Optional[VarContext] = None,
                  table: Optional[Table] = None):
         self.counts = counts
         self.amb = amb
         self.ctx = ctx if ctx is not None else quantum_context()
         self.h_matrix = star_h_matrix(counts, self.amb, self.ctx)
-        j11 = self._coerce(j11)
-        j12 = self._coerce(j12)
-        j2 = self._coerce(j2)
-        self.three_point = (j11, j12, j2)
+        self.three_point = (self._coerce(j11), self._coerce(j2))
         if table is None:
-            table = self._build_table(j11, j12, j2)
+            table = self._build_table()
         self.table = MappingProxyType(dict(table))
-        self.product_tensor = StructureTensor(self.ctx, DIM, {
+        self._product_tensor = StructureTensor(self.ctx, DIM, {
             (i, j): self.table[(min(i, j), max(i, j))]
             for i in range(DIM) for j in range(DIM)})
         gram = self.amb.gram()
-        self.gram_tensor = StructureTensor(self.ctx, 1, {
+        self._gram_tensor = StructureTensor(self.ctx, 1, {
             (i, j): (self.ctx.scalar(gram.rows[i][j]),)
             for i in range(DIM) for j in range(DIM)})
         # filled by the first associativity_failures(self)
@@ -232,8 +214,6 @@ class QuantumRing:
 
     def _coerce(self, v) -> MultiPoly:
         if isinstance(v, MultiPoly):
-            if v.ctx != self.ctx:
-                return v.substitute({}, self.ctx)
             return v
         return self.ctx.scalar(Fraction(v))
 
@@ -258,8 +238,9 @@ class QuantumRing:
     def star_h(self, x: QVec) -> QVec:
         return tuple(matvec(self.h_matrix, list(x)))
 
-    def _build_table(self, j11, j12, j2) -> Dict[Tuple[int, int], QVec]:
+    def _build_table(self) -> Dict[Tuple[int, int], QVec]:
         c = self.counts
+        j11, j2 = self.three_point
         ctx = self.ctx
         q = ctx.var("q")
         idx = {n: i for i, n in enumerate(BASIS_NAMES)}
@@ -280,7 +261,12 @@ class QuantumRing:
         for j, name in enumerate(BASIS_NAMES):
             put("s0", name, self.basis_element(name))
             put("s1", name, col(name))
-        put("s11", "s11", sigma11_square(j11, j12, j2, self.amb, ctx))
+        # dual(s31) = s0 / 2, so the degree 2 count 2 J2 puts J2 on s0
+        s11 = idx["s11"]
+        put("s11", "s11", corrected_product(
+            self.amb.cup_table[s11][s11],
+            {("s2", 1): j11, ("s11", 1): c.J12, ("s31", 2): 2 * j2},
+            self.amb, ctx))
         # (h*h) * s11 = s2*s11 + s11*s11 + I11 q s11
         put("s2", "s11", _vsub(_vsub(self.star_h(get("s1", "s11")),
                                      get("s11", "s11")),
@@ -309,11 +295,11 @@ class QuantumRing:
 
     def star(self, x: QVec, y: QVec) -> QVec:
         """x * y, contracted against the table's structure tensor."""
-        return self.product_tensor.contract(x, y)
+        return self._product_tensor.contract(x, y)
 
     def pairing(self, x: QVec, y: QVec) -> MultiPoly:
         """<x, y>, contracted against the Gram matrix as a width 1 tensor."""
-        return self.gram_tensor.contract(x, y)[0]
+        return self._gram_tensor.contract(x, y)[0]
 
     def format(self, x: QVec) -> str:
         parts = []
@@ -361,29 +347,32 @@ def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     return list(ring._associativity)
 
 
-def _basis_triples(ring: QuantumRing, ordered: bool):
-    """(names, (a, b, c)) for all DIM^3 ordered basis triples, or for the
-    unordered ones i <= j <= k, in lexicographic order."""
+# the number of basis triples the associativity and Frobenius scans visit
+ASSOCIATIVITY_TRIPLES = math.comb(DIM + 2, 3)
+FROBENIUS_TRIPLES = DIM ** 3
+
+
+def _basis_triples(ring: QuantumRing, triples):
+    """(names, (a, b, c)) for each index triple (i, j, k) of `triples`."""
     basis = [ring.basis_element(name) for name in BASIS_NAMES]
-    for ijk in (product(range(DIM), repeat=3) if ordered
-                else combinations_with_replacement(range(DIM), 3)):
+    for ijk in triples:
         yield (tuple(BASIS_NAMES[i] for i in ijk),
                tuple(basis[i] for i in ijk))
 
 
 def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    t = ring.product_tensor
-    return [names for names, (a, b, c) in _basis_triples(ring, False)
-            if t.contract(t.contract(a, b), c)
-            != t.contract(a, t.contract(b, c))]
+    star = ring.star
+    return [names for names, (a, b, c) in _basis_triples(
+                ring, combinations_with_replacement(range(DIM), 3))
+            if star(star(a, b), c) != star(a, star(b, c))]
 
 
 def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """Triples where <a*b, c> differs from <a, b*c>."""
-    t, g = ring.product_tensor, ring.gram_tensor
-    return [names for names, (a, b, c) in _basis_triples(ring, True)
-            if g.contract(t.contract(a, b), c)
-            != g.contract(a, t.contract(b, c))]
+    star, pairing = ring.star, ring.pairing
+    return [names for names, (a, b, c) in _basis_triples(
+                ring, product(range(DIM), repeat=3))
+            if pairing(star(a, b), c) != pairing(a, star(b, c))]
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:
@@ -479,12 +468,12 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
     amb = AmbientRing()
-    ring = QuantumRing(counts, amb, ctx.var("uJ11"), counts.J12,
-                       ctx.var("uJ2"), ctx=ctx)
-    t, g = ring.product_tensor, ring.gram_tensor
+    ring = QuantumRing(counts, amb, ctx.var("uJ11"), ctx.var("uJ2"), ctx=ctx)
+    star, pairing = ring.star, ring.pairing
     residuals = _route_residuals(ring) + [
-        g.contract(t.contract(a, b), c)[0] - g.contract(a, t.contract(b, c))[0]
-        for _, (a, b, c) in _basis_triples(ring, False)]
+        pairing(star(a, b), c) - pairing(a, star(b, c))
+        for _, (a, b, c) in _basis_triples(
+            ring, combinations_with_replacement(range(DIM), 3))]
     rows = []
     rhs = []
     for r in residuals:
@@ -505,7 +494,7 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     if sol is None:
         raise ValueError("inconsistent associativity system")
     j11, j2 = sol
-    final = QuantumRing(counts, amb, j11, counts.J12, j2)
+    final = QuantumRing(counts, amb, j11, j2)
     bad = associativity_failures(final)
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)

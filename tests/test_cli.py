@@ -130,7 +130,7 @@ def shifted_matrix_at(monkeypatch, name, delta, qval):
     counts = CountSet.from_geometry()
     counts = dataclasses.replace(counts,
                                  **{name: getattr(counts, name) + delta})
-    ring = QuantumRing(counts, AmbientRing(), counts.J11, counts.J12, 32)
+    ring = QuantumRing(counts, AmbientRing(), counts.J11, 32)
     monkeypatch.setattr(Workspace, "ring", property(lambda ws: ring))
     return matrix_at(Workspace(), qval)
 

@@ -85,8 +85,8 @@ def test_build_rejects_wrong_rings(ring):
     from gmquantum.quantum import QuantumRing
     ctx = quantum_context(("u",))
     counts = CountSet.from_geometry()
-    symbolic = QuantumRing(counts, ring.amb, Fraction(24), Fraction(12),
-                           Fraction(32), ctx=ctx)
+    symbolic = QuantumRing(counts, ring.amb, Fraction(24), Fraction(32),
+                           ctx=ctx)
     with pytest.raises(ValueError):
         build_deformed_matrix(symbolic)
     with pytest.raises(ValueError):

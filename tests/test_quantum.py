@@ -1,7 +1,11 @@
 """Quantum product table, spectral data, kernel, and presentation."""
 
+import contextlib
 import dataclasses
+import io
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmquantum import certificates, gwcounts, quantum
 from gmquantum.ambient import BASIS_NAMES, DIM, AmbientRing
+from gmquantum.cli import main
 from gmquantum.gwcounts import CountSet
 from gmquantum.poly import MultiPoly, VarContext
 from gmquantum.quantum import (
@@ -351,8 +356,8 @@ def symbolic_ring():
     """The solver's ring: uJ11 and uJ2 stand in for J11 and J2."""
     counts = CountSet.from_geometry()
     ctx = quantum_context(("uJ11", "uJ2"))
-    return QuantumRing(counts, AmbientRing(), ctx.var("uJ11"), counts.J12,
-                       ctx.var("uJ2"), ctx=ctx)
+    return QuantumRing(counts, AmbientRing(), ctx.var("uJ11"), ctx.var("uJ2"),
+                       ctx=ctx)
 
 
 RINGS = {
@@ -403,12 +408,11 @@ def over_larger_denominator(x, m=3):
 
 
 def check_contraction_path(ring, x, y, lam=Fraction(-7, 3)):
-    """The contractions, x + lam y and == against slot-by-slot and plain
+    """star, pairing, x + lam y and == against slot-by-slot and plain
     dict references, for one pair of vectors."""
-    t, g = ring.product_tensor, ring.gram_tensor
-    xy = t.contract(x, y)
+    xy = ring.star(x, y)
     assert xy == reference_star(ring, x, y)
-    assert g.contract(x, y)[0] == reference_pairing(ring, x, y)
+    assert ring.pairing(x, y) == reference_pairing(ring, x, y)
     want = []
     for a, b in zip(x, y):
         terms = plain(a)
@@ -495,7 +499,6 @@ def test_star_refuses_exponents_that_would_carry():
     that could carry into the next field raises instead of returning a
     wrong product, and exponents up to 2^61 still round-trip."""
     ring = symbolic_ring()
-    t = ring.product_tensor
     q, u11, u2 = (ring.ctx.var(v) for v in ("q", "uJ11", "uJ2"))
     with pytest.raises(ValueError, match="would carry"):
         MultiPoly(ring.ctx, {(2 ** 64, 0, 0): 1})
@@ -514,11 +517,11 @@ def test_star_refuses_exponents_that_would_carry():
     assert tuple(MultiPoly(ring.ctx, p.terms) for p in x) == x
     assert ring.star(x, y) == reference_star(ring, x, y)
     assert ring.pairing(x, y) == reference_pairing(ring, x, y)
-    # bounds add up along a chain of contractions until one could carry
-    p = t.contract(x, x)            # bound 2^62 + the tensor's
-    p = t.contract(p, p)            # bound 2^63 + 3 times the tensor's
+    # bounds add up along a chain of products until one could carry
+    p = ring.star(x, x)             # bound 2^62 + the tensor's
+    p = ring.star(p, p)             # bound 2^63 + 3 times the tensor's
     with pytest.raises(ValueError, match="would carry"):
-        t.contract(p, p)
+        ring.star(p, p)
 
 
 def reference_random_identity_failures(ring, rng, samples):
@@ -566,8 +569,8 @@ def test_property_certificate_fails_on_a_perturbed_ring(ring):
 
 
 def test_identity_checks_stay_packed(ring, monkeypatch):
-    """The property sample and the table scans multiply only through the
-    structure tensors and compare integer numerators: no MultiPoly
+    """The property sample and the table scans multiply only through
+    `star` and `pairing` and compare integer numerators: no MultiPoly
     product and no Fraction view of a result."""
     broken = perturbed_ring(ring)
     calls = []
@@ -588,3 +591,56 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
     quantum.frobenius_failures(broken)
     quantum._associativity_scan(broken)
     assert calls == []
+
+
+def test_only_star_and_pairing_contract(monkeypatch):
+    """In a cold verify-all every structure-tensor contraction is made by
+    `QuantumRing.star` or `QuantumRing.pairing`."""
+    callers = Counter()
+    contract = quantum.StructureTensor.contract
+
+    def recorded(self, x, y):
+        callers[sys._getframe(1).f_code] += 1
+        return contract(self, x, y)
+
+    monkeypatch.setattr(quantum.StructureTensor, "contract", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["verify-all", "--seed", "0", "--no-timestamp"])
+    allowed = {QuantumRing.star.__code__, QuantumRing.pairing.__code__}
+    assert sum(callers.values()) > 0
+    assert set(callers) <= allowed, sorted(
+        "%s:%d" % (c.co_name, c.co_firstlineno)
+        for c in set(callers) - allowed)
+
+
+def test_j12_moves_sigma11_square_by_its_dual(ring):
+    """Shifting J12 by 1 adds q dual(s11) to s11 * s11 in the table."""
+    counts = ring.counts
+    shifted = dataclasses.replace(counts, J12=counts.J12 + 1)
+    s11 = BASIS_NAMES.index("s11")
+    before, after = (QuantumRing(c, ring.amb, *ring.three_point)
+                     .table[(s11, s11)] for c in (counts, shifted))
+    q = ring.ctx.var("q")
+    dual = ring.amb.dual_basis()[s11]
+    assert any(dual)
+    assert tuple(b - a for a, b in zip(before, after)) == \
+        tuple(q * d for d in dual)
+
+
+def test_scan_sizes_count_the_scanned_triples(monkeypatch, ring):
+    """ASSOCIATIVITY_TRIPLES and FROBENIUS_TRIPLES, which the certificates
+    and the table summary print, are the number of triples each scan
+    visits."""
+    seen = []
+    triples = quantum._basis_triples
+
+    def counted(r, ijk):
+        listed = list(ijk)
+        seen.append(len(listed))
+        return triples(r, listed)
+
+    monkeypatch.setattr(quantum, "_basis_triples", counted)
+    quantum._associativity_scan(ring)
+    frobenius_failures(ring)
+    assert seen == [quantum.ASSOCIATIVITY_TRIPLES, quantum.FROBENIUS_TRIPLES]
+    assert seen == [56, 216]

@@ -91,8 +91,6 @@ RUN_EXEMPT = {
         "bench/ builds its ring with it and bench/spans.py hooks it",
     ("gwcounts.py", "CountSet.from_geometry"):
         "standard_ring's counts",
-    ("quantum.py", "QuantumRing.pairing"):
-        "the ring-products workload of bench/ times it",
 }
 
 COMMANDS = (
@@ -147,7 +145,7 @@ def test_every_def_runs():
     profile hook that records every Python frame entered; unlike the name
     match above, a dead method cannot hide behind a live function of the
     same name.  Only the defs in RUN_EXEMPT, which the benchmark needs,
-    may stay idle.
+    may stay idle, and an exemption that some command runs is stale.
     """
     entered = set()
 
@@ -166,16 +164,20 @@ def test_every_def_runs():
     finally:
         sys.setprofile(previous)
     ran = {(Path(filename).resolve(), line) for filename, line in entered}
-    idle = []
+    idle, stale = [], set()
     for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
         for line, name in defined_functions(path):
             parts = name.split(".")
-            if any((path.name, ".".join(parts[:k])) in RUN_EXEMPT
-                   for k in range(1, len(parts) + 1)):
-                continue
+            exempt = [(path.name, ".".join(parts[:k]))
+                      for k in range(1, len(parts) + 1)
+                      if (path.name, ".".join(parts[:k])) in RUN_EXEMPT]
             if (path, line) not in ran:
-                idle.append("%s:%d %s" % (path.name, line, name))
+                if not exempt:
+                    idle.append("%s:%d %s" % (path.name, line, name))
+            else:
+                stale.update(exempt)
     assert idle == []
+    assert sorted(stale) == []
 
 
 # classes that no code in src/ or bench/ builds but the tests do
@@ -193,7 +195,8 @@ def test_every_class_is_built():
     A class counts as built when some code calls it, subclasses it or
     reads an attribute `Name.attr` off it.  Naming it in `isinstance`
     does not count: a branch for a kind of object that nothing makes is
-    dead.  Only the classes in BUILD_EXEMPT may stay unbuilt.
+    dead.  Only the classes in BUILD_EXEMPT may stay unbuilt, and an
+    exemption for a class that src/ or bench/ builds is stale.
     """
     def name_of(node):
         if isinstance(node, ast.Name):
@@ -222,6 +225,7 @@ def test_every_class_is_built():
                 unbuilt.append("%s:%d %s" % (path.name, node.lineno,
                                              node.name))
     assert unbuilt == []
+    assert sorted(key for key in BUILD_EXEMPT if key[1] in built) == []
 
 
 def _positional_params(node: ast.FunctionDef, in_class: bool):
