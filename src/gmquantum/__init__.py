@@ -1,7 +1,7 @@
 """Exact quantum cohomology of the degree 10 fourfold.
 
-Everything runs over the rationals: Schubert calculus on G(2, 5) and
-its hyperplane sections, Gromov-Witten numbers via integration on
+Everything runs over the rationals: intersection numbers on G(2, 5)
+and Gromov-Witten numbers via integration on Grassmann and projective
 bundle towers, the quantum multiplication table with its presentation,
 the first order deformation of the degree operator, and the squarefree
 eigenvalue criterion.  The `cli` module exposes the same pipeline as a
@@ -24,7 +24,6 @@ from .quantum import (
     QuantumRing, degree_two_closed_form, kernel_basis, presentation_report,
     solve_three_point_invariants, spectral_report, standard_ring,
 )
-from .schubert import Grassmannian2
 from .towers import Tower
 
 __version__ = "1.0.0"
@@ -41,6 +40,6 @@ __all__ = [
     "QuantumRing", "degree_two_closed_form", "kernel_basis",
     "presentation_report", "solve_three_point_invariants",
     "spectral_report", "standard_ring",
-    "Grassmannian2", "Tower",
+    "Tower",
     "__version__",
 ]

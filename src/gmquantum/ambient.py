@@ -9,10 +9,12 @@ class in G(2, 5) is twice the square of the hyperplane class, and
 
     T_ijl = 2 int_G(2,5) sigma_i sigma_j sigma_l sigma_1^2.
 
-Only the seven triples i <= j <= l with degrees summing to 4 can be
-nonzero, and they are the only Schubert calculus done here.  The rest is
-read off T: the Gram matrix is T_ij0 (e_0 = 1), and pairing e_i e_j
-against the dual basis class dual_k gives the cup table
+In the Chern classes (H, A) of the dual tautological sub, sigma_{a,b} =
+A^b c_{a-b}(Q) with c(Q) = 1 + H + (H^2 - A) + (H^3 - 2HA).  Only the
+seven triples i <= j <= l with degrees summing to 4 can be nonzero; each
+top monomial H^a A^b they use is integrated once by `grassmann_push`.
+The rest is read off T: the Gram matrix is T_ij0 (e_0 = 1), and pairing
+e_i e_j against the dual basis class dual_k gives the cup table
 e_i e_j = sum_k (sum_l T_ijl (dual_k)_l) e_k.
 
 Ambient classes are plain length 6 tuples of rationals.  The point class
@@ -26,7 +28,8 @@ from itertools import combinations_with_replacement, permutations
 from typing import List, Tuple
 
 from .linalg import Matrix, inverse_field
-from .schubert import Grassmannian2
+from .poly import VarContext
+from .towers import grassmann_push
 
 Vec = Tuple[Fraction, ...]
 
@@ -47,17 +50,25 @@ class AmbientRing:
     """
 
     def __init__(self):
-        g = Grassmannian2(5)
-        fourfold = g.scale(g.power(g.sigma(1), 2), 2)
-        sigma = [g.sigma(a, b) for a, b in LIFT_PARTITIONS]
+        ctx = VarContext(("H", "A"), (1, 2))
+        H, A = ctx.var("H"), ctx.var("A")
+        quotient = [ctx.one(), H, H ** 2 - A, H ** 3 - 2 * H * A]
+        sigma = [A ** b * quotient[a - b] for a, b in LIFT_PARTITIONS]
+        trivial = [ctx.one()] + [ctx.zero()] * 5
+        top = {}
         self.triples = [[[Fraction(0)] * DIM for _ in range(DIM)]
                         for _ in range(DIM)]
         for ijl in combinations_with_replacement(range(DIM), 3):
             if sum(BASIS_DEGREES[i] for i in ijl) != 4:
                 continue
             i, j, l = ijl
-            value = g.integrate(g.multiply(
-                g.multiply(g.multiply(sigma[i], sigma[j]), sigma[l]), fourfold))
+            integrand = 2 * H ** 2 * sigma[i] * sigma[j] * sigma[l]
+            value = Fraction(0)
+            for exp, coeff in integrand.terms.items():
+                if exp not in top:
+                    top[exp] = grassmann_push(ctx.monomial(exp), "H", "A",
+                                              trivial).scalar_value()
+                value += coeff * top[exp]
             for a, b, c in permutations(ijl):
                 self.triples[a][b][c] = value
         self._gram = Matrix([[self.triples[i][j][0] for j in range(DIM)]

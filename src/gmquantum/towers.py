@@ -10,19 +10,20 @@ Whitney relation (1+H+A)(1+Hp+Ap) = c(E^v).
 
 Integration runs stage by stage.  A projective stage pushes z^(r-1+k) to
 the k-th Segre class of E; this rule is linear over the lower ring and
-valid monomial by monomial on any polynomial representative.  A Grassmann
-stage integrates through the flag bundle Fl(1,2; E), a tower of two
-projective stages: pull back along H -> u+v, A -> uv, multiply by u (the
-relative hyperplane class of Fl -> G(2,E)), then push v (rank 3 bundle
-E/L1 with c(E/L1) = c(E)/(1-u)) and u (rank 4 bundle E).
+valid monomial by monomial on any polynomial representative.  Every
+Grassmannian is integrated by `grassmann_push` through the flag bundle
+Fl(1,2; E), a tower of two projective stages: pull back along H -> u+v,
+A -> uv, multiply by u (the relative hyperplane class of Fl -> G(2,E)),
+then push v (rank r-1 bundle E/L1 with c(E/L1) = c(E)/(1-u)) and u
+(rank r bundle E).
 
 Sheaf expressions are trees over a few atoms, closed under dual, sum,
-twist by a line bundle (rank <= 3), Sym^2 and wedge^2 (rank 2 or 3, via
-power sums of the Chern roots).  One walk over an expression yields both
-its rank and its Chern classes.  A tower builds its stages in order from
-that walk, so a stage's bundle may use only the base and the stages below
-it.  Chern classes of a sheaf expression come back in normal form modulo the
-tower's presented Chow ring, so they match printed closed forms like
+twist by a line bundle (rank <= 3) and Sym^2 (rank 2 or 3, via power sums
+of the Chern roots).  One walk over an expression yields both its rank and
+its Chern classes.  A tower builds its stages in order from that walk, so
+a stage's bundle may use only the base and the stages below it.  Chern
+classes of a sheaf expression come back in normal form modulo the tower's
+presented Chow ring, so they match printed closed forms like
 c2 = alpha + hH on rings where h^2 = 0.
 """
 
@@ -35,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import PolyIdeal
 from .poly import MultiPoly, VarContext
-from .schubert import Grassmannian2
 
 Divisor = Tuple[Tuple[str, Fraction], ...]
 
@@ -104,13 +104,8 @@ class Sym2:
     inner: object
 
 
-@dataclass(frozen=True)
-class Wedge2:
-    inner: object
-
-
 # ---------------------------------------------------------------------------
-# Sym^2 and wedge^2 through power sums of the Chern roots
+# Sym^2 through power sums of the Chern roots
 # ---------------------------------------------------------------------------
 
 
@@ -130,22 +125,21 @@ def _power_sums(chern: List[MultiPoly], upto: int) -> List[MultiPoly]:
     return p
 
 
-def _pairs_construction(chern: List[MultiPoly], strict: bool) -> List[MultiPoly]:
-    """Chern classes of Sym^2 E (strict=False) or wedge^2 E (strict=True).
+def _pairs_construction(chern: List[MultiPoly]) -> List[MultiPoly]:
+    """Chern classes of Sym^2 E.
 
-    `chern` is [c0..cr] of E in some tower context.  The roots of the
-    derived bundle are x_i + x_j over pairs i <= j (i < j for wedge^2), so
-    its k-th power sum is half of sum_m C(k, m) p_m p_(k-m), the sum over
-    all ordered pairs, plus or minus the diagonal 2^k p_k.  Newton's
-    identities turn those power sums back into Chern classes.
+    `chern` is [c0..cr] of E in some tower context.  The roots of Sym^2 E
+    are x_i + x_j over pairs i <= j, so its k-th power sum is half of
+    sum_m C(k, m) p_m p_(k-m), the sum over all ordered pairs, plus the
+    diagonal 2^k p_k.  Newton's identities turn those power sums back into
+    Chern classes.
     """
     r = len(chern) - 1
-    sign = -1 if strict else 1
-    new_rank = (r * r + sign * r) // 2
+    new_rank = r * (r + 1) // 2
     p = _power_sums(chern, new_rank)
     sums = [None] + [
         (sum(math.comb(k, m) * p[m] * p[k - m] for m in range(k + 1))
-         + sign * 2 ** k * p[k]) * Fraction(1, 2)
+         + 2 ** k * p[k]) * Fraction(1, 2)
         for k in range(1, new_rank + 1)]
     out = [chern[0]]
     for k in range(1, new_rank + 1):
@@ -190,7 +184,6 @@ class G24Base:
         self.names = ("a1", "a2")
         self.var_specs = [(self.names[0], 1), (self.names[1], 2)]
         self.dim = 4
-        self.g = Grassmannian2(4)
 
     def relations(self, ctx: VarContext) -> List[MultiPoly]:
         a1 = ctx.var(self.names[0])
@@ -199,17 +192,8 @@ class G24Base:
         return [a1 ** 3 - 2 * a1 * a2, a1 ** 2 * a2 - a2 ** 2]
 
     def integrate(self, p: MultiPoly) -> Fraction:
-        i1 = p.ctx.index[self.names[0]]
-        i2 = p.ctx.index[self.names[1]]
-        total = Fraction(0)
-        for exp, coeff in p.terms.items():
-            if any(e for k, e in enumerate(exp) if k not in (i1, i2)):
-                continue
-            cls = self.g.power(self.g.sigma(1), exp[i1])
-            for _ in range(exp[i2]):
-                cls = self.g.multiply(self.g.sigma(1, 1), cls)
-            total += coeff * self.g.integrate(cls)
-        return total
+        trivial = [p.ctx.one()] + [p.ctx.zero()] * 4
+        return grassmann_push(p, *self.names, trivial).scalar_value()
 
     def describe(self) -> str:
         return "G(2,4)(%s,%s)" % self.names
@@ -265,6 +249,29 @@ def _project(p: MultiPoly, target: VarContext) -> MultiPoly:
     return MultiPoly(target, terms)
 
 
+def grassmann_push(p: MultiPoly, h: str, a: str,
+                   chern: List[MultiPoly]) -> MultiPoly:
+    """Pushforward along G(2,E) -> base for E of rank r = len(chern) - 1,
+    through the flag bundle (Fulton, Intersection Theory, ch. 14).
+
+    `h` and `a` name the Chern classes of the dual tautological sub, the
+    only fiber variables p may involve; `chern` is c(E) on the base.
+    """
+    ctx = p.ctx
+    r = len(chern) - 1
+    flag = ctx.extended(("u_", "v_"), (1, 1))
+    u, v = flag.var("u_"), flag.var("v_")
+    p = p.substitute({h: u + v, a: u * v}, flag) * u
+    chern_flag = [c.substitute({}, flag) for c in chern]
+    # rank r-1 quotient E/L1 with c = c(E)/(1-u), read up to degree r-1
+    cq_total = total_class(chern_flag) * sum(
+        (u ** k for k in range(1, r)), flag.one())
+    cq = [cq_total.graded_part(k) for k in range(r)]
+    p = proj_push(p, "v_", r - 1, cq)
+    p = proj_push(p, "u_", r, chern_flag)
+    return _project(p, ctx)
+
+
 class ProjStage:
     def __init__(self, var: str, rank: int, chern: List[MultiPoly]):
         self.var = var
@@ -313,18 +320,7 @@ class Grass2Stage:
         hp_img = cdual[1] - hvar
         ap_img = cdual[2] - avar - hvar * hp_img
         p = p.substitute({hp: hp_img, ap: ap_img}, ctx)
-        # through the flag bundle: H -> u+v, A -> uv, times u
-        flag = ctx.extended(("u_", "v_"), (1, 1))
-        u = flag.var("u_")
-        v = flag.var("v_")
-        p = p.substitute({h: u + v, a: u * v}, flag) * u
-        chern_flag = [c.substitute({}, flag) for c in self.chern]
-        # rank 3 quotient E/L1 with c = c(E)/(1-u), read up to degree 3
-        cq_total = total_class(chern_flag) * (flag.one() + u + u ** 2 + u ** 3)
-        cq = [cq_total.graded_part(k) for k in range(4)]
-        p = proj_push(p, "v_", 3, cq)
-        p = proj_push(p, "u_", 4, chern_flag)
-        return _project(p, ctx)
+        return grassmann_push(p, h, a, self.chern)
 
     def describe(self) -> str:
         return ("G(2,E) stage, rank 4, sub classes (%s, %s), "
@@ -480,11 +476,11 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
                 ck = ck + math.comb(r - i, k - i) * total[i] * lam ** (k - i)
             out.append(ck)
         return r, out
-    if isinstance(expr, (Sym2, Wedge2)):
+    if isinstance(expr, Sym2):
         r, total = _chern_raw(expr.inner, tower)
         if r not in (2, 3):
-            raise ValueError("Sym2 and wedge2 need rank 2 or 3")
-        derived = _pairs_construction(total, strict=isinstance(expr, Wedge2))
+            raise ValueError("Sym2 needs rank 2 or 3")
+        derived = _pairs_construction(total)
         return len(derived) - 1, derived
     raise ValueError("unknown sheaf expression %r" % (expr,))
 

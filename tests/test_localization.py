@@ -25,19 +25,29 @@ Level 1, here: the three counts whose towers have only projective stages
 are P(E) over P^1.  P^1 x P^2 is P(O^3).  Each count's own integrand, as
 it reaches `Tower.integrate`, is evaluated at the fixed points.  This
 checks the pushforwards and the relations of the tower code, but not its
-Chern classes.  A weight choice with a zero tangent weight is refused,
-never divided by.
+Chern classes.  The two Grassmannians over a point are checked the same
+way through `grassmann_localization`: I13's integrand on its G(2,4) base,
+and the seven ambient triple numbers on G(2,5), with each Schubert class
+restricted by Giambelli in the fixed point's roots rather than by the
+formula `gmquantum.ambient` builds them with.  A weight choice with a zero
+tangent weight is refused, never divided by.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gmquantum.gwcounts import compute_i11, compute_i12, compute_i2
-from gmquantum.towers import Tower
+import grassmann_localization as grass
+from gmquantum.ambient import AmbientRing, BASIS_DEGREES, DIM, LIFT_PARTITIONS
+from gmquantum.gwcounts import (
+    compute_i11, compute_i12, compute_i13, compute_i2,
+)
+from gmquantum.poly import VarContext
+from gmquantum.towers import G24Base, Tower, grassmann_push
 
 # count -> (computation, fiber variable, twists c_j of E, the integral);
 # I2's integral is the invariant before its factor 2
@@ -130,3 +140,71 @@ def test_random_top_monomials_match_integrate(name, h_power, coeff,
     except ValueError:
         assume(False)
     assert tower.integrate(monomial) == expected
+
+
+# ---------------------------------------------------------------------------
+# the Grassmannians over a point: G(2,4) of I13 and G(2,5) of the ambient ring
+# ---------------------------------------------------------------------------
+
+G24_WEIGHTS = (2, 5, 11, 17)
+G25_WEIGHTS = (2, 5, 11, 17, 29)
+I13 = integrated(compute_i13)
+
+
+def test_i13_integrand_on_g24():
+    report, tower, integrand = I13
+    assert isinstance(tower.base, G24Base) and not tower.stages
+    assert len(list(grass.fixed_points(G24_WEIGHTS))) == 6
+    value = grass.bott_sum(
+        lambda h, a, _: integrand.evaluate({"a1": h, "a2": a}), G24_WEIGHTS)
+    assert value == 3
+    assert tower.integrate(integrand) == 3
+    assert report.value == 2 * value
+
+
+def test_ambient_triples_by_localization():
+    # T_ijl = 2 int_G(2,5) sigma_i sigma_j sigma_l sigma_1^2
+    amb = AmbientRing()
+    assert len(list(grass.fixed_points(G25_WEIGHTS))) == 10
+    seen = set()
+    for ijl in product(range(DIM), repeat=3):
+        if sum(BASIS_DEGREES[i] for i in ijl) != 4:
+            continue
+        parts = [LIFT_PARTITIONS[i] for i in ijl]
+        value = 2 * grass.bott_sum(
+            lambda h, a, roots: h ** 2 * prod(grass.schubert_at(x, y, roots)
+                                              for x, y in parts),
+            G25_WEIGHTS)
+        assert amb.triples[ijl[0]][ijl[1]][ijl[2]] == value, ijl
+        seen.add(tuple(sorted(ijl)))
+    assert len(seen) == 7
+
+
+def test_grassmannian_zero_tangent_weight_is_refused():
+    with pytest.raises(ValueError, match="zero tangent weight"):
+        grass.bott_sum(lambda h, a, _: h ** 4, (2, 5, 5, 17))
+
+
+G25 = VarContext(("H", "A"), (1, 2))
+TRIVIAL5 = [G25.one()] + [G25.zero()] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([4, 5]), a_power=st.integers(0, 3),
+       coeff=st.integers(-5, 5).filter(bool), data=st.data())
+def test_random_grassmannian_top_monomials(n, a_power, coeff, data):
+    """H^i A^j of top degree on G(2,4) through I13's base and on G(2,5)
+    through `grassmann_push` with the trivial rank 5 bundle."""
+    weights = data.draw(st.lists(weight, min_size=n, max_size=n,
+                                 unique=True))
+    j = min(a_power, n - 2)
+    i = 2 * (n - 2) - 2 * j
+    expected = grass.bott_sum(lambda h, a, _: coeff * h ** i * a ** j, weights)
+    if n == 4:
+        tower = I13[1]
+        got = tower.integrate(
+            coeff * tower.var("a1") ** i * tower.var("a2") ** j)
+    else:
+        monomial = coeff * G25.var("H") ** i * G25.var("A") ** j
+        got = grassmann_push(monomial, "H", "A", TRIVIAL5).scalar_value()
+    assert got == expected

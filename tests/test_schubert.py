@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmquantum.schubert import Grassmannian2
+from schubert_oracle import Grassmannian2
 
 
 def pair(g, x, y):

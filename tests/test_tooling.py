@@ -181,12 +181,7 @@ def test_every_def_runs():
 
 
 # classes that no code in src/ or bench/ builds but the tests do
-BUILD_EXEMPT = {
-    ("towers.py", "Wedge2"):
-        "test_criterion_10_oracle_suites and"
-        " test_sym2_wedge2_match_formal_roots check wedge^2 against the"
-        " splitting-principle oracle",
-}
+BUILD_EXEMPT = {}
 
 
 def test_every_class_is_built():
@@ -226,6 +221,43 @@ def test_every_class_is_built():
                                              node.name))
     assert unbuilt == []
     assert sorted(key for key in BUILD_EXEMPT if key[1] in built) == []
+
+
+def imported_modules(tree: ast.AST):
+    """Top-level name of each module an absolute import in the tree names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+# test-side oracles that must share no code with the program they check
+ORACLES = ("schubert_oracle.py", "grassmann_localization.py")
+
+
+def test_oracles_import_only_the_standard_library():
+    """The Schubert and localization oracles import neither gmquantum nor
+    anything that could import it, so they cannot agree with the program
+    by sharing its code."""
+    foreign = ["%s imports %s" % (name, module)
+               for name in ORACLES
+               for module in imported_modules(
+                   ast.parse((ROOT / "tests" / name).read_text()))
+               if module not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_src_imports_nothing_from_tests():
+    """The package runs without the tests: no module under src/ imports
+    `tests` or a module that lives in it."""
+    test_modules = {"tests"} | {path.stem
+                                for path in (ROOT / "tests").glob("*.py")}
+    leaks = ["%s imports %s" % (path.relative_to(ROOT), module)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for module in imported_modules(ast.parse(path.read_text()))
+             if module in test_modules]
+    assert leaks == []
 
 
 def _positional_params(node: ast.FunctionDef, in_class: bool):

@@ -1,9 +1,11 @@
 """Integration on bundle towers against independent oracles.
 
 The tower engine is the workhorse behind every curve count, so it is
-checked three ways: against Schubert calculus over a point base, against
-closed form Chern identities from formal roots, and against hand
-computed intersection numbers on the small bases used by the counts.
+checked three ways: against Schubert calculus over a point base (the
+test-side oracle in `schubert_oracle`, which shares no code with the
+Grassmann pushforward), against closed form Chern identities from formal
+roots, and against hand computed intersection numbers on the small bases
+used by the counts.
 """
 
 from fractions import Fraction
@@ -11,11 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmquantum.schubert import Grassmannian2
+from gmquantum.poly import VarContext
 from gmquantum.towers import (
     BaseSub, Dual, G24Base, ProjBase, Sym2, TautSub, Tower, Trivial,
-    Wedge2, bundle_sum, chern_of, line_bundle, segre_of, twist,
+    bundle_sum, chern_of, grassmann_push, line_bundle, segre_of, twist,
 )
+from schubert_oracle import Grassmannian2
 
 
 def theta_tower():
@@ -61,6 +64,25 @@ def test_point_base_grass_bundle_matches_schubert_everywhere():
             for _ in range(j):
                 cls = g.multiply(g.sigma(1, 1), cls)
             assert got == g.integrate(cls), (i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_grassmann_push_matches_schubert_on_g2n(n):
+    # G(2, n) as the Grassmann bundle of the trivial rank n bundle
+    ctx = VarContext(("H", "A"), (1, 2))
+    trivial = [ctx.one()] + [ctx.zero()] * n
+    g = Grassmannian2(n)
+    for j in range(n - 1):
+        i = g.dimension - 2 * j
+        got = grassmann_push(ctx.var("H") ** i * ctx.var("A") ** j,
+                             "H", "A", trivial)
+        cls = g.power(g.sigma(1), i)
+        for _ in range(j):
+            cls = g.multiply(g.sigma(1, 1), cls)
+        assert got == ctx.scalar(g.integrate(cls)), (n, i, j)
+    # classes off the top degree push to zero
+    assert grassmann_push(ctx.var("H") ** (g.dimension - 1), "H", "A",
+                          trivial).is_zero()
 
 
 def test_point_base_quotient_variables():
@@ -172,7 +194,7 @@ def test_sigma_tower_j12_classes():
 
 
 # ---------------------------------------------------------------------------
-# splitting principle oracle: Sym2 and Wedge2 from formal roots
+# splitting principle oracle: Sym2 from formal roots
 # ---------------------------------------------------------------------------
 
 
@@ -181,7 +203,7 @@ line_coeffs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(line_coeffs, min_size=2, max_size=3))
-def test_sym2_wedge2_match_formal_roots(pairs):
+def test_sym2_matches_formal_roots(pairs):
     theta = theta_tower()
     h, l = theta.var("h"), theta.var("l")
     roots = [a * h + b * l for a, b in pairs]
@@ -197,15 +219,6 @@ def test_sym2_wedge2_match_formal_roots(pairs):
     for k in range(len(c_sym)):
         assert c_sym[k] == theta.normal_form(oracle.graded_part(k)), k
 
-    rank_w, c_wedge = chern_of(Wedge2(bundle), theta)
-    assert rank_w == r * (r - 1) // 2
-    oracle = theta.ctx.one()
-    for i in range(r):
-        for j in range(i + 1, r):
-            oracle = oracle * (1 + roots[i] + roots[j])
-    for k in range(len(c_wedge)):
-        assert c_wedge[k] == theta.normal_form(oracle.graded_part(k)), k
-
 
 def test_sym2_closed_form_rank2():
     # c3(Sym2 of a rank 2 bundle) = 4 c1 c2
@@ -218,20 +231,17 @@ def test_sym2_closed_form_rank2():
     assert c3[3] == sigma.normal_form(4 * c[1] * c[2])
 
 
-def test_wedge2_determinant_lines():
-    gamma = gamma_tower()
-    u2 = bundle_sum(line_bundle({"h": -1}), TautSub(0))
-    rank, cw = chern_of(Wedge2(u2), gamma)
-    _, cu = chern_of(u2, gamma)
-    assert rank == 1 and cw[1] == cu[1]
+def test_sym2_of_a_rank3_bundle_has_rank6():
     theta = theta_tower()
     e3 = bundle_sum(Trivial(1), line_bundle({"h": -1}),
                     line_bundle({"h": -2}))
-    rank, cw3 = chern_of(Wedge2(e3), theta)
-    assert rank == 3
-    assert cw3[1] == theta.normal_form(-6 * theta.var("h"))
     rank_s, _ = chern_of(Sym2(e3), theta)
     assert rank_s == 6
+
+
+def test_sym2_needs_rank_two_or_three():
+    with pytest.raises(ValueError, match="rank 2 or 3"):
+        chern_of(Sym2(Trivial(4)), theta_tower())
 
 
 # ---------------------------------------------------------------------------
