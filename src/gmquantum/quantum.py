@@ -26,8 +26,9 @@ denominator, and contracts two vectors of `MultiPoly` into a vector of
 `MultiPoly` with Python int products and sums alone.  On the standard ring
 the key is the q exponent, and the solver's symbolic (q, uJ11, uJ2) ring
 runs through the same code.  Only `star` and `pairing` contract the
-tensors, which `QuantumRing` keeps private; every check multiplies and
-pairs through them and compares unreduced results by cross-multiplying.
+tensors, which `QuantumRing` keeps private.  Every check multiplies and
+pairs through them (the scans read a*b and b*c from the table) and
+compares unreduced results by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def _vsub(x: QVec, y: QVec) -> QVec:
 def _vscale(c, x: QVec) -> QVec:
     """c * x, multiplying only the nonzero coordinates."""
     return tuple(a * c if a else a for a in x)
-
-
-def _vzero(ctx: VarContext) -> QVec:
-    return tuple(ctx.zero() for _ in range(DIM))
 
 
 def _is_zero_vec(x: QVec) -> bool:
@@ -150,15 +147,14 @@ class StructureTensor:
         dy, ys, by = _over_common_denominator(y)
         bound = self.ctx.guard(bx + by + self.bound)
         acc: List[Dict[int, int]] = [{} for _ in range(self.width)]
-        for (xi, f), row in zip(xs, self.rows):
-            if not xi:
-                continue
-            for (yj, g), entries in zip(ys, row):
-                if not yj or not entries:
+        for i, xi in xs:
+            row = self.rows[i]
+            for j, yj in ys:
+                entries = row[j]
+                if not entries:
                     continue
-                for ex, nx in xi.items():
-                    nx *= f * g
-                    for ey, ny in yj.items():
+                for ex, nx in xi:
+                    for ey, ny in yj:
                         e, n = ex + ey, nx * ny
                         for k, et, c in entries:
                             slot = acc[k]
@@ -170,15 +166,17 @@ class StructureTensor:
 
 
 def _over_common_denominator(x: QVec) -> Tuple[int, list, int]:
-    """The lcm of x's denominators; per slot its numerators and the factor
-    that brings them over the lcm; and the largest exponent bound."""
+    """The lcm of x's denominators; each nonzero slot as (index, [(key,
+    numerator over the lcm)]); and the largest exponent bound."""
     den = bound = 0
     for p in x:
         if p.den != den:
             den = math.lcm(den or 1, p.den)
         if p.bound > bound:
             bound = p.bound
-    return den, [(p.nums, den // p.den) for p in x], bound
+    return den, [(i, list(p.nums.items()) if p.den == den else
+                  [(e, n * (den // p.den)) for e, n in p.nums.items()])
+                 for i, p in enumerate(x) if p.nums], bound
 
 
 class QuantumRing:
@@ -220,12 +218,10 @@ class QuantumRing:
     # -- elements ---------------------------------------------------------
 
     def zero(self) -> QVec:
-        return _vzero(self.ctx)
+        return tuple(self.ctx.zero() for _ in range(DIM))
 
     def basis_element(self, name: str) -> QVec:
-        i = BASIS_NAMES.index(name)
-        return tuple(self.ctx.one() if k == i else self.ctx.zero()
-                     for k in range(DIM))
+        return self.element({name: 1})
 
     def element(self, coeffs: Dict[str, object]) -> QVec:
         out = list(self.zero())
@@ -347,32 +343,40 @@ def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     return list(ring._associativity)
 
 
-# the number of basis triples the associativity and Frobenius scans visit
+# the basis triples each scan compares, reading a*b and b*c from the
+# table and contracting them with the third class by `star` or `pairing`
 ASSOCIATIVITY_TRIPLES = math.comb(DIM + 2, 3)
 FROBENIUS_TRIPLES = DIM ** 3
 
 
-def _basis_triples(ring: QuantumRing, triples):
-    """(names, (a, b, c)) for each index triple (i, j, k) of `triples`."""
+def _table_sides(ring: QuantumRing, triples, op):
+    """(names, op(e_i*e_j, e_k), op(e_i, e_j*e_k)) for each index triple
+    (i, j, k) of `triples`, with both products read from the table and each
+    distinct side contracted once."""
     basis = [ring.basis_element(name) for name in BASIS_NAMES]
-    for ijk in triples:
-        yield (tuple(BASIS_NAMES[i] for i in ijk),
-               tuple(basis[i] for i in ijk))
+    left, right = {}, {}
+    for i, j, k in triples:
+        ab = (min(i, j), max(i, j)), k
+        bc = i, (min(j, k), max(j, k))
+        if ab not in left:
+            left[ab] = op(ring.table[ab[0]], basis[k])
+        if bc not in right:
+            right[bc] = op(basis[i], ring.table[bc[1]])
+        yield ((BASIS_NAMES[i], BASIS_NAMES[j], BASIS_NAMES[k]),
+               left[ab], right[bc])
 
 
 def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    star = ring.star
-    return [names for names, (a, b, c) in _basis_triples(
-                ring, combinations_with_replacement(range(DIM), 3))
-            if star(star(a, b), c) != star(a, star(b, c))]
+    return [names for names, lhs, rhs in _table_sides(
+                ring, combinations_with_replacement(range(DIM), 3), ring.star)
+            if lhs != rhs]
 
 
 def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """Triples where <a*b, c> differs from <a, b*c>."""
-    star, pairing = ring.star, ring.pairing
-    return [names for names, (a, b, c) in _basis_triples(
-                ring, product(range(DIM), repeat=3))
-            if pairing(star(a, b), c) != pairing(a, star(b, c))]
+    return [names for names, lhs, rhs in _table_sides(
+                ring, product(range(DIM), repeat=3), ring.pairing)
+            if lhs != rhs]
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:
@@ -429,8 +433,7 @@ def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
         s3x = ring.star(ring.basis_element("s3"), x)
         via = _vsub(ring.star_h(ring.star(ring.basis_element("s2"), x)),
                     _vscale(q * c.I12, ring.star(ring.basis_element("s1"), x)))
-        diff = _vsub(_vscale(Fraction(3), s3x), via)
-        out.extend(diff)
+        out.extend(_vsub(_vscale(Fraction(3), s3x), via))
     return out
 
 
@@ -469,13 +472,10 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     ctx = quantum_context(unknowns)
     amb = AmbientRing()
     ring = QuantumRing(counts, amb, ctx.var("uJ11"), ctx.var("uJ2"), ctx=ctx)
-    star, pairing = ring.star, ring.pairing
     residuals = _route_residuals(ring) + [
-        pairing(star(a, b), c) - pairing(a, star(b, c))
-        for _, (a, b, c) in _basis_triples(
-            ring, combinations_with_replacement(range(DIM), 3))]
-    rows = []
-    rhs = []
+        lhs - rhs for _, lhs, rhs in _table_sides(
+            ring, combinations_with_replacement(range(DIM), 3), ring.pairing)]
+    rows, rhs = [], []
     for r in residuals:
         if r.is_zero():
             continue

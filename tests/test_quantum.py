@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -559,6 +560,66 @@ def test_random_identities_match_the_multipoly_sample(ring, seed):
         assert (got != []) == (r is broken)
 
 
+def basis_triples(ring, triples):
+    """(names, (e_i, e_j, e_k)) for each index triple, as basis vectors."""
+    basis = [ring.basis_element(name) for name in BASIS_NAMES]
+    for ijk in triples:
+        yield (tuple(BASIS_NAMES[i] for i in ijk),
+               tuple(basis[i] for i in ijk))
+
+
+def reference_associativity_failures(ring):
+    """The associativity scan with every product of basis vectors made
+    through `star`."""
+    star = ring.star
+    return [names for names, (a, b, c) in basis_triples(
+                ring, combinations_with_replacement(range(DIM), 3))
+            if star(star(a, b), c) != star(a, star(b, c))]
+
+
+def reference_frobenius_sides(ring, triples):
+    """(names, <a*b, c>, <a, b*c>) with both products made through `star`."""
+    star, pairing = ring.star, ring.pairing
+    return [(names, pairing(star(a, b), c), pairing(a, star(b, c)))
+            for names, (a, b, c) in basis_triples(ring, triples)]
+
+
+@pytest.mark.parametrize("kind", ["standard", "perturbed"])
+def test_table_scans_agree_with_basis_vector_products(ring, kind):
+    """The scans read a*b and b*c from the table; multiplying the basis
+    vectors instead gives the same witnesses in the same order."""
+    r = ring if kind == "standard" else perturbed_ring(ring)
+    assoc = reference_associativity_failures(r)
+    frob = [names for names, lhs, rhs in reference_frobenius_sides(
+                r, product(range(DIM), repeat=3)) if lhs != rhs]
+    assert quantum._associativity_scan(r) == assoc
+    assert frobenius_failures(r) == frob
+    assert bool(assoc) == bool(frob) == (kind == "perturbed")
+
+
+def test_solver_frobenius_residuals_agree_with_basis_vector_products(
+        monkeypatch):
+    """Every nonzero residual the solver splits into equations, in order:
+    the route residuals, then <a*b, c> - <a, b*c> over the 56 sorted
+    triples of the symbolic ring.  A zero residual adds no equation."""
+    split = []
+    affine_split = quantum._affine_split
+
+    def recorded(p, unknowns):
+        split.append(p)
+        return affine_split(p, unknowns)
+
+    monkeypatch.setattr(quantum, "_affine_split", recorded)
+    solve_three_point_invariants(CountSet.from_geometry())
+    sym = symbolic_ring()
+    route = [p for p in quantum._route_residuals(sym) if not p.is_zero()]
+    frob = [lhs - rhs for _, lhs, rhs in reference_frobenius_sides(
+                sym, combinations_with_replacement(range(DIM), 3))]
+    frob = [p for p in frob if not p.is_zero()]
+    assert len(frob) == 17
+    assert split == route + frob
+
+
 def test_property_certificate_fails_on_a_perturbed_ring(ring):
     ws = certificates.Workspace()
     ws._cache["ring"] = perturbed_ring(ring)
@@ -595,7 +656,8 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
 
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
-    `QuantumRing.star` or `QuantumRing.pairing`."""
+    `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
+    1,598 of them."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -607,10 +669,14 @@ def test_only_star_and_pairing_contract(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["verify-all", "--seed", "0", "--no-timestamp"])
     allowed = {QuantumRing.star.__code__, QuantumRing.pairing.__code__}
-    assert sum(callers.values()) > 0
     assert set(callers) <= allowed, sorted(
         "%s:%d" % (c.co_name, c.co_firstlineno)
         for c in set(callers) - allowed)
+    # the work is deterministic: the table scans read products of two
+    # basis classes from the table, so a scan that multiplies basis
+    # vectors again shows up here
+    assert {c.co_name: n for c, n in callers.items()} == {
+        "star": 1034, "pairing": 564}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):
@@ -630,16 +696,17 @@ def test_j12_moves_sigma11_square_by_its_dual(ring):
 def test_scan_sizes_count_the_scanned_triples(monkeypatch, ring):
     """ASSOCIATIVITY_TRIPLES and FROBENIUS_TRIPLES, which the certificates
     and the table summary print, are the number of triples each scan
-    visits."""
+    compares."""
     seen = []
-    triples = quantum._basis_triples
+    sides = quantum._table_sides
 
-    def counted(r, ijk):
-        listed = list(ijk)
-        seen.append(len(listed))
-        return triples(r, listed)
+    def counted(r, ijk, op):
+        seen.append(0)
+        for compared in sides(r, ijk, op):
+            seen[-1] += 1
+            yield compared
 
-    monkeypatch.setattr(quantum, "_basis_triples", counted)
+    monkeypatch.setattr(quantum, "_table_sides", counted)
     quantum._associativity_scan(ring)
     frobenius_failures(ring)
     assert seen == [quantum.ASSOCIATIVITY_TRIPLES, quantum.FROBENIUS_TRIPLES]
