@@ -1,155 +1,198 @@
-"""Groebner bases over the rationals, in graded reverse lex order.
+"""Groebner bases over the rationals, in weighted graded reverse lex order.
 
-Plain Buchberger with the coprime-leading-term criterion is enough for the
-tiny ideals handled here (two variables, a handful of generators).  A
-quotient ring is decided finite or infinite exactly from the leading
-monomials of the reduced basis, and its standard monomials are read off
-the box their pure powers bound.
+Terms live in maps {rank: integer numerator} over one denominator, where
+the monomial of key k (B bits) has rank (weighted degree << B) - k: with
+every degree positive, ranks order monomials as `weighted_grevlex_key`
+does and add as they multiply.  Buchberger (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 2 par. 10) keeps a monic basis, reduces each
+generator as it enters and takes S-pairs by least lcm (normal selection),
+skipping coprime leads and those the chain criterion settles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
+import math
 from itertools import product
-from typing import List, Optional, Sequence
+from operator import le, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Exponent, MultiPoly, weighted_grevlex_key
+from .poly import (
+    FIELD, MASK, Exponent, MultiPoly, VarContext, weighted_grevlex_key,
+)
 
-
-def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+# a monic basis element: (leading rank, leading key, tail, tail denominator)
+Monic = Tuple[int, int, Dict[int, int], int]
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _masks(ctx: VarContext) -> Tuple[int, int, int]:
+    """B, the mask of a key, and the lowest bit of each field but the first."""
+    bits = FIELD * ctx.nvars
+    return bits, (1 << bits) - 1, ((1 << bits) - 1) // MASK - 1
 
 
-def _coprime(a: Exponent, b: Exponent) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _divides(a: int, b: int, fields: int) -> bool:
+    """Whether key a divides key b: b - a borrows across no field."""
+    d = b - a
+    return d >= 0 and not (a ^ b ^ d) & fields
 
 
-def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
-    """Remainder of multivariate division by `basis` (grevlex)."""
+def _ranks(poly: MultiPoly) -> Dict[int, int]:
+    """The numerators of `poly` by rank.  Division never raises the weighted
+    degree, so guarding it keeps a remainder's exponents from carrying."""
     ctx = poly.ctx
-    leads = [g.leading() for g in basis]
-    remainder = ctx.zero()
-    work = poly
-    while not work.is_zero():
-        exp, coeff = work.leading()
-        reduced = False
-        for g, (gexp, gcoeff) in zip(basis, leads):
-            if _divides(gexp, exp):
-                shift = _exp_sub(exp, gexp)
-                factor = ctx.monomial(shift, coeff / gcoeff)
-                work = work - factor * g
-                reduced = True
+    ctx.guard(poly.bound * sum(ctx.degrees))
+    bits = FIELD * ctx.nvars
+    return {(ctx.order_key(k)[0] << bits) - k: n for k, n in poly.nums.items()}
+
+
+def _poly(ctx: VarContext, f: Dict[int, int], den: int) -> MultiPoly:
+    """f over den in lowest terms; the leading weighted degree bounds it."""
+    bits, mask, _ = _masks(ctx)
+    g = math.gcd(den, *f.values())
+    return MultiPoly.from_numerators(
+        ctx, {-r & mask: n // g for r, n in f.items()}, den // g,
+        (max(f) >> bits) + 1 if f else 0)
+
+
+def _monic(f: Dict[int, int], mask: int) -> Monic:
+    """The monic multiple of the nonzero map f, in lowest terms."""
+    lead = max(f)
+    den = f.pop(lead)
+    g = math.gcd(den, *f.values()) * (1 if den > 0 else -1)
+    return lead, -lead & mask, {k: n // g for k, n in f.items()}, den // g
+
+
+def _subtract(f: Dict[int, int], tail: Dict[int, int], shift: int, c: int):
+    """f -= c x^shift tail, in place."""
+    for r, n in tail.items():
+        v = f.pop(r + shift, 0) - c * n
+        if v:
+            f[r + shift] = v
+
+
+def _reduce(ctx: VarContext, f: Dict[int, int],
+            basis: Sequence[Monic]) -> Tuple[Dict[int, int], int]:
+    """The remainder of f by `basis`, emptying f, and the factor by which
+    its denominator grew."""
+    _, mask, fields = _masks(ctx)
+    rem, scale = {}, 1
+    while f:
+        top = max(f)
+        c, key = f.pop(top), -top & mask
+        for lead, lead_key, tail, den in basis:
+            d = key - lead_key  # as in _divides
+            if d >= 0 and not (key ^ lead_key ^ d) & fields:
                 break
-        if not reduced:
-            mono = ctx.monomial(exp, coeff)
-            remainder = remainder + mono
-            work = work - mono
-    return remainder
+        else:
+            rem[top] = c
+            continue
+        common = math.gcd(c, den)
+        if common != den:  # f - c x^(top - lead) g needs a larger denominator
+            for m in (f, rem):
+                for k in m:
+                    m[k] *= den // common
+            scale *= den // common
+        _subtract(f, tail, top - lead, c // common)
+    return rem, scale
 
 
-def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    ctx = f.ctx
-    fexp, fc = f.leading()
-    gexp, gc = g.leading()
-    lcm = _exp_lcm(fexp, gexp)
-    mf = ctx.monomial(_exp_sub(lcm, fexp), Fraction(1) / fc)
-    mg = ctx.monomial(_exp_sub(lcm, gexp), Fraction(1) / gc)
-    return mf * f - mg * g
+def _s_polynomial(gi: Monic, gj: Monic, lcm: int) -> Dict[int, int]:
+    """x^(L - lead_i) g_i - x^(L - lead_j) g_j, L of rank lcm, times both
+    tail denominators."""
+    s: Dict[int, int] = {}
+    _subtract(s, gi[2], lcm - gi[0], -gj[3])
+    _subtract(s, gj[2], lcm - gj[0], gi[3])
+    return s
 
 
-def buchberger(generators: Sequence[MultiPoly]) -> List[MultiPoly]:
-    """Reduced Groebner basis, leading coefficients normalized to 1."""
-    basis = [g for g in generators if not g.is_zero()]
-    if not basis:
-        return []
-    ctx = basis[0].ctx
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        fexp, _ = basis[i].leading()
-        gexp, _ = basis[j].leading()
-        if _coprime(fexp, gexp):
-            continue
-        s = normal_form(_s_poly(basis[i], basis[j]), basis)
-        if not s.is_zero():
-            basis.append(s)
-            k = len(basis) - 1
-            pairs.extend((i2, k) for i2 in range(k))
-    # interreduce: drop members whose lead divides by another lead, then
-    # fully reduce each member against the rest and normalize.
-    basis.sort(key=lambda g: weighted_grevlex_key(ctx, g.leading()[0]))
-    minimal = []
-    for idx, g in enumerate(basis):
-        gexp = g.leading()[0]
-        others = [h.leading()[0] for k, h in enumerate(basis) if k != idx]
-        if any(_divides(o, gexp) for o in others if o != gexp):
-            continue
-        if any(h.leading()[0] == gexp for h in minimal):
-            continue
-        minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        rest = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, rest) if rest else g
-        if r.is_zero():
-            continue
-        _, lc = r.leading()
-        reduced.append(r * (Fraction(1) / lc))
-    reduced.sort(key=lambda g: weighted_grevlex_key(ctx, g.leading()[0]))
-    return reduced
+def buchberger(generators: Sequence[MultiPoly]) -> List[Monic]:
+    """Reduced Groebner basis of nonzero generators, leading terms rising."""
+    ctx = generators[0].ctx
+    bits, mask, fields = _masks(ctx)
+    var_ranks = [(d << bits) - (1 << s)
+                 for d, s in zip(ctx.degrees, ctx.shifts)]
+    basis: List[Monic] = []
+    heap: List[Tuple[int, int, int]] = []
+    pending = set()
+
+    def add(f: Dict[int, int]):
+        """Reduce f; if it survives, queue its pairs but the coprime ones,
+        whose lcm is the product of their leads."""
+        f, _ = _reduce(ctx, f, basis)
+        if f:
+            j, new = len(basis), _monic(f, mask)
+            basis.append(new)
+            for i, g in enumerate(basis[:j]):
+                lcm = sum(map(mul, map(max, ctx.exponent(g[1]),
+                                       ctx.exponent(new[1])), var_ranks))
+                if lcm != g[0] + new[0]:
+                    heapq.heappush(heap, (lcm, i, j))
+                    pending.add((i, j))
+
+    for f in sorted(map(_ranks, generators), key=max):
+        add(f)
+    while heap:
+        lcm, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        # chain: g_k's lead divides the lcm, its pairs with g_i, g_j done
+        if not any(_divides(g[1], -lcm & mask, fields) and k not in (i, j)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, g in enumerate(basis)):
+            add(_s_polynomial(basis[i], basis[j], lcm))
+    # leads are distinct, so sorting compares only them
+    minimal = [g for g in sorted(basis) if not any(
+        h is not g and _divides(h[1], g[1], fields) for h in basis)]
+    out = []
+    for lead, _, tail, den in minimal:
+        rem, scale = _reduce(ctx, dict(tail), minimal)
+        out.append(_monic({lead: den * scale, **rem}, mask))
+    return out
 
 
 class PolyIdeal:
-    """Ideal with cached reduced Groebner basis and quotient-ring helpers."""
+    """Ideal with its reduced Groebner basis and quotient-ring helpers."""
 
     def __init__(self, generators: Sequence[MultiPoly]):
         gens = [g for g in generators if not g.is_zero()]
         if not gens:
             raise ValueError("ideal needs at least one nonzero generator")
         self.ctx = gens[0].ctx
-        for g in gens:
-            if g.ctx != self.ctx:
-                raise ValueError("generators from mixed contexts")
-        self.basis = buchberger(gens)
+        if any(g.ctx != self.ctx for g in gens):
+            raise ValueError("generators from mixed contexts")
+        if min(self.ctx.degrees) <= 0:
+            raise ValueError("weighted grevlex needs positive degrees")
+        self._monic_basis = buchberger(gens)
+        self.basis = [_poly(self.ctx, {lead: den, **tail}, den)
+                      for lead, _, tail, den in self._monic_basis]
 
     def reduce(self, poly: MultiPoly) -> MultiPoly:
-        return normal_form(poly, self.basis)
+        """The normal form of `poly`, in lowest terms."""
+        rem, scale = _reduce(self.ctx, _ranks(poly), self._monic_basis)
+        return _poly(self.ctx, rem, poly.den * scale)
 
     def leading_exponents(self) -> List[Exponent]:
-        return [g.leading()[0] for g in self.basis]
+        return [self.ctx.exponent(g[1]) for g in self._monic_basis]
 
     def _box(self) -> Optional[List[int]]:
-        """Per variable, its least pure power among the leading monomials.
-
-        None if some variable has no pure power there, which is exactly
-        when the quotient is infinite (Finiteness Theorem; Cox, Little and
-        O'Shea, Ideals, Varieties, and Algorithms, ch. 5 par. 3).
-        """
+        """Per variable, its least pure leading power; None if one has none,
+        exactly when the quotient is infinite (Cox, Little and O'Shea, ch. 5
+        par. 3)."""
         leads = self.leading_exponents()
         box = [min((l[i] for l in leads if sum(l) == l[i]), default=None)
                for i in range(self.ctx.nvars)]
         return None if None in box else box
 
     def standard_monomials(self) -> List[Exponent]:
-        """Monomials outside the leading-term ideal, in grevlex order.
-
-        They lie in the box bounded by the pure powers among the leading
-        monomials.  Raises if the quotient is infinite.
-        """
+        """Monomials outside the leading-term ideal, in grevlex order: they
+        lie in the box of `_box`.  Raises if the quotient is infinite."""
         box = self._box()
         if box is None:
             raise ValueError("the quotient ring is infinite-dimensional")
         leads = self.leading_exponents()
         out = [exp for exp in product(*(range(b) for b in box))
-               if not any(_divides(l, exp) for l in leads)]
+               if not any(all(map(le, l, exp)) for l in leads)]
         out.sort(key=lambda e: weighted_grevlex_key(self.ctx, e))
         return out
 

@@ -1,11 +1,15 @@
 """Exact multivariate polynomial arithmetic and graded structure."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmquantum import groebner
+from gmquantum.cli import main
 from gmquantum.groebner import PolyIdeal
 from gmquantum.poly import MultiPoly, VarContext
 
@@ -315,3 +319,30 @@ def test_infinite_quotient_has_no_dimension():
     assert ideal.quotient_dimension() is None
     with pytest.raises(ValueError, match="infinite"):
         ideal.standard_monomials()
+
+
+@pytest.mark.parametrize("degree", [-1, 0])
+def test_ideal_refuses_a_degree_that_is_not_positive(degree):
+    # weighted grevlex is not a well-order there: in Q[x, t] with
+    # deg t = -1, reducing x by x - x^2 t only raises the power of x
+    ctx = VarContext(("x", "t"), (1, degree))
+    x, t = ctx.var("x"), ctx.var("t")
+    with pytest.raises(ValueError, match="positive"):
+        PolyIdeal([x - x ** 2 * t])
+
+
+def test_buchberger_work_is_pinned(monkeypatch):
+    """A cold verify-all reduces exactly this many S-polynomials over all
+    its Buchberger runs: the ideals are fixed, so a lost criterion or
+    another pair selection shows up here."""
+    built = []
+    s_polynomial = groebner._s_polynomial
+
+    def counted(*args):
+        built.append(args)
+        return s_polynomial(*args)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["verify-all", "--seed", "0", "--no-timestamp"])
+    assert len(built) == 11

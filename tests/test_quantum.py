@@ -167,6 +167,26 @@ def test_ring_from_solve_refuses_a_report_of_other_inputs():
             ring_from_solve(counts, rep)
 
 
+def test_route_residuals_are_not_tautological():
+    """In the symbolic ring the route residuals for x = s2, s11 and s31
+    are nonzero affine polynomials, so the s2 chain constrains J11 and J2;
+    for x = s3 the table stores s3 * s3 through that chain, so the
+    residual vanishes by construction."""
+    sym = symbolic_ring()
+    residuals = quantum._route_residuals(sym)
+    by_x = {name: residuals[DIM * k:DIM * (k + 1)]
+            for k, name in enumerate(("s2", "s11", "s3", "s31"))}
+    assert len(residuals) == 4 * DIM
+    assert all(p.is_zero() for p in by_x["s3"])
+    for name in ("s2", "s11", "s31"):
+        nonzero = [p for p in by_x[name] if not p.is_zero()]
+        assert nonzero, name
+        for p in nonzero:
+            assert quantum._affine_split(p, ("uJ11", "uJ2"))
+            assert any(p.max_power(u) for u in ("uJ11", "uJ2")), str(p)
+    assert "30*q - 5/4*q*uJ11" in [str(p) for p in by_x["s2"]]
+
+
 def test_solver_refuses_a_residual_that_is_not_affine(monkeypatch):
     # a residual quadratic in an unknown cannot enter the linear system,
     # and dropping it would hide the equation it carries
@@ -657,7 +677,7 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
     `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
-    1,598 of them."""
+    1,586 of them."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -672,11 +692,11 @@ def test_only_star_and_pairing_contract(monkeypatch):
     assert set(callers) <= allowed, sorted(
         "%s:%d" % (c.co_name, c.co_firstlineno)
         for c in set(callers) - allowed)
-    # the work is deterministic: the table scans read products of two
-    # basis classes from the table, so a scan that multiplies basis
-    # vectors again shows up here
+    # the work is deterministic: the table scans and the route residuals
+    # read products of two basis classes from the table, so code that
+    # multiplies basis vectors again shows up here
     assert {c.co_name: n for c, n in callers.items()} == {
-        "star": 1034, "pairing": 564}
+        "star": 1022, "pairing": 564}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):

@@ -18,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.orderings import MonomialOrder  # noqa: E402
 
-from gmquantum import cli  # noqa: E402
+from gmquantum import cli, gwcounts, towers  # noqa: E402
 from gmquantum.certificates import Workspace  # noqa: E402
 from gmquantum.deformation import (  # noqa: E402
     HodgeModel, assemble_full_operator, at_t_zero, atom_statistics,
@@ -159,6 +159,75 @@ def test_criterion_and_cofactor_profiles_over_qq_q(ws):
                             ws.model)
     assert (sqf_profile(cofactor, x, QQ_Q)
             == stats.details["cofactor_squarefree_profile_t0"] == {1: 4})
+
+
+# ---------------------------------------------------------------------------
+# reduced Groebner bases and normal forms over Q
+# ---------------------------------------------------------------------------
+
+
+def recorded_count(compute):
+    """The generators and ideal of the tower a count builds, and each class
+    `chern_of` returns to it, as (raw class, normal form) pairs."""
+    ideals, classes = [], []
+
+    def ideal(gens):
+        ideals.append((gens, PolyIdeal(gens)))
+        return ideals[-1][1]
+
+    def chern(expr, tower):
+        rank, reduced = towers.chern_of(expr, tower)
+        classes.extend(zip(towers._chern_raw(expr, tower)[1], reduced))
+        return rank, reduced
+
+    with mock.patch.object(towers, "PolyIdeal", ideal), \
+            mock.patch.object(gwcounts, "chern_of", chern):
+        compute()
+    [(gens, built)] = ideals
+    return gens, built, classes
+
+
+def sympy_basis(gens, ctx):
+    """sympy's reduced Groebner basis of gens under the context's order."""
+    order = WeightedGrevlex(ctx.degrees)
+    return sympy.groebner([to_sympy(g) for g in gens],
+                          *sympy.symbols(ctx.names), order=order,
+                          domain=sympy.QQ)
+
+
+def assert_same_basis(ideal, basis):
+    """The package's reduced basis is sympy's, monic, in the same order."""
+    order = basis.order
+    polys = sorted(basis.polys, key=lambda p: order(p.monoms(order=order)[0]))
+    assert [sympy.expand(p.as_expr() / p.coeffs(order=order)[0])
+            for p in polys] == [sympy.expand(to_sympy(g))
+                                for g in ideal.basis]
+    assert [p.monoms(order=order)[0] for p in polys] == \
+        ideal.leading_exponents()
+
+
+TOWER_COUNTS = {"I12": gwcounts.compute_i12, "I13": gwcounts.compute_i13,
+                "I2": gwcounts.compute_i2, "J12": gwcounts.compute_j12}
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_COUNTS))
+def test_tower_bases_match_sympy(name):
+    gens, ideal, classes = recorded_count(TOWER_COUNTS[name])
+    basis = sympy_basis(gens, ideal.ctx)
+    assert_same_basis(ideal, basis)
+    if name in ("I12", "J12"):
+        # the Chern classes the count prints are normal forms
+        assert classes
+        for raw, reduced in classes:
+            assert sympy.expand(basis.reduce(to_sympy(raw))[1]) == \
+                sympy.expand(to_sympy(reduced))
+
+
+@pytest.mark.parametrize("keep", [(0, 1), (0, 2), (1, 2)])
+def test_necessity_bases_match_sympy(keep):
+    gens = [_presentation_ideal()[i] for i in keep]
+    ideal = PolyIdeal(gens)
+    assert_same_basis(ideal, sympy_basis(gens, ideal.ctx))
 
 
 # ---------------------------------------------------------------------------
