@@ -8,6 +8,7 @@ those questions over sympy's QQ.frac_field(q) and compare the answers.
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -228,6 +229,39 @@ def test_necessity_bases_match_sympy(keep):
     gens = [_presentation_ideal()[i] for i in keep]
     ideal = PolyIdeal(gens)
     assert_same_basis(ideal, sympy_basis(gens, ideal.ctx))
+
+
+def rational_ideal():
+    """Inhomogeneous, with rational coefficients: tails get denominators."""
+    ctx = VarContext(("x", "y", "z"), (1, 2, 1))
+    x, y, z = (ctx.var(n) for n in ctx.names)
+    f = Fraction
+    return ([3 * x ** 2 * z - f(2, 5) * y * z + 7,
+             f(5, 3) * x * y - 4 * z ** 3 + x,
+             2 * y ** 2 - f(1, 7) * x * z ** 3],
+            [f(3, 4) * x ** 5 * y + z ** 6 - f(1, 3) * x * y * z,
+             y ** 3 * z - x ** 7])
+
+
+def cyclic_four():
+    """cyclic-4, where the chain criterion skips pairs."""
+    ctx = VarContext(("a", "b", "c", "d"), (1, 1, 1, 1))
+    v = [ctx.var(n) for n in ctx.names]
+    gens = [sum((math.prod(v[(i + j) % 4] for j in range(k))
+                 for i in range(4)), ctx.zero()) for k in (1, 2, 3)]
+    gens.append(math.prod(v) - 1)
+    return gens, [v[0] ** 5 * v[1] - v[2] * v[3], v[3] ** 7 + v[1] ** 3]
+
+
+@pytest.mark.parametrize("build", [rational_ideal, cyclic_four])
+def test_reduced_basis_and_normal_forms_match_sympy(build):
+    gens, polys = build()
+    ideal = PolyIdeal(gens)
+    basis = sympy_basis(gens, ideal.ctx)
+    assert_same_basis(ideal, basis)
+    for p in polys:
+        assert sympy.expand(basis.reduce(to_sympy(p))[1]) == \
+            sympy.expand(to_sympy(ideal.reduce(p)))
 
 
 # ---------------------------------------------------------------------------
