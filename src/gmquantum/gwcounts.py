@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .towers import (
-    BaseSub, Dual, G24Base, ProjBase, Sym2, TautSub, Tower, Trivial,
-    bundle_sum, chern_of, line_bundle, segre_of, total_class, twist,
+    Dual, ProjBase, Sym2, TautSub, Tower, Trivial, bundle_sum, chern_of,
+    line_bundle, segre_of, total_class, twist,
 )
 
 
@@ -82,7 +82,7 @@ def compute_i12() -> CountReport:
                   [("proj", bundle_sum(line_bundle({"h": 1}), Trivial(3)), "H")])
     u = bundle_sum(line_bundle({"h": -1}), TautSub(0))
     _, cu = chern_of(u, tower)
-    su = segre_of(u, tower, 2)
+    su = segre_of(cu, tower, 2)
     integrand = 2 * cu[1] ** 2 * (su[2] + cu[1] ** 2)
     return _finish(
         "I12", "<s2, dual(s1)>_1", tower, integrand, 1,
@@ -95,13 +95,15 @@ def compute_i13() -> CountReport:
 
     The relevant surface S is a degree 4 del Pezzo, the intersection of
     G(2,4) with a hyperplane and a quadric, so integrals over S reduce to
-    G(2,4): int_S g = 2 int_{G(2,4)} g a1^2.  The class of lines meeting
-    the cycle is s2(U) + c1(U)^2 for the tautological sub U.
+    G(2,4): int_S g = 2 int_{G(2,4)} g a1^2.  G(2,4) is the Grassmann
+    stage of the trivial rank 4 bundle over a point, with (a1, a2) the
+    Chern classes of the dual tautological sub U^v.  The class of lines
+    meeting the cycle is s2(U) + c1(U)^2.
     """
-    tower = Tower(G24Base())
+    tower = Tower(ProjBase([]), [("grass2", Trivial(4), ("a1", "a2"))])
     a1 = tower.var("a1")
-    _, cu = chern_of(BaseSub(), tower)
-    su = segre_of(BaseSub(), tower, 2)
+    _, cu = chern_of(TautSub(0), tower)
+    su = segre_of(cu, tower, 2)
     integrand = (su[2] + cu[1] ** 2) * a1 ** 2
     return _finish(
         "I13", "<s11, dual(s1)>_1", tower, integrand, 2,
@@ -125,8 +127,9 @@ def compute_i2() -> CountReport:
     l2 = bundle_sum(Trivial(1), line_bundle({"h": -1}))
     _, cond = chern_of(bundle_sum(Sym2(Dual(l2)), twist(Dual(l2), {"l": 1}),
                                   line_bundle({"l": 2})), tower)
-    denom = segre_of(bundle_sum(line_bundle({"h": 1}), line_bundle({"h": 2})),
-                     tower, 3)
+    _, cd = chern_of(bundle_sum(line_bundle({"h": 1}), line_bundle({"h": 2})),
+                     tower)
+    denom = segre_of(cd, tower, 3)
     integrand = tower.normal_form(
         (total_class(cond) * total_class(denom)).graded_part(3))
     return _finish(
@@ -141,14 +144,15 @@ def compute_i2() -> CountReport:
 def compute_j12() -> CountReport:
     """Lines incident to three sigma_11 cycles.
 
-    Parameter space: the G(2,E) bundle over P^1 with c(E) = 1 + h; the
-    flag L1 in L3 has L1 = O(-h) and L3/L1 the tautological rank 2 sub
-    with dual classes (H, al).  With W = (L1 wedge L3)^v the locus class
+    Parameter space: the G(2,E) bundle over P^1 with c(E) = 1 + h, its
+    ring generated by h and the Chern classes (H, al) of the dual
+    tautological sub; the flag L1 in L3 has L1 = O(-h) and L3/L1 the
+    tautological rank 2 sub.  With W = (L1 wedge L3)^v the locus class
     is c2(W) c3(S^2 W).
     """
     tower = Tower(ProjBase([("h", 1)]),
                   [("grass2", bundle_sum(line_bundle({"h": 1}), Trivial(3)),
-                    ("H", "al", "Hp", "alp"))])
+                    ("H", "al"))])
     w = Dual(twist(TautSub(0), {"h": -1}))
     _, cw = chern_of(w, tower)
     _, cs = chern_of(Sym2(w), tower)

@@ -1,12 +1,13 @@
 """Chow rings of projective and Grassmann bundle towers, with exact integration.
 
-A tower is a small base (a product of projective spaces, or G(2,4), or a
-point) with a stack of bundle constructions on top.  Each projective stage
-P(E) adds one degree 1 generator z, the hyperplane class of the dual
-tautological line, with the single relation sum_i z^(r-i) c_i(E) = 0; each
-Grassmann stage G(2,E) for rank 4 E adds generators (H, A) and (Hp, Ap),
-the Chern classes of the dual tautological sub and quotient, tied by the
-Whitney relation (1+H+A)(1+Hp+Ap) = c(E^v).
+A tower is a small base (a product of projective spaces, or a point) with
+a stack of bundle constructions on top.  Each projective stage P(E) adds
+one degree 1 generator z, the hyperplane class of the dual tautological
+line, with the single relation sum_i z^(r-i) c_i(E) = 0; each Grassmann
+stage G(2,E) for rank 4 E adds generators (H, A), the Chern classes of the
+dual tautological sub S^v, with the relations c3 = c4 = 0 of the dual
+quotient c(E^v)/(1+H+A) (Fulton, Intersection Theory, ch. 14).  A
+Grassmannian G(2,4) is that stage over a point.
 
 Integration runs stage by stage.  A projective stage pushes z^(r-1+k) to
 the k-th Segre class of E; this rule is linear over the lower ring and
@@ -68,11 +69,6 @@ def line_bundle(coeffs: Dict[str, object]) -> Line:
 @dataclass(frozen=True)
 class TautSub:
     stage: int
-
-
-@dataclass(frozen=True)
-class BaseSub:
-    """Tautological rank 2 sub on a G(2,4) base."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def _pairs_construction(chern: List[MultiPoly]) -> List[MultiPoly]:
 
 
 # ---------------------------------------------------------------------------
-# bases
+# the base
 # ---------------------------------------------------------------------------
 
 
@@ -177,28 +173,6 @@ class ProjBase:
         return " x ".join("P^%d(%s)" % (n, name) for name, n in self.factors)
 
 
-class G24Base:
-    """G(2,4) presented by the Chern classes a1, a2 of the dual taut sub."""
-
-    def __init__(self):
-        self.names = ("a1", "a2")
-        self.var_specs = [(self.names[0], 1), (self.names[1], 2)]
-        self.dim = 4
-
-    def relations(self, ctx: VarContext) -> List[MultiPoly]:
-        a1 = ctx.var(self.names[0])
-        a2 = ctx.var(self.names[1])
-        # eliminate the quotient classes from (1+a1+a2)(1+b1+b2)=1
-        return [a1 ** 3 - 2 * a1 * a2, a1 ** 2 * a2 - a2 ** 2]
-
-    def integrate(self, p: MultiPoly) -> Fraction:
-        trivial = [p.ctx.one()] + [p.ctx.zero()] * 4
-        return grassmann_push(p, *self.names, trivial).scalar_value()
-
-    def describe(self) -> str:
-        return "G(2,4)(%s,%s)" % self.names
-
-
 # ---------------------------------------------------------------------------
 # stages and the tower
 # ---------------------------------------------------------------------------
@@ -207,6 +181,11 @@ class G24Base:
 def total_class(chern: List[MultiPoly]) -> MultiPoly:
     """c(E) = c0 + c1 + ... as one inhomogeneous class."""
     return sum(chern[1:], chern[0])
+
+
+def _dual(chern: List[MultiPoly]) -> List[MultiPoly]:
+    """c(E^v) from c(E): c_i changes sign for odd i."""
+    return [c if i % 2 == 0 else -c for i, c in enumerate(chern)]
 
 
 def segre_from_chern(chern: List[MultiPoly], upto: int) -> List[MultiPoly]:
@@ -294,37 +273,23 @@ class ProjStage:
 
 
 class Grass2Stage:
-    def __init__(self, names: Tuple[str, str, str, str],
-                 chern: List[MultiPoly]):
+    def __init__(self, names: Tuple[str, str], chern: List[MultiPoly]):
         self.names = names
         self.chern = chern
         self.fiber_dim = 4
 
-    def dual_chern(self) -> List[MultiPoly]:
-        return [c if i % 2 == 0 else -c for i, c in enumerate(self.chern)]
-
     def relation_polys(self, ctx: VarContext) -> List[MultiPoly]:
-        h, a, hp, ap = (ctx.var(n) for n in self.names)
-        whitney = ((ctx.one() + h + a) * (ctx.one() + hp + ap)
-                   - total_class(self.dual_chern()))
-        return [whitney.graded_part(d) for d in range(1, 5)
-                if not whitney.graded_part(d).is_zero()]
+        # c3 = c4 = 0 of the rank 2 dual quotient c(E^v)/(1+H+A)
+        sub = [ctx.one()] + [ctx.var(n) for n in self.names]
+        quotient = (total_class(_dual(self.chern))
+                    * total_class(segre_from_chern(sub, 4)))
+        return [quotient.graded_part(3), quotient.graded_part(4)]
 
     def push(self, p: MultiPoly) -> MultiPoly:
-        ctx = p.ctx
-        h, a, hp, ap = self.names
-        cdual = self.dual_chern()
-        # quotient classes in terms of the sub classes, from the Whitney
-        # relation in degrees 1 and 2
-        hvar, avar = ctx.var(h), ctx.var(a)
-        hp_img = cdual[1] - hvar
-        ap_img = cdual[2] - avar - hvar * hp_img
-        p = p.substitute({hp: hp_img, ap: ap_img}, ctx)
-        return grassmann_push(p, h, a, self.chern)
+        return grassmann_push(p, *self.names, self.chern)
 
     def describe(self) -> str:
-        return ("G(2,E) stage, rank 4, sub classes (%s, %s), "
-                "quotient classes (%s, %s)" % self.names)
+        return "G(2,E) stage, rank 4, sub classes (%s, %s)" % self.names
 
 
 class Tower:
@@ -333,16 +298,14 @@ class Tower:
     def __init__(self, base, stage_specs: Sequence[Tuple] = ()):
         self.base = base
         # fiber variables first (later stages earliest) so that normal
-        # forms eliminate them in favor of base classes; a Grassmann
-        # stage lists its quotient classes first so that normal forms
-        # eliminate them in favor of the sub classes
+        # forms eliminate them in favor of base classes
         var_specs = list(base.var_specs)
         for kind, _, names in stage_specs:
             if kind == "proj":
                 var_specs[:0] = [(names, 1)]
             elif kind == "grass2":
-                h, a, hp, ap = names
-                var_specs[:0] = [(hp, 1), (ap, 2), (h, 1), (a, 2)]
+                h, a = names
+                var_specs[:0] = [(h, 1), (a, 2)]
             else:
                 raise ValueError("unknown stage kind %r" % (kind,))
         self.ctx = VarContext(tuple(n for n, _ in var_specs),
@@ -443,20 +406,15 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
         return expr.rank, [ctx.one()] + [ctx.zero()] * expr.rank
     if isinstance(expr, Line):
         return 1, [ctx.one(), _divisor_class(expr.divisor, ctx)]
-    if isinstance(expr, BaseSub):
-        if not isinstance(tower.base, G24Base):
-            raise ValueError("base tautological bundle needs a G(2,4) base")
-        a1, a2 = (ctx.var(n) for n in tower.base.names)
-        return 2, [ctx.one(), -a1, a2]
     if isinstance(expr, TautSub):
         stage = _stage_of(tower, expr.stage)
         if isinstance(stage, ProjStage):
             return 1, [ctx.one(), -ctx.var(stage.var)]
-        h, a, _, _ = stage.names
+        h, a = stage.names
         return 2, [ctx.one(), -ctx.var(h), ctx.var(a)]
     if isinstance(expr, Dual):
         r, total = _chern_raw(expr.inner, tower)
-        return r, [c if i % 2 == 0 else -c for i, c in enumerate(total)]
+        return r, _dual(total)
     if isinstance(expr, Sum):
         ranks_totals = [_chern_raw(p, tower) for p in expr.parts]
         rank = sum(r for r, _ in ranks_totals)
@@ -485,7 +443,8 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
     raise ValueError("unknown sheaf expression %r" % (expr,))
 
 
-def segre_of(expr, tower: Tower, upto: int) -> List[MultiPoly]:
-    """Segre classes s0..s_upto of the expression, in normal form."""
-    _, chern = chern_of(expr, tower)
+def segre_of(chern: List[MultiPoly], tower: Tower,
+             upto: int) -> List[MultiPoly]:
+    """Segre classes s0..s_upto, in normal form, from the Chern classes
+    `chern_of` returned for a bundle on the tower."""
     return [tower.normal_form(s) for s in segre_from_chern(chern, upto)]

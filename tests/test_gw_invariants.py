@@ -6,6 +6,7 @@ from gmquantum.gwcounts import (
     EXPECTED_VALUES, CountSet, all_reports, compute_i11, compute_i12,
     compute_i13, compute_i2, compute_j12, derive_j11,
 )
+from gmquantum.towers import Tower
 
 GEOMETRIC = {
     "I11": (compute_i11, "<s1, dual(s0)>_1"),
@@ -46,6 +47,23 @@ def test_all_reports_keys_and_values():
     assert sorted(reports) == ["I11", "I12", "I13", "I2", "J11", "J12"]
     for name, rep in reports.items():
         assert rep.value == EXPECTED_VALUES[name]
+
+
+def test_each_class_is_reduced_once(monkeypatch):
+    """One `all_reports` reduces exactly this many classes modulo a tower
+    ideal: a count that builds and reduces a bundle's Chern classes twice
+    (say, once for c(U) and again inside its Segre classes) shows up
+    here."""
+    reduced = []
+    normal_form = Tower.normal_form
+
+    def counted(tower, p):
+        reduced.append(p)
+        return normal_form(tower, p)
+
+    monkeypatch.setattr(Tower, "normal_form", counted)
+    all_reports()
+    assert len(reduced) == 35
 
 
 def test_count_set_round_trip():

@@ -26,7 +26,7 @@ are P(E) over P^1.  P^1 x P^2 is P(O^3).  Each count's own integrand, as
 it reaches `Tower.integrate`, is evaluated at the fixed points.  This
 checks the pushforwards and the relations of the tower code, but not its
 Chern classes.  The two Grassmannians over a point are checked the same
-way through `grassmann_localization`: I13's integrand on its G(2,4) base,
+way through `grassmann_localization`: I13's integrand on its G(2,4) stage,
 and the seven ambient triple numbers on G(2,5), with each Schubert class
 restricted by Giambelli in the fixed point's roots rather than by the
 formula `gmquantum.ambient` builds them with.  A weight choice with a zero
@@ -47,7 +47,7 @@ from gmquantum.gwcounts import (
     compute_i11, compute_i12, compute_i13, compute_i2,
 )
 from gmquantum.poly import VarContext
-from gmquantum.towers import G24Base, Tower, grassmann_push
+from gmquantum.towers import Grass2Stage, Tower, grassmann_push
 
 # count -> (computation, fiber variable, twists c_j of E, the integral);
 # I2's integral is the invariant before its factor 2
@@ -153,7 +153,9 @@ I13 = integrated(compute_i13)
 
 def test_i13_integrand_on_g24():
     report, tower, integrand = I13
-    assert isinstance(tower.base, G24Base) and not tower.stages
+    assert tower.base.dim == 0
+    [stage] = tower.stages
+    assert isinstance(stage, Grass2Stage) and stage.names == ("a1", "a2")
     assert len(list(grass.fixed_points(G24_WEIGHTS))) == 6
     value = grass.bott_sum(
         lambda h, a, _: integrand.evaluate({"a1": h, "a2": a}), G24_WEIGHTS)
@@ -193,7 +195,7 @@ TRIVIAL5 = [G25.one()] + [G25.zero()] * 5
 @given(n=st.sampled_from([4, 5]), a_power=st.integers(0, 3),
        coeff=st.integers(-5, 5).filter(bool), data=st.data())
 def test_random_grassmannian_top_monomials(n, a_power, coeff, data):
-    """H^i A^j of top degree on G(2,4) through I13's base and on G(2,5)
+    """H^i A^j of top degree on G(2,4) through I13's tower and on G(2,5)
     through `grassmann_push` with the trivial rank 5 bundle."""
     weights = data.draw(st.lists(weight, min_size=n, max_size=n,
                                  unique=True))

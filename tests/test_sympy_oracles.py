@@ -224,6 +224,35 @@ def test_tower_bases_match_sympy(name):
                 sympy.expand(to_sympy(reduced))
 
 
+H_BASE = sympy.Symbol("h")
+# count -> (sub classes, base relations, c1..c4 of E^v), written out by
+# hand: I13 is G(2,4), the trivial rank 4 bundle over a point; J12 is
+# G(2, O(h) + O^3) over P^1, where c(E^v) = 1 - h
+GRASSMANN_COUNTS = {
+    "I13": (("a1", "a2"), (), (0, 0, 0, 0)),
+    "J12": (("H", "al"), (H_BASE ** 2,), (-H_BASE, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRASSMANN_COUNTS))
+def test_grassmann_stage_eliminates_the_quotient_classes(name):
+    """The stage's ideal is the Whitney relation (1+H+A)(1+Hp+Ap) = c(E^v)
+    with the quotient classes Hp, Ap eliminated (lex, Hp and Ap first)."""
+    _, ideal, _ = recorded_count(TOWER_COUNTS[name])
+    names, base, (e1, e2, e3, e4) = GRASSMANN_COUNTS[name]
+    h, a = sympy.symbols(names)
+    hp, ap = sympy.symbols("Hp Ap")
+    whitney = [h + hp - e1, a + h * hp + ap - e2, h * ap + a * hp - e3,
+               a * ap - e4, *base]
+    gens = sympy.symbols(ideal.ctx.names)
+    full = sympy.groebner(whitney, hp, ap, *gens, order="lex",
+                          domain=sympy.QQ)
+    kept = [p for p in full.exprs if not {hp, ap} & p.free_symbols]
+    assert_same_basis(ideal, sympy.groebner(
+        kept, *gens, order=WeightedGrevlex(ideal.ctx.degrees),
+        domain=sympy.QQ))
+
+
 @pytest.mark.parametrize("keep", [(0, 1), (0, 2), (1, 2)])
 def test_necessity_bases_match_sympy(keep):
     gens = [_presentation_ideal()[i] for i in keep]

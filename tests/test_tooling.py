@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -345,6 +346,16 @@ def test_traced_nodes_are_workspace_properties():
     for name in names:
         assert isinstance(vars(Workspace).get(name), property), name
 
+
+def test_benchmark_self_tests_pass():
+    """`python3 -m unittest discover -s bench` exits 0.  bench/spans.py
+    hooks package names (such as `groebner.buchberger` and
+    `gwcounts.all_reports`), and its self-tests fail on a hook that does
+    not resolve, so deleting or renaming a hooked name fails here too."""
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "bench"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
 
 
 def test_every_attribute_is_read():
