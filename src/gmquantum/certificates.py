@@ -35,7 +35,7 @@ from .quantum import (
     ASSOCIATIVITY_TRIPLES, FROBENIUS_TRIPLES,
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
-    perturbed_ring, presentation_relations, presentation_report,
+    perturbed_ring, presentation_report,
     ring_from_solve, solve_three_point_invariants, spectral_report,
 )
 
@@ -431,13 +431,9 @@ def presentation_certificates(ws: Workspace) -> List[Certificate]:
             inputs=(("quotient_rank", rank),),
             trace=("dropping %s leaves %s has rank %s" % (drop, left, rank),)))
     # R3 is not necessary: explicit cofactors place it inside (R1, R2)
-    rels = presentation_relations()
-    ctx = rels["R1"].ctx
-    qv, sv, hv = ctx.var("q"), ctx.var("s11"), ctx.var("h")
-    residual = rels["R3"] - ((5 * sv + 2 * hv ** 2 + 6 * qv) * rels["R1"]
-                             - 5 * hv * rels["R2"])
     certs.append(make(
-        "presentation.dependence.R3", str(residual), "0", IDENTITY,
+        "presentation.dependence.R3", str(rep["r3_dependence_residual"]), "0",
+        IDENTITY,
         inputs=(("quotient_rank_without_R3", nec["without R3"]),),
         trace=(R3_COFACTOR_IDENTITY,
                "the cofactors are polynomial, so R3 lies in the ideal"
@@ -484,7 +480,7 @@ def deform_certificates(ws: Workspace) -> List[Certificate]:
     model = ws.model
     certs.append(make(
         "deform.hodge-model",
-        {"primitive_dimension": len(model.primitive_tags),
+        {"primitive_dimension": sum(model.numbers),
          "h31": model.h31(), "matches_diamond": model.matches_diamond()},
         {"primitive_dimension": PRIMITIVE_DIM, "h31": 1,
          "matches_diamond": True},
@@ -493,8 +489,10 @@ def deform_certificates(ws: Workspace) -> List[Certificate]:
                " lines: one of type (3,1), twenty of type (2,2), one of"
                " type (1,3)",
                "the tags are input data for the criterion, not computed")))
+    full = ws.full_operator
     certs.append(make(
-        "deform.primitive-block", "(-4*q*t) * identity on 22 lines",
+        "deform.primitive-block",
+        "(%s) * identity on %d lines" % (full[DIM, DIM], full.nrows - DIM),
         "(-4*q*t) * identity on 22 lines", AXIOM, status=MODEL_AXIOM,
         trace=("the 28 dimensional operator is the ambient 6x6 block plus"
                " the scalar -4*q*t on the primitive block; the primitive"

@@ -9,23 +9,24 @@ where column b of D reweights each q^d layer of s2 * e_b by a factor of
 lives over the truncated ring Q[q, t]/(t^2) with deg q = 2, deg t = -1,
 which keeps every entry homogeneous of degree deg(col) - deg(row) + 1.
 
-On the 22 primitive middle classes the operator is, by the model axioms
-encoded in HodgeModel, the scalar -4qt; the full operator on all 28 even
-classes is therefore block diagonal.  On the ambient block the
-eigenvalue -4qt has the Jordan pair (alpha, beta(t)) of `jordan_pair`:
-alpha and beta(0) are the kernel pair of h * (-) from
-`quantum.kernel_pair`, and only beta's order t term is added here.
-`atom_statistics` certifies the Jordan structure of the eigenvalue -4qt
-of multiplicity 24: its generalized eigenspace E, the rank of the
-restriction (one, a single size-two block, living over the ambient
-block), and the overlap of E with the tagged slots of the model.  It first checks the block structure
-of the full operator exactly (no ambient/primitive entry, primitive
-block -4qt times the identity), then eliminates on the 6 x 6 shifted
-ambient block only; the 22 primitive slots enter as unit kernel lines
-of E with zero image.  `irrationality_criterion` checks
-the spectral condition on the undeformed operator: every eigenvalue
-multiplicity on the ambient block is at most two while the model keeps a
-nonzero (3, 1) slot.
+On the 22 primitive middle classes the operator is, by the model axiom
+of `assemble_full_operator`, the scalar -4qt; the full operator on all
+28 even classes is therefore block diagonal.  `HodgeModel` holds the
+primitive Hodge numbers (h31, h22, h13), (1, 20, 1) for the fourfold.
+On the ambient block the eigenvalue -4qt has the Jordan pair
+(alpha, beta(t)) of `jordan_pair`: alpha and beta(0) are the kernel pair
+of h * (-) from `quantum.kernel_pair`, and only beta's order t term is
+added here.  `atom_statistics` certifies the Jordan structure of the
+eigenvalue -4qt of multiplicity 24: its generalized eigenspace E, the
+rank of the restriction (one, a single size-two block, living over the
+ambient block), and the overlap of E with the h31 classes of type (3, 1).
+It first checks the block structure of the full operator exactly (no
+ambient/primitive entry, primitive block -4qt times the identity), then
+eliminates on the 6 x 6 shifted ambient block only; the 22 primitive
+classes enter as unit kernel lines of E with zero image.
+`irrationality_criterion` checks the spectral condition on the
+undeformed operator: every eigenvalue multiplicity on the ambient block
+is at most two while the model keeps h31 > 0.
 
 Every entry is homogeneous (deg t = -1 included), so ranks, kernels and
 squarefree profiles over Q(q) are read at q = 1 over Q, and ranks over
@@ -35,7 +36,8 @@ first order.
 
 An operator is a plain `Matrix` over Q[q, t]/(t^2), the context of its
 entries.  Its shape is its basis: 6 x 6 on the ambient classes, 28 x 28
-with the 22 primitive slots appended; each check refuses the other shape.
+with the 22 primitive classes appended; each check refuses the other
+shape.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
-    Matrix, at_q_one, block_diag, char_poly, mat_add, matmul,
+    Matrix, at_q_one, char_poly, mat_add, matmul,
     matrix_at_q_one, matvec, nullspace_field, poly_exact_div, rank_at_points,
-    rank_field, scalar_matrix, solve_field, squarefree_profile,
+    rank_field, solve_field, squarefree_profile,
     vector_at_q_one,
 )
 from .poly import MultiPoly, VarContext
@@ -108,10 +110,10 @@ def build_deformed_matrix(ring: QuantumRing) -> Matrix:
     if associativity_failures(ring):
         raise ValueError("the product table must be associative")
     tctx = truncated_context()
-    s2 = ring.basis_element("s2")
+    s2 = BASIS_NAMES.index("s2")
     rows = [[tctx.zero()] * DIM for _ in range(DIM)]
-    for j, name in enumerate(BASIS_NAMES):
-        prod = ring.star(s2, ring.basis_element(name))
+    for j in range(DIM):
+        prod = ring.table[(min(s2, j), max(s2, j))]
         for i in range(DIM):
             entry = (ring.h_matrix[i, j] * 2).substitute({}, tctx)
             rows[i][j] = entry + MultiPoly(tctx, {
@@ -177,41 +179,38 @@ def verify_jordan_pair(op: Matrix) -> JordanPairReport:
 # ---------------------------------------------------------------------------
 
 
-ALLOWED_TAGS = ((3, 1), (2, 2), (1, 3))
+# (h31, h22, h13) of the primitive middle cohomology: the Hodge numbers of
+# H^2 of a K3 surface (Debarre-Kuznetsov, Algebr. Geom. 5, 2018)
+DIAMOND = (1, 20, 1)
 
 
 @dataclass(frozen=True)
 class HodgeModel:
-    """Tags for the 22 primitive middle slots next to the 6 ambient ones."""
+    """The primitive middle Hodge numbers (h31, h22, h13), which add up to
+    the 22 primitive classes next to the 6 ambient ones."""
 
-    primitive_tags: Tuple[Tuple[int, int], ...]
+    numbers: Tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.primitive_tags) != PRIMITIVE_DIM:
-            raise ValueError("expected %d primitive slots" % PRIMITIVE_DIM)
-        for tag in self.primitive_tags:
-            if tag not in ALLOWED_TAGS:
-                raise ValueError("unknown slot tag %r" % (tag,))
+        if min(self.numbers) < 0 or sum(self.numbers) != PRIMITIVE_DIM:
+            raise ValueError("expected %d primitive classes and no negative"
+                             " Hodge number, not %r"
+                             % (PRIMITIVE_DIM, self.numbers))
 
     @classmethod
     def standard(cls) -> "HodgeModel":
-        tags = ((3, 1),) + ((2, 2),) * 20 + ((1, 3),)
-        return cls(tags)
+        return cls(DIAMOND)
 
     def h31(self) -> int:
-        return sum(1 for tag in self.primitive_tags if tag == (3, 1))
+        return self.numbers[0]
 
     def matches_diamond(self) -> bool:
-        counts = {tag: 0 for tag in ALLOWED_TAGS}
-        for tag in self.primitive_tags:
-            counts[tag] += 1
-        return counts == {(3, 1): 1, (2, 2): 20, (1, 3): 1}
+        return self.numbers == DIAMOND
 
     def without_h31(self) -> "HodgeModel":
-        """Control model with the (3, 1) slot retagged; breaks the criterion."""
-        tags = tuple((2, 2) if tag == (3, 1) else tag
-                     for tag in self.primitive_tags)
-        return HodgeModel(tags)
+        """Control: the (3, 1) class moved to (2, 2); breaks the criterion."""
+        h31, h22, h13 = self.numbers
+        return HodgeModel((0, h22 + h31, h13))
 
 
 def assemble_full_operator(op: Matrix) -> Matrix:
@@ -223,8 +222,11 @@ def assemble_full_operator(op: Matrix) -> Matrix:
     """
     if (op.nrows, op.ncols) != (DIM, DIM):
         raise ValueError("expected the ambient operator")
-    prim = scalar_matrix(PRIMITIVE_DIM, eigenvalue(op[0, 0].ctx))
-    return block_diag([op, prim])
+    lam = eigenvalue(op[0, 0].ctx)
+    zero = lam.ctx.zero()
+    return Matrix([list(row) + [zero] * PRIMITIVE_DIM for row in op.rows]
+                  + [[lam if j == i else zero for j in range(FULL_DIM)]
+                     for i in range(DIM, FULL_DIM)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +280,9 @@ def atom_statistics(op: Matrix, model: HodgeModel) -> AtomStatistics:
     guard once and everything after runs at q = 1 over Q[t]/(t^2) (see
     the module docstring): the cofactor profile is read there, E_amb is
     found at order zero and lifted to first order, and ranks away from
-    t = 0 are taken over Q(t).  The primitive lines add 22 to dim E, lie
-    in the kernel, and meet the tagged rows of the model one line per
-    slot.
+    t = 0 are taken over Q(t).  The primitive lines add 22 to dim E and
+    lie in the kernel, so E contains the model's h31 lines of type (3, 1):
+    nu is h31.
     """
     amb_block, unmixed, scalar = _block_structure(op)
     if not unmixed:
@@ -411,7 +413,7 @@ def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     """Spectral test on the ambient block of twice the hyperplane action.
 
     Satisfied when no eigenvalue multiplicity on the six Hodge classes
-    exceeds two and the model keeps a nonzero (3, 1) slot.  For the
+    exceeds two and the model keeps h31 > 0.  For the
     verified operator the spectrum is four simple nonzero branches plus
     a two dimensional kernel.
 

@@ -270,24 +270,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
                    for i in range(a.nrows)])
 
 
-def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    if not blocks:
-        raise ValueError("no blocks")
-    sample = blocks[0].rows[0][0]
-    zero = sample - sample
-    n = sum(b.nrows for b in blocks)
-    m = sum(b.ncols for b in blocks)
-    rows = [[zero] * m for _ in range(n)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[r0 + i][c0 + j] = b.rows[i][j]
-        r0 += b.nrows
-        c0 += b.ncols
-    return Matrix(rows)
-
-
 # -- field elimination ------------------------------------------------------
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -179,41 +179,89 @@ def _over_common_denominator(x: QVec) -> Tuple[int, list, int]:
                  for i, p in enumerate(x) if p.nums], bound
 
 
-class QuantumRing:
-    """The even quantum lattice with its full multiplication table.
+def product_table(counts: CountSet, amb: AmbientRing, j11, j2,
+                  ctx: VarContext) -> Dict[Tuple[int, int], QVec]:
+    """The 21 products e_i * e_j, i <= j, over `ctx`.
 
-    The caller hands in the ambient ring, so every ring of one
-    computation shares one.  The table is built from the counts unless
-    one is given; either way it is read-only, so the structure tensors
-    derived from it here always describe the product that `table` shows.
-    J12 comes from the counts; J11 and J2 may be unknowns of `ctx`.
+    The s0 row is the cup product with the unit and the s1 row the
+    h-matrix; s11 * s11 is the correction formula with J11, J12 and J2;
+    every other product follows by the associativity chains of the module
+    docstring.  J12 comes from the counts; J11 and J2 may be unknowns of
+    `ctx`.
+    """
+    c = counts
+    q = ctx.var("q")
+    h_matrix = star_h_matrix(counts, amb, ctx)
+    idx = {n: i for i, n in enumerate(BASIS_NAMES)}
+    t: Dict[Tuple[int, int], QVec] = {}
+
+    def put(a, b, vec):
+        i, j = idx[a], idx[b]
+        t[(min(i, j), max(i, j))] = tuple(vec)
+
+    def get(a, b):
+        i, j = idx[a], idx[b]
+        return t[(min(i, j), max(i, j))]
+
+    star_h = partial(matvec, h_matrix)
+    for j, name in enumerate(BASIS_NAMES):
+        put("s0", name, _lift(amb.cup_table[0][j], ctx))
+        put("s1", name, h_matrix.col(j))
+    # dual(s31) = s0 / 2, so the degree 2 count 2 J2 puts J2 on s0
+    s11 = idx["s11"]
+    put("s11", "s11", corrected_product(
+        amb.cup_table[s11][s11],
+        {("s2", 1): j11, ("s11", 1): c.J12, ("s31", 2): 2 * j2}, amb, ctx))
+    # (h*h) * s11 = s2*s11 + s11*s11 + I11 q s11
+    put("s2", "s11", _vsub(_vsub(star_h(get("s1", "s11")),
+                                 get("s11", "s11")),
+                           _vscale(q * c.I11, get("s0", "s11"))))
+    put("s2", "s2", _vsub(_vsub(star_h(get("s1", "s2")), get("s2", "s11")),
+                          _vscale(q * c.I11, get("s0", "s2"))))
+    # h*s11 = 2 s3 + I13 q s1, so 2 s3*x = h*(s11*x) - I13 q s1*x
+    for name in ("s2", "s11"):
+        via = _vsub(star_h(get("s11", name)),
+                    _vscale(q * c.I13, get("s1", name)))
+        put("s3", name, _vscale(Fraction(1, 2), via))
+    # h*s2 = 3 s3 + I12 q s1, so 3 s3*s3 = h*(s2*s3) - I12 q s1*s3
+    via = _vsub(star_h(get("s2", "s3")), _vscale(q * c.I12, get("s1", "s3")))
+    put("s3", "s3", _vscale(Fraction(1, 3), via))
+    # s31 = h*s3 - (I12-I13) q s2 - (2 I13-I12) q s11 - 2 I2 q^2
+    for name in ("s2", "s11", "s3", "s31"):
+        vec = star_h(get("s3", name))
+        vec = _vsub(vec, _vscale(q * (c.I12 - c.I13), get("s2", name)))
+        vec = _vsub(vec, _vscale(q * (2 * c.I13 - c.I12), get("s11", name)))
+        vec = _vsub(vec, _vscale(q * q * (2 * c.I2), get("s0", name)))
+        put("s31", name, vec)
+    return t
+
+
+class QuantumRing:
+    """The even quantum lattice of a multiplication table.
+
+    The ring is its table alone, next to the ambient ring that every ring
+    of one computation shares: the coefficient context is that of the
+    table's entries, and the h-matrix is the table's s1 row.  The table
+    is read-only, so the structure tensors derived from it here always
+    describe the product that `table` shows.
     """
 
-    def __init__(self, counts: CountSet, amb: AmbientRing, j11, j2,
-                 ctx: Optional[VarContext] = None,
-                 table: Optional[Table] = None):
-        self.counts = counts
+    def __init__(self, amb: AmbientRing, table: Table):
         self.amb = amb
-        self.ctx = ctx if ctx is not None else quantum_context()
-        self.h_matrix = star_h_matrix(counts, self.amb, self.ctx)
-        self.three_point = (self._coerce(j11), self._coerce(j2))
-        if table is None:
-            table = self._build_table()
         self.table = MappingProxyType(dict(table))
-        self._product_tensor = StructureTensor(self.ctx, DIM, {
-            (i, j): self.table[(min(i, j), max(i, j))]
-            for i in range(DIM) for j in range(DIM)})
+        self.ctx = self.table[(0, 0)][0].ctx
+        products = {(i, j): self.table[(min(i, j), max(i, j))]
+                    for i in range(DIM) for j in range(DIM)}
+        h = BASIS_NAMES.index("s1")
+        self.h_matrix = Matrix([[products[(h, j)][i] for j in range(DIM)]
+                                for i in range(DIM)])
+        self._product_tensor = StructureTensor(self.ctx, DIM, products)
         gram = self.amb.gram()
         self._gram_tensor = StructureTensor(self.ctx, 1, {
             (i, j): (self.ctx.scalar(gram.rows[i][j]),)
             for i in range(DIM) for j in range(DIM)})
         # filled by the first associativity_failures(self)
         self._associativity: Optional[List[Tuple[str, str, str]]] = None
-
-    def _coerce(self, v) -> MultiPoly:
-        if isinstance(v, MultiPoly):
-            return v
-        return self.ctx.scalar(Fraction(v))
 
     # -- elements ---------------------------------------------------------
 
@@ -226,68 +274,14 @@ class QuantumRing:
     def element(self, coeffs: Dict[str, object]) -> QVec:
         out = list(self.zero())
         for name, c in coeffs.items():
-            out[BASIS_NAMES.index(name)] = self._coerce(c)
+            out[BASIS_NAMES.index(name)] = (
+                c if isinstance(c, MultiPoly) else self.ctx.scalar(c))
         return tuple(out)
 
     # -- products ---------------------------------------------------------
 
     def star_h(self, x: QVec) -> QVec:
         return tuple(matvec(self.h_matrix, list(x)))
-
-    def _build_table(self) -> Dict[Tuple[int, int], QVec]:
-        c = self.counts
-        j11, j2 = self.three_point
-        ctx = self.ctx
-        q = ctx.var("q")
-        idx = {n: i for i, n in enumerate(BASIS_NAMES)}
-        t: Dict[Tuple[int, int], QVec] = {}
-
-        def put(a, b, vec):
-            i, j = idx[a], idx[b]
-            t[(min(i, j), max(i, j))] = tuple(vec)
-
-        def get(a, b):
-            i, j = idx[a], idx[b]
-            return t[(min(i, j), max(i, j))]
-
-        def col(name):
-            j = idx[name]
-            return tuple(self.h_matrix.rows[i][j] for i in range(DIM))
-
-        for j, name in enumerate(BASIS_NAMES):
-            put("s0", name, self.basis_element(name))
-            put("s1", name, col(name))
-        # dual(s31) = s0 / 2, so the degree 2 count 2 J2 puts J2 on s0
-        s11 = idx["s11"]
-        put("s11", "s11", corrected_product(
-            self.amb.cup_table[s11][s11],
-            {("s2", 1): j11, ("s11", 1): c.J12, ("s31", 2): 2 * j2},
-            self.amb, ctx))
-        # (h*h) * s11 = s2*s11 + s11*s11 + I11 q s11
-        put("s2", "s11", _vsub(_vsub(self.star_h(get("s1", "s11")),
-                                     get("s11", "s11")),
-                               _vscale(q * c.I11, self.basis_element("s11"))))
-        put("s2", "s2", _vsub(_vsub(self.star_h(get("s1", "s2")),
-                                    get("s2", "s11")),
-                              _vscale(q * c.I11, self.basis_element("s2"))))
-        # h*s11 = 2 s3 + I13 q s1, so 2 s3*x = h*(s11*x) - I13 q s1*x
-        for name in ("s2", "s11"):
-            via = _vsub(self.star_h(get("s11", name)),
-                        _vscale(q * c.I13, get("s1", name)))
-            put("s3", name, _vscale(Fraction(1, 2), via))
-        # h*s2 = 3 s3 + I12 q s1, so 3 s3*s3 = h*(s2*s3) - I12 q s1*s3
-        via = _vsub(self.star_h(get("s2", "s3")),
-                    _vscale(q * c.I12, get("s1", "s3")))
-        put("s3", "s3", _vscale(Fraction(1, 3), via))
-        # s31 = h*s3 - (I12-I13) q s2 - (2 I13-I12) q s11 - 2 I2 q^2
-        for name in ("s2", "s11", "s3", "s31"):
-            vec = self.star_h(get("s3", name))
-            vec = _vsub(vec, _vscale(q * (c.I12 - c.I13), get("s2", name)))
-            vec = _vsub(vec, _vscale(q * (2 * c.I13 - c.I12), get("s11", name)))
-            vec = _vsub(vec, _vscale(q * q * (2 * c.I2),
-                                     self.basis_element(name)))
-            put("s31", name, vec)
-        return t
 
     def star(self, x: QVec, y: QVec) -> QVec:
         """x * y, contracted against the table's structure tensor."""
@@ -399,8 +393,7 @@ def perturbed_ring(ring: QuantumRing) -> QuantumRing:
     entry = list(table[(i, i)])
     entry[0] = entry[0] + ring.ctx.var("q") ** 2
     table[(i, i)] = tuple(entry)
-    return QuantumRing(ring.counts, ring.amb, *ring.three_point,
-                       ctx=ring.ctx, table=table)
+    return QuantumRing(ring.amb, table)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +403,7 @@ def perturbed_ring(ring: QuantumRing) -> QuantumRing:
 
 @dataclass
 class SolveReport:
+    counts: CountSet    # the counts the system was solved from
     j11: Fraction
     j2: Fraction
     equations: int
@@ -418,7 +412,7 @@ class SolveReport:
     ring: QuantumRing   # the numeric ring on the solution, associative
 
 
-def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
+def _route_residuals(ring: QuantumRing, counts: CountSet) -> List[MultiPoly]:
     """Cross checks of the two chains defining s3 * x.
 
     Each product s3 * x can be reached through the s11 chain (as stored)
@@ -428,7 +422,6 @@ def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
     through the s2 chain, so the residual for x = s3 vanishes by
     construction; it is kept so that the four x are checked alike.
     """
-    c = ring.counts
     q = ring.ctx.var("q")
 
     def times(a: str, b: str) -> QVec:
@@ -438,7 +431,7 @@ def _route_residuals(ring: QuantumRing) -> List[MultiPoly]:
     out = []
     for name in ("s2", "s11", "s3", "s31"):
         via = _vsub(ring.star_h(times("s2", name)),
-                    _vscale(q * c.I12, times("s1", name)))
+                    _vscale(q * counts.I12, times("s1", name)))
         out.extend(_vsub(_vscale(Fraction(3), times("s3", name)), via))
     return out
 
@@ -477,8 +470,9 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
     amb = AmbientRing()
-    ring = QuantumRing(counts, amb, ctx.var("uJ11"), ctx.var("uJ2"), ctx=ctx)
-    residuals = _route_residuals(ring) + [
+    ring = QuantumRing(amb, product_table(
+        counts, amb, ctx.var("uJ11"), ctx.var("uJ2"), ctx))
+    residuals = _route_residuals(ring, counts) + [
         lhs - rhs for _, lhs, rhs in _table_sides(
             ring, combinations_with_replacement(range(DIM), 3), ring.pairing)]
     rows, rhs = [], []
@@ -500,12 +494,14 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     if sol is None:
         raise ValueError("inconsistent associativity system")
     j11, j2 = sol
-    final = QuantumRing(counts, amb, j11, j2)
+    final = QuantumRing(amb, product_table(counts, amb, j11, j2,
+                                           quantum_context()))
     bad = associativity_failures(final)
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)
-    return SolveReport(j11=j11, j2=j2, equations=len(rows), rank=rank,
-                       residuals_checked=len(final.table), ring=final)
+    return SolveReport(counts=counts, j11=j11, j2=j2, equations=len(rows),
+                       rank=rank, residuals_checked=len(final.table),
+                       ring=final)
 
 
 def degree_two_closed_form(counts: CountSet, j11) -> Fraction:
@@ -523,12 +519,11 @@ def ring_from_solve(counts: CountSet, report: SolveReport) -> QuantumRing:
     The report must have been solved from these counts, and the solved
     J11 must agree with the J11 recorded in the counts.
     """
-    ring = report.ring
-    if ring.counts != counts:
+    if report.counts != counts:
         raise ValueError("the solve report was made from other counts")
     if report.j11 != counts.J11:
         raise ValueError("associativity J11 disagrees with the derived value")
-    return ring
+    return report.ring
 
 
 def standard_ring() -> QuantumRing:
@@ -703,31 +698,20 @@ def presentation_relations() -> Dict[str, MultiPoly]:
     }
 
 
-def _relation_values(ring: QuantumRing, word) -> Dict[str, QVec]:
-    """The presentation relations evaluated through the star product."""
-    q = ring.ctx.var("q")
-    out = {}
-    for name, rel in presentation_relations().items():
-        vec = ring.zero()
-        for (a, i, j), c in rel.terms.items():
-            vec = _vadd(vec, _vscale(q ** a * c, word(i, j)))
-        out[name] = vec
-    return out
-
-
-def _presentation_ideal() -> List[MultiPoly]:
-    """(R1, R2, R3) at q = 1, in Q[s11, h] with deg s11 = 2, deg h = 1.
+def _presentation_ideal(rels: Mapping[str, MultiPoly]) -> List[MultiPoly]:
+    """R1, R2, R3 of `rels` at q = 1, in Q[s11, h], deg s11 = 2, deg h = 1.
 
     Each relation is homogeneous, so s11 -> q s11, h -> sqrt(q) h carries
     this ideal onto the one over Q(q) and fixes every leading monomial:
     Groebner bases, standard monomials and quotient ranks agree.
     """
-    return [at_q_one(rel, None, name)
-            for name, rel in presentation_relations().items()]
+    return [at_q_one(rel, None, name) for name, rel in rels.items()]
 
 
 def presentation_report(ring: QuantumRing) -> Dict[str, object]:
-    """Relations hold, the quotient has rank 6, and the word map is a ring map."""
+    """Relations hold, the quotient has rank 6, and the word map is a ring
+    map; R1-R3 are built once, and R3 - ((5 s11 + 2 h^2 + 6 q) R1 - 5 h R2)
+    is carried as "r3_dependence_residual"."""
     @lru_cache(maxsize=None)
     def word(i: int, j: int) -> QVec:
         """s11^i * h^j under star, each product computed once."""
@@ -737,9 +721,16 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
             return ring.star(word(i - 1, 0), ring.basis_element("s11"))
         return ring.basis_element("s0")
 
-    rels = _relation_values(ring, word)
-    vanish = {name: _is_zero_vec(vec) for name, vec in rels.items()}
-    gens = _presentation_ideal()
+    # each relation, evaluated through the star product, must vanish
+    q = ring.ctx.var("q")
+    rels = presentation_relations()
+    vanish = {}
+    for name, rel in rels.items():
+        vec = ring.zero()
+        for (a, i, j), c in rel.terms.items():
+            vec = _vadd(vec, _vscale(q ** a * c, word(i, j)))
+        vanish[name] = _is_zero_vec(vec)
+    gens = _presentation_ideal(rels)
     ctx = gens[0].ctx
     ideal = PolyIdeal(gens)
     sm = ideal.standard_monomials()
@@ -771,10 +762,9 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     # minimal polynomial: R3 involves q and h only (no s11), and its
     # terms q^a h^j evaluated at M, summed, must vanish
     mh = ring.h_matrix
-    q = ring.ctx.var("q")
     powers = [scalar_matrix(DIM, ring.ctx.one())]
     resid = [[ring.ctx.zero()] * DIM for _ in range(DIM)]
-    for (a, _, j), c in presentation_relations()["R3"].terms.items():
+    for (a, _, j), c in rels["R3"].terms.items():
         while len(powers) <= j:
             powers.append(matmul(powers[-1], mh))
         coeff = q ** a * c
@@ -786,6 +776,10 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     for drop, keep in (("R3", (0, 1)), ("R2", (0, 2)), ("R1", (1, 2))):
         dim = PolyIdeal([gens[i] for i in keep]).quotient_dimension()
         necessity["without " + drop] = "infinite" if dim is None else dim
+    rctx = rels["R1"].ctx
+    qv, sv, hv = rctx.var("q"), rctx.var("s11"), rctx.var("h")
+    dependence = rels["R3"] - ((5 * sv + 2 * hv ** 2 + 6 * qv) * rels["R1"]
+                               - 5 * hv * rels["R2"])
     return {
         "relations_vanish": vanish,
         "standard_monomials": sorted(sm),
@@ -797,4 +791,5 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
         "word_map_multiplicative": ring_map,
         "minimal_polynomial_ok": minimal_ok,
         "necessity": necessity,
+        "r3_dependence_residual": dependence,
     }

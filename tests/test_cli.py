@@ -19,7 +19,7 @@ from gmquantum.ambient import AmbientRing
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main, matrix_at, parse_at
 from gmquantum.gwcounts import CountSet
-from gmquantum.quantum import QuantumRing
+from gmquantum.quantum import QuantumRing, product_table, quantum_context
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs"
@@ -130,7 +130,9 @@ def shifted_matrix_at(monkeypatch, name, delta, qval):
     counts = CountSet.from_geometry()
     counts = dataclasses.replace(counts,
                                  **{name: getattr(counts, name) + delta})
-    ring = QuantumRing(counts, AmbientRing(), counts.J11, 32)
+    amb = AmbientRing()
+    ring = QuantumRing(amb, product_table(counts, amb, counts.J11, 32,
+                                          quantum_context()))
     monkeypatch.setattr(Workspace, "ring", property(lambda ws: ring))
     return matrix_at(Workspace(), qval)
 

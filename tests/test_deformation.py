@@ -6,7 +6,7 @@ import pytest
 
 from gmquantum.ambient import DIM
 from gmquantum.deformation import (
-    PRIMITIVE_DIM, AtomStatistics, HodgeModel, _columns_matrix,
+    DIAMOND, PRIMITIVE_DIM, AtomStatistics, HodgeModel, _columns_matrix,
     assemble_full_operator, at_t_zero, atom_statistics, build_deformed_matrix,
     eigenvalue, homogeneity_failures, irrationality_criterion, jordan_pair,
     specialization_failures, truncated_context, verify_jordan_pair,
@@ -82,11 +82,11 @@ def test_build_rejects_wrong_rings(ring):
     bad_ctx_ring = standard_ring()
     # a ring rebuilt over extra symbols is refused
     from gmquantum.gwcounts import CountSet
-    from gmquantum.quantum import QuantumRing
+    from gmquantum.quantum import QuantumRing, product_table
     ctx = quantum_context(("u",))
     counts = CountSet.from_geometry()
-    symbolic = QuantumRing(counts, ring.amb, Fraction(24), Fraction(32),
-                           ctx=ctx)
+    symbolic = QuantumRing(ring.amb, product_table(
+        counts, ring.amb, Fraction(24), Fraction(32), ctx))
     with pytest.raises(ValueError):
         build_deformed_matrix(symbolic)
     with pytest.raises(ValueError):
@@ -121,20 +121,21 @@ def test_jordan_pair_detects_mutation(operator):
 
 def test_hodge_model_shape():
     model = HodgeModel.standard()
-    assert len(model.primitive_tags) == 22
+    assert model.numbers == DIAMOND == (1, 20, 1)
+    assert sum(model.numbers) == PRIMITIVE_DIM == 22
     assert model.h31() == 1
     assert model.matches_diamond()
     control = model.without_h31()
+    assert control.numbers == (0, 21, 1)
     assert control.h31() == 0
     assert not control.matches_diamond()
-    # non-diamond tag distributions are allowed as controls, but length
-    # and tag vocabulary are enforced
-    skew = HodgeModel(((3, 1),) * 22)
+    # non-diamond numbers are allowed as controls, but a negative entry
+    # and a sum other than the primitive dimension are refused
+    skew = HodgeModel((22, 0, 0))
     assert skew.h31() == 22 and not skew.matches_diamond()
-    with pytest.raises(ValueError):
-        HodgeModel(((4, 0),) + ((2, 2),) * 21)
-    with pytest.raises(ValueError):
-        HodgeModel(((2, 2),) * 5)
+    for numbers in ((-1, 22, 1), (1, 3, 1), (23, 0, -1)):
+        with pytest.raises(ValueError, match="expected 22 primitive classes"):
+            HodgeModel(numbers)
 
 
 def test_full_operator_block_structure(operator):
@@ -313,8 +314,8 @@ def full_atom_statistics(op, model):
         and all(image_mat[i, j].is_zero() for i in range(n)))
 
     rho = e_dim - sympy_rank(_drop_rows(basis, range(DIM)))
-    h31_rows = [DIM + i for i, tag in enumerate(model.primitive_tags)
-                if tag == (3, 1)]
+    # the first h31 primitive slots are the (3, 1) lines
+    h31_rows = [DIM + i for i in range(model.h31())]
     nu = (e_dim - sympy_rank(_drop_rows(basis, h31_rows))
           if h31_rows else 0)
     details = {
@@ -335,7 +336,7 @@ def full_atom_statistics(op, model):
     return AtomStatistics(lam, nu, 0, gamma, rho, details)
 
 
-TWO_H31 = HodgeModel(((3, 1),) * 2 + ((2, 2),) * 19 + ((1, 3),))
+TWO_H31 = HodgeModel((2, 19, 1))
 
 
 @pytest.mark.parametrize("model", [

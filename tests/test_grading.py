@@ -74,8 +74,7 @@ def test_at_q_one_derives_each_context_once(monkeypatch):
 
 def _off_weight_h_matrix(ring):
     """The ring with 1 added to h-matrix entry (0, 1), of degree 2."""
-    bad = QuantumRing(ring.counts, ring.amb, *ring.three_point,
-                      table=ring.table)
+    bad = QuantumRing(ring.amb, ring.table)
     rows = bad.h_matrix.copy_rows()
     rows[0][1] = rows[0][1] + 1
     bad.h_matrix = Matrix(rows)
@@ -88,7 +87,7 @@ def _off_weight_table(ring):
     hh = list(table[(1, 1)])
     hh[0] = hh[0] + 1
     table[(1, 1)] = tuple(hh)
-    return QuantumRing(ring.counts, ring.amb, *ring.three_point, table=table)
+    return QuantumRing(ring.amb, table)
 
 
 def _off_weight_full(operator):

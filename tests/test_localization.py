@@ -31,6 +31,10 @@ and the seven ambient triple numbers on G(2,5), with each Schubert class
 restricted by Giambelli in the fixed point's roots rather than by the
 formula `gmquantum.ambient` builds them with.  A weight choice with a zero
 tangent weight is refused, never divided by.
+
+The same sum gives the chi_y genus of the fourfold X = G(2,5) cut by
+O(1) + O(2), from which Lefschetz and Hodge symmetry read the primitive
+Hodge numbers that `HodgeModel` posits.
 """
 
 from fractions import Fraction
@@ -43,6 +47,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import grassmann_localization as grass
 from gmquantum.ambient import AmbientRing, BASIS_DEGREES, DIM, LIFT_PARTITIONS
+from gmquantum.deformation import PRIMITIVE_DIM, HodgeModel
 from gmquantum.gwcounts import (
     compute_i11, compute_i12, compute_i13, compute_i2,
 )
@@ -185,6 +190,56 @@ def test_ambient_triples_by_localization():
 def test_grassmannian_zero_tangent_weight_is_refused():
     with pytest.raises(ValueError, match="zero tangent weight"):
         grass.bott_sum(lambda h, a, _: h ** 4, (2, 5, 5, 17))
+
+
+def primitive_numbers(chi):
+    """(h31, h22, h13) of the primitive middle cohomology of a fourfold
+    cut out of G(2,5) by ample divisors, from the coefficients of chi_y.
+
+    chi_p = chi(X, Omega^p) = sum_q (-1)^q h^{p,q}.  By Lefschetz
+    h^{p,q}(X) = h^{p,q}(G(2,5)) for p + q < 4, and Serre duality carries
+    that to p + q > 4, so besides the ambient classes h^{p,p} (one per
+    basis class of degree p) only h^{p,4-p} is left: chi_p is (-1)^p
+    times their sum.
+    """
+    ambient = [BASIS_DEGREES.count(p) for p in range(5)]
+    prim = [(-1) ** p * chi[p] - ambient[p] for p in range(5)]
+    assert prim[0] == prim[4] == 0      # h40 = h04 = 0
+    assert prim[1] == prim[3]           # Hodge symmetry h13 = h31
+    return prim[3], prim[2], prim[1]
+
+
+@pytest.mark.parametrize("weights", [G25_WEIGHTS, (0, 1, 3, 7, 15)])
+def test_chi_y_gives_the_hodge_model(weights):
+    """chi_y(X) = 1 - 2y + 22y^2 - 2y^3 + y^4 for X = G(2,5) cut by
+    O(1) + O(2), whatever the weights, and its reading is the model's
+    (h31, h22, h13) = (1, 20, 1)."""
+    chi = grass.chi_y((1, 2), weights)
+    assert chi == [1, -2, 22, -2, 1]
+    assert primitive_numbers(chi) == HodgeModel.standard().numbers
+    # chi_{-1} is the Euler number: 6 ambient classes and 22 primitive
+    assert sum((-1) ** p * c for p, c in enumerate(chi)) \
+        == DIM + PRIMITIVE_DIM == 28
+
+
+@pytest.mark.parametrize("normal, chi", [
+    ((), [1, -1, 2, -2, 2, -1, 1]),
+    ((1, 1), [1, -1, 2, -1, 1]),
+    ((2, 2), [1, -21, 132, -21, 1]),
+])
+def test_chi_y_of_other_zero_loci(normal, chi):
+    """G(2,5) itself has one Schubert class in each degree but 2, 3 and 4,
+    which have two, and no other cohomology.  The normal-bundle mutants
+    O(1) + O(1) and O(2) + O(2) of the fourfold give other polynomials,
+    so the fourfold's reading is not forced by the method."""
+    assert grass.chi_y(normal, G25_WEIGHTS) == chi
+    if normal:
+        assert primitive_numbers(chi) != HodgeModel.standard().numbers
+
+
+def test_chi_y_refuses_a_zero_tangent_weight():
+    with pytest.raises(ValueError, match="zero tangent weight"):
+        grass.chi_y((1, 2), (2, 5, 5, 17, 29))
 
 
 G25 = VarContext(("H", "A"), (1, 2))

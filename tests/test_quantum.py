@@ -21,7 +21,7 @@ from gmquantum.quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
     degree_two_closed_form, frobenius_failures, grading_failures,
     kernel_basis, perturbed_ring, presentation_relations,
-    presentation_report, quantum_context,
+    presentation_report, product_table, quantum_context,
     ring_from_solve, solve_three_point_invariants, spectral_report, squarefree_part,
     standard_ring, star_h_matrix, surd_roots, surd_split,
 )
@@ -173,7 +173,7 @@ def test_route_residuals_are_not_tautological():
     for x = s3 the table stores s3 * s3 through that chain, so the
     residual vanishes by construction."""
     sym = symbolic_ring()
-    residuals = quantum._route_residuals(sym)
+    residuals = quantum._route_residuals(sym, CountSet.from_geometry())
     by_x = {name: residuals[DIM * k:DIM * (k + 1)]
             for k, name in enumerate(("s2", "s11", "s3", "s31"))}
     assert len(residuals) == 4 * DIM
@@ -193,7 +193,8 @@ def test_solver_refuses_a_residual_that_is_not_affine(monkeypatch):
     routes = quantum._route_residuals
     monkeypatch.setattr(
         quantum, "_route_residuals",
-        lambda ring: routes(ring) + [ring.ctx.var("uJ11") ** 2])
+        lambda ring, counts: routes(ring, counts)
+        + [ring.ctx.var("uJ11") ** 2])
     with pytest.raises(ValueError, match="not affine"):
         solve_three_point_invariants(CountSet.from_geometry())
 
@@ -303,6 +304,26 @@ def test_presentation_report(ring):
         (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)]
     assert rep["necessity"] == {
         "without R1": 10, "without R2": "infinite", "without R3": 6}
+    assert rep["r3_dependence_residual"].is_zero()
+
+
+def test_presentation_builds_its_relations_once(monkeypatch, ring):
+    """A presentation report builds R1-R3 once, and the dependence
+    certificate reads R3's cofactor residual from the report."""
+    calls = []
+    build = quantum.presentation_relations
+    monkeypatch.setattr(quantum, "presentation_relations",
+                        lambda: calls.append(1) or build())
+    ws = certificates.Workspace()
+    ws._cache["ring"] = ring
+    certs = {c.claim: c for c in certificates.presentation_certificates(ws)}
+    assert len(calls) == 1
+    dep = certs["presentation.dependence.R3"]
+    assert (dep.status, dep.computed) == (certificates.VERIFIED, "0")
+    ws._cache["presentation"] = dict(
+        ws.presentation, r3_dependence_residual=build()["R1"])
+    certs = {c.claim: c for c in certificates.presentation_certificates(ws)}
+    assert certs["presentation.dependence.R3"].status == certificates.FAILED
 
 
 def test_r3_is_a_consequence_of_r1_r2():
@@ -377,8 +398,9 @@ def symbolic_ring():
     """The solver's ring: uJ11 and uJ2 stand in for J11 and J2."""
     counts = CountSet.from_geometry()
     ctx = quantum_context(("uJ11", "uJ2"))
-    return QuantumRing(counts, AmbientRing(), ctx.var("uJ11"), ctx.var("uJ2"),
-                       ctx=ctx)
+    amb = AmbientRing()
+    return QuantumRing(amb, product_table(counts, amb, ctx.var("uJ11"),
+                                          ctx.var("uJ2"), ctx))
 
 
 RINGS = {
@@ -632,7 +654,8 @@ def test_solver_frobenius_residuals_agree_with_basis_vector_products(
     monkeypatch.setattr(quantum, "_affine_split", recorded)
     solve_three_point_invariants(CountSet.from_geometry())
     sym = symbolic_ring()
-    route = [p for p in quantum._route_residuals(sym) if not p.is_zero()]
+    route = [p for p in quantum._route_residuals(sym, CountSet.from_geometry())
+             if not p.is_zero()]
     frob = [lhs - rhs for _, lhs, rhs in reference_frobenius_sides(
                 sym, combinations_with_replacement(range(DIM), 3))]
     frob = [p for p in frob if not p.is_zero()]
@@ -677,7 +700,7 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
     `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
-    1,586 of them."""
+    1,580 of them."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -696,16 +719,16 @@ def test_only_star_and_pairing_contract(monkeypatch):
     # read products of two basis classes from the table, so code that
     # multiplies basis vectors again shows up here
     assert {c.co_name: n for c, n in callers.items()} == {
-        "star": 1022, "pairing": 564}
+        "star": 1016, "pairing": 564}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):
     """Shifting J12 by 1 adds q dual(s11) to s11 * s11 in the table."""
-    counts = ring.counts
+    counts = CountSet.from_geometry()
     shifted = dataclasses.replace(counts, J12=counts.J12 + 1)
     s11 = BASIS_NAMES.index("s11")
-    before, after = (QuantumRing(c, ring.amb, *ring.three_point)
-                     .table[(s11, s11)] for c in (counts, shifted))
+    before, after = (product_table(c, ring.amb, counts.J11, 32, ring.ctx)
+                     [(s11, s11)] for c in (counts, shifted))
     q = ring.ctx.var("q")
     dual = ring.amb.dual_basis()[s11]
     assert any(dual)

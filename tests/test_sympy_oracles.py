@@ -141,7 +141,7 @@ def test_groebner_basis_over_qq_q():
     polys = sorted(basis.polys, key=lambda p: order(p.monoms(order=order)[0]))
     assert [p.monoms(order=order)[0] for p in polys] == [(1, 1), (2, 0),
                                                          (0, 5)]
-    ideal = PolyIdeal(_presentation_ideal())
+    ideal = PolyIdeal(_presentation_ideal(presentation_relations()))
     assert ideal.leading_exponents() == [(1, 1), (2, 0), (0, 5)]
     assert [sympy.expand(p.as_expr().subs(Q, 1)) for p in polys] == \
         [sympy.expand(to_sympy(g)) for g in ideal.basis]
@@ -255,7 +255,7 @@ def test_grassmann_stage_eliminates_the_quotient_classes(name):
 
 @pytest.mark.parametrize("keep", [(0, 1), (0, 2), (1, 2)])
 def test_necessity_bases_match_sympy(keep):
-    gens = [_presentation_ideal()[i] for i in keep]
+    gens = [_presentation_ideal(presentation_relations())[i] for i in keep]
     ideal = PolyIdeal(gens)
     assert_same_basis(ideal, sympy_basis(gens, ideal.ctx))
 

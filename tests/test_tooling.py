@@ -2,11 +2,14 @@
 
 import ast
 import contextlib
+import importlib.util
 import io
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main
@@ -356,6 +359,36 @@ def test_benchmark_self_tests_pass():
         [sys.executable, "-m", "unittest", "discover", "-s", "bench"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-3000:]
+
+
+def _bench_checker():
+    """bench/checker.py, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_checker", ROOT / "bench" / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("command", [
+    "verify-all", "gw", "matrix", "table", "presentation", "deform",
+    "criterion"])
+def test_live_output_matches_the_benchmark_reference(command, fmt):
+    """Each command without --at passes `bench/checker.check_cli`: every
+    certificate's claim, status and computed value agrees with
+    bench/reference.json.  The goldens under tests/data can be
+    regenerated; the benchmark reference cannot, so a payload change
+    that would fail every benchmark op fails here."""
+    argv = [command, "--format", fmt, "--no-timestamp"]
+    if command == "verify-all":
+        argv += ["--seed", "0"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    reason = _bench_checker().check_cli(command, fmt, None, rc,
+                                        out.getvalue())
+    assert reason is None, reason
 
 
 def test_every_attribute_is_read():
