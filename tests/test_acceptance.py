@@ -10,7 +10,7 @@ import random
 import pytest
 
 from gmquantum.ambient import BASIS_NAMES
-from gmquantum.certificates import Workspace, random_identity_failures
+from gmquantum.certificates import Workspace
 from gmquantum.deformation import (
     HodgeModel, at_t_zero, build_deformed_matrix, irrationality_criterion,
     verify_jordan_pair,
@@ -25,6 +25,7 @@ from gmquantum.towers import (
     line_bundle, twist,
 )
 from schubert_oracle import Grassmannian2
+from test_quantum import reference_random_identity_failures
 
 WS = Workspace()
 
@@ -244,7 +245,7 @@ def test_criterion_10_oracle_suites():
 
     # (d) one hundred randomized ring identity samples, seed controlled
     rng = random.Random(20240822)
-    random_ok = random_identity_failures(WS.ring, rng, 100) == []
+    random_ok = reference_random_identity_failures(WS.ring, rng, 100) == []
 
     ok = schubert_ok and split_ok and duality_ok and random_ok
     report(10, ok, "Schubert oracle on G(2,4), splitting principle"

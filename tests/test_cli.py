@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import shutil
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -21,14 +24,13 @@ from gmquantum.cli import main, matrix_at, parse_at
 from gmquantum.gwcounts import CountSet
 from gmquantum.quantum import QuantumRing, product_table, quantum_context
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs"
-     / "certificate.schema.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "certificate.schema.json").read_text())
 
 # `gmquantum <argv> --format json --no-timestamp` of a verified build, one
 # file per command line: a change that moves a byte of one changes
 # certified content or a report
-GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+GOLDEN_DIR = ROOT / "tests" / "data"
 GOLDEN_VERIFY_ALL = GOLDEN_DIR / "verify_all.json"
 GOLDEN_PAYLOADS = {
     "verify_all_seed_7": ["verify-all", "--seed", "7"],
@@ -89,6 +91,66 @@ def test_verify_all_deterministic(capsys):
 def test_verify_all_matches_golden_payload(capsys):
     assert main(["verify-all", "--format", "json", "--no-timestamp"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_VERIFY_ALL.read_bytes()
+
+
+def test_verify_all_bytes_do_not_depend_on_the_interpreter():
+    """`verify-all --format json --no-timestamp`, run as a fresh process,
+    prints the golden bytes under PYTHONHASHSEED 0 and 12345, and under
+    each of python3.10, python3.12 and python3.13 found on PATH (at
+    PYTHONHASHSEED 1).  A pyenv shim runs a command only for the selected
+    versions, so the other interpreters run with every installed version
+    selected.  The processes run side by side; the line printed at the end
+    (pytest -s shows it) names the interpreters that ran."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    other_env = dict(env)
+    if shutil.which("pyenv"):
+        versions = subprocess.run(["pyenv", "versions", "--bare"],
+                                  capture_output=True, text=True).stdout
+        other_env["PYENV_VERSION"] = ":".join(versions.split())
+    runs = [("%s PYTHONHASHSEED=%s" % (sys.executable, seed), sys.executable,
+             dict(env, PYTHONHASHSEED=seed)) for seed in ("0", "12345")]
+    runs += [(name, exe, dict(other_env, PYTHONHASHSEED="1"))
+             for name in ("python3.10", "python3.12", "python3.13")
+             for exe in [shutil.which(name)] if exe]
+    argv = ["-m", "gmquantum", "verify-all", "--format", "json",
+            "--no-timestamp"]
+    procs = [(label, exe, run_env, subprocess.Popen(
+                [exe] + argv, cwd=ROOT, env=run_env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE))
+             for label, exe, run_env in runs]
+    try:
+        outputs = [proc.communicate(timeout=120) for *_, proc in procs]
+    finally:
+        for *_, proc in procs:
+            proc.kill()   # does nothing to a process that has exited
+    golden = GOLDEN_VERIFY_ALL.read_bytes()
+    ran, absent = [], []
+    for (label, exe, run_env, proc), (out, err) in zip(procs, outputs):
+        if proc.returncode and subprocess.run(
+                [exe, "-c", "pass"], env=run_env,
+                capture_output=True).returncode:
+            absent.append(label)   # found on PATH but cannot start
+            continue
+        assert proc.returncode == 0, (label, err.decode()[-2000:])
+        assert out == golden, label
+        ran.append(label)
+    print("verify-all matched its golden under: %s; could not start: %s"
+          % ("; ".join(ran), "; ".join(absent) or "none"))
+    assert len(ran) >= 2
+
+
+def test_seed_changes_only_the_summary(capsys):
+    """--seed is recorded in the summary and changes no certificate: the
+    live payloads at seeds 0 and 7, and their goldens, differ only in the
+    summary's `seed`."""
+    payloads = [run_json(capsys, ["verify-all", "--seed", seed, "--format",
+                                  "json", "--no-timestamp"])[1]
+                for seed in ("0", "7")]
+    payloads += [json.loads(path.read_text()) for path in (
+        GOLDEN_VERIFY_ALL, GOLDEN_DIR / "verify_all_seed_7.json")]
+    assert [p["summary"].pop("seed") for p in payloads] == [0, 7, 0, 7]
+    assert all(p == payloads[0] for p in payloads[1:])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
@@ -348,9 +410,10 @@ def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
     monkeypatch.setattr(quantum, "_associativity_scan", counted_scan)
     monkeypatch.setattr(cli, "Workspace", Recorded)
     assert main(["verify-all", "--no-timestamp"]) == 0
-    # the solver's symbolic and solved rings and the perturbed control;
-    # the solved ring's scan serves the solver, the table and the operator
-    assert made == {"rings": 3, "scans": 2}
+    # the solver's symbolic and solved rings, the perturbed control and
+    # the generic ring of the property check; the solved ring's scan
+    # serves the solver, the table and the operator
+    assert made == {"rings": 4, "scans": 2}
     # a cold verify-all reads every node and builds each one once
     assert built == dict.fromkeys(NODE_NAMES, 1)
     ws, = workspaces

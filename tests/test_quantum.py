@@ -346,13 +346,6 @@ def test_perturbed_ring_breaks_only_associativity(ring):
     assert classical_limit_failures(bad) == []
 
 
-def test_random_identity_sampling(ring):
-    import random
-    from gmquantum.certificates import random_identity_failures
-    rng = random.Random(7)
-    assert random_identity_failures(ring, rng, 10) == []
-
-
 def test_table_is_read_only(ring):
     with pytest.raises(TypeError):
         ring.table[(0, 0)] = ring.basis_element("s1")
@@ -567,13 +560,19 @@ def test_star_refuses_exponents_that_would_carry():
         ring.star(p, p)
 
 
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
 def reference_random_identity_failures(ring, rng, samples):
-    """The property sample with MultiPoly products and comparisons."""
+    """The ring identities of `certificates.generic_identity_failures` on
+    seeded random triples of rational vectors, with MultiPoly products and
+    comparisons; each failure reads "sample <n>: <identity>"."""
     bad = []
     for n in range(samples):
-        a, b, c = (ring.element({name: certificates.random_rational(rng)
+        a, b, c = (ring.element({name: random_rational(rng)
                                  for name in BASIS_NAMES}) for _ in range(3))
-        lam = certificates.random_rational(rng)
+        lam = random_rational(rng)
         ab = ring.star(a, b)
         if ring.star(ab, c) != ring.star(a, ring.star(b, c)):
             bad.append("sample %d: associativity" % n)
@@ -592,14 +591,37 @@ def reference_random_identity_failures(ring, rng, samples):
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_random_identities_match_the_multipoly_sample(ring, seed):
+    """Each sample specializes the generic check, so the seeded sample
+    flags an identity only if the generic check flags it; both flag
+    something on the perturbed ring and nothing on the true one."""
     broken = perturbed_ring(ring)
     for r in (ring, broken):
-        want = reference_random_identity_failures(r, random.Random(seed),
-                                                  100)
-        got = certificates.random_identity_failures(r, random.Random(seed),
-                                                    100)
-        assert got == want
-        assert (got != []) == (r is broken)
+        sampled = reference_random_identity_failures(r, random.Random(seed),
+                                                     100)
+        generic = certificates.generic_identity_failures(r)
+        assert {bad.split(": ")[1] for bad in sampled} <= set(generic)
+        assert (sampled != []) == (generic != []) == (r is broken)
+
+
+@pytest.mark.parametrize("pairs, flagged", [
+    ([(1, 2)], ["associativity", "commutativity", "frobenius"]),
+    ([(1, 2), (2, 1)], ["associativity", "frobenius"]),
+])
+def test_generic_check_fails_on_an_emptied_tensor_entry(
+        ring, monkeypatch, pairs, flagged):
+    """A product tensor that forgets the image of (e_i, e_j) fails the
+    generic check; forgetting it in both orders keeps the product
+    commutative and still breaks associativity and Frobenius."""
+    init = quantum.StructureTensor.__init__
+
+    def emptied(self, ctx, width, images):
+        init(self, ctx, width, images)
+        if width == DIM:
+            for i, j in pairs:
+                self.rows[i][j] = []
+
+    monkeypatch.setattr(quantum.StructureTensor, "__init__", emptied)
+    assert certificates.generic_identity_failures(ring) == flagged
 
 
 def basis_triples(ring, triples):
@@ -668,14 +690,14 @@ def test_property_certificate_fails_on_a_perturbed_ring(ring):
     ws._cache["ring"] = perturbed_ring(ring)
     [cert] = certificates.property_certificates(ws, 0)
     assert cert.status == certificates.FAILED
-    assert cert.computed > 0
-    assert "associativity" in cert.witness
+    assert cert.computed == 2
+    assert cert.witness == "associativity; frobenius"
 
 
 def test_identity_checks_stay_packed(ring, monkeypatch):
-    """The property sample and the table scans multiply only through
-    `star` and `pairing` and compare integer numerators: no MultiPoly
-    product and no Fraction view of a result."""
+    """The table scans multiply only through `star` and `pairing` and
+    compare integer numerators: no MultiPoly product and no Fraction view
+    of a result."""
     broken = perturbed_ring(ring)
     calls = []
     for name in ("__mul__", "__rmul__"):
@@ -689,8 +711,6 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
     view = MultiPoly.terms
     monkeypatch.setattr(MultiPoly, "terms", property(
         lambda self: calls.append("terms") or view.fget(self)))
-    certificates.random_identity_failures(ring, random.Random(0), 5)
-    certificates.random_identity_failures(broken, random.Random(0), 5)
     quantum.frobenius_failures(ring)
     quantum.frobenius_failures(broken)
     quantum._associativity_scan(broken)
@@ -700,7 +720,7 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
     `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
-    1,580 of them."""
+    689 of them."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -719,7 +739,7 @@ def test_only_star_and_pairing_contract(monkeypatch):
     # read products of two basis classes from the table, so code that
     # multiplies basis vectors again shows up here
     assert {c.co_name: n for c, n in callers.items()} == {
-        "star": 1016, "pairing": 564}
+        "star": 323, "pairing": 366}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):
