@@ -2,7 +2,7 @@
 
 Each subcommand builds one certificate group and prints it as markdown
 (default) or JSON.  `verify-all` runs every group, records its --seed in
-the summary, where it changes no certificate, and exits 0 exactly when
+the summary (the seed changes no certificate), and exits 0 exactly when
 no certificate failed.  Output is deterministic; the timestamp is the
 only varying field and can be dropped with --no-timestamp.
 """
