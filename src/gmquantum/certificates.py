@@ -30,7 +30,6 @@ from .deformation import (
 )
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
 from .linalg import scalar_matrix
-from .poly import MultiPoly
 from .quantum import (
     ASSOCIATIVITY_TRIPLES, FROBENIUS_TRIPLES,
     QuantumRing, associativity_failures, classical_limit_failures,
@@ -572,10 +571,8 @@ def generic_identity_failures(ring: QuantumRing) -> List[str]:
     comparison through `star` and `pairing` at the indeterminates GENERIC,
     of degree 0, settles it for all vectors."""
     ext = ring.ctx.extended(GENERIC, (0,) * len(GENERIC))
-    pad = (0,) * len(GENERIC)
     gen = QuantumRing(ring.amb, {
-        ij: tuple(MultiPoly(ext, {e + pad: c for e, c in p.terms.items()})
-                  for p in vec)
+        ij: tuple(p.substitute({}, ext) for p in vec)
         for ij, vec in ring.table.items()})
     star, pairing, var = gen.star, gen.pairing, ext.var
     a, b, c = (tuple(var("%s%d" % (v, k)) for k in range(DIM)) for v in "abc")

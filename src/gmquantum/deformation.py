@@ -312,7 +312,7 @@ def atom_statistics(op: Matrix, model: HodgeModel) -> AtomStatistics:
     # the four moving eigenvalue branches stay simple at t = 0
     plain = hpoly.ctx.without_truncation()
     cofactor_profile = squarefree_profile(
-        poly_exact_div(MultiPoly(plain, hpoly_t0.terms),
+        poly_exact_div(hpoly_t0.substitute({}, plain),
                        plain.var("Y") ** 2), "Y")
 
     # order zero eigenspace, then the first order lift:

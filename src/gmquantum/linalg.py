@@ -88,7 +88,7 @@ def squarefree_profile(p: MultiPoly, var: str) -> Dict[int, int]:
     """
     if any(p.max_power(name) for name in p.ctx.names if name != var):
         raise ValueError("%s is not a polynomial in %s alone" % (p, var))
-    f = MultiPoly(p.ctx.without_truncation(), p.terms)
+    f = p.substitute({}, p.ctx.without_truncation())
     degrees = [f.max_power(var)]
     while degrees[-1]:
         f = poly_gcd(f, f.derivative(var))
@@ -456,9 +456,8 @@ def at_q_one(p: MultiPoly, degree: Optional[int], entry: str) -> MultiPoly:
         raise ValueError("%s is not homogeneous%s: %s"
                          % (entry, "" if degree is None
                             else " of degree %d" % degree, p))
-    i = p.ctx.index["q"]
-    return MultiPoly(p.ctx.without("q"),
-                     {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
+    rest = p.ctx.without("q")
+    return p.substitute({"q": rest.one()}, rest)
 
 
 def vector_at_q_one(vec: Sequence[MultiPoly], weight: int,

@@ -16,6 +16,16 @@ product of its factors' denominators, unreduced, because `==`
 cross-multiplies; `str`, `hash` and the read-only `.terms` view
 ({exponent tuple: Fraction}) reduce.
 
+The polynomials every layer sends here have a few terms, so per-call costs
+decide the speed, and three rules keep them low.  No stored numerator is
+zero: a sum deletes a key as it cancels, and skips the rescale for a zero
+operand or equal denominators.  An int never becomes a Fraction, and an
+operand's kind is read by `type(...) is`, never by an isinstance test
+against the abstract Fraction.  A context move whose images are all
+scalars (an embedding has none; q = 1 is one) runs on keys, each kept
+exponent field shifting to its slot in the target: no `.terms` view and
+no product.
+
 Variable degrees may be negative (a deformation parameter of degree -1 is
 used downstream), so the weighted degree of a monomial is an integer of
 either sign.  Every monomial comparison (leading terms, Groebner bases,
@@ -38,6 +48,12 @@ Exponent = Tuple[int, ...]
 FIELD = 64
 MASK = (1 << FIELD) - 1
 _new = object.__new__
+
+
+def _rational(value):
+    """An int as it is, any other rational as a Fraction."""
+    return value if type(value) is int or type(value) is Fraction \
+        else Fraction(value)
 
 
 def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
@@ -127,12 +143,9 @@ class VarContext:
     # -- constructors -----------------------------------------------------
 
     def scalar(self, value) -> "MultiPoly":
-        coeff = self.coerce_coeff(value)
+        coeff = _rational(value)
         return MultiPoly.from_numerators(
             self, {0: coeff.numerator} if coeff else {}, coeff.denominator, 0)
-
-    def coerce_coeff(self, value) -> Fraction:
-        return value if isinstance(value, Fraction) else Fraction(value)
 
     def zero(self) -> "MultiPoly":
         return MultiPoly.from_numerators(self, {}, 1, 0)
@@ -187,7 +200,7 @@ class MultiPoly:
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponent, object]):
         """From {exponent tuple: rational}; zero and truncated terms drop."""
-        coeffs = {ctx.key(tuple(e)): ctx.coerce_coeff(c)
+        coeffs = {ctx.key(tuple(e)): _rational(c)
                   for e, c in terms.items() if c}
         if ctx.truncation:
             coeffs = {k: c for k, c in coeffs.items() if not ctx.truncates(k)}
@@ -240,16 +253,23 @@ class MultiPoly:
 
     def _combine(self, other, sign: int) -> "MultiPoly":
         """self + sign * other, over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
             other = self.ctx.scalar(other)
         self._check(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign > 0 else -other
         g = math.gcd(self.den, other.den)
         fs, fo = other.den // g, sign * (self.den // g)
-        nums = {k: n * fs for k, n in self.nums.items()}
+        nums = {k: n * fs for k, n in self.nums.items()} if fs != 1 \
+            else dict(self.nums)
         for k, n in other.nums.items():
-            nums[k] = nums.get(k, 0) + n * fo
-        return self.from_numerators(self.ctx, {k: n for k, n in nums.items() if n},
-                                    self.den * fs, max(self.bound, other.bound))
+            n = nums.pop(k, 0) + n * fo
+            if n:
+                nums[k] = n
+        return self.from_numerators(self.ctx, nums, self.den * fs,
+                                    max(self.bound, other.bound))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -268,22 +288,31 @@ class MultiPoly:
 
     def __mul__(self, other):
         ctx = self.ctx
-        if isinstance(other, (int, Fraction)):
-            coeff = ctx.coerce_coeff(other)
+        if type(other) is not MultiPoly:
+            coeff = _rational(other)
             nums = {k: n * coeff.numerator
                     for k, n in self.nums.items()} if coeff else {}
             den, bound = self.den * coeff.denominator, self.bound
         else:
             self._check(other)
             bound = ctx.guard(self.bound + other.bound)
-            acc: Dict[int, int] = {}
-            for k1, n1 in self.nums.items():
-                for k2, n2 in other.nums.items():
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + n1 * n2
+            mine, theirs = self.nums, other.nums
+            if len(mine) == 1:
+                mine, theirs = theirs, mine
             truncated = ctx.truncates if ctx.truncation else None
-            nums = {k: n for k, n in acc.items()
-                    if n and not (truncated and truncated(k))}
+            if len(theirs) == 1:
+                # a one-term factor shifts every key of the other by its own
+                (k1, n1), = theirs.items()
+                nums = {k + k1: n * n1 for k, n in mine.items()
+                        if not (truncated and truncated(k + k1))}
+            else:
+                acc: Dict[int, int] = {}
+                for k1, n1 in mine.items():
+                    for k2, n2 in theirs.items():
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + n1 * n2
+                nums = {k: n for k, n in acc.items()
+                        if n and not (truncated and truncated(k))}
             den = self.den * other.den
         # products reduce, so a chain of them carries no spurious factor
         g = math.gcd(den, *nums.values()) if den != 1 else 1
@@ -308,10 +337,10 @@ class MultiPoly:
 
     def __eq__(self, other):
         """Exact: equal supports, then numerators cross-multiplied."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ctx.scalar(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
         a, b = self.den, other.den
@@ -373,46 +402,68 @@ class MultiPoly:
 
         Variables absent from `images` must exist in `target` under the same
         name and are sent to themselves.  Coefficients pass through unchanged.
+        Scalar images run on keys (`_move`); a polynomial image is expanded
+        by Horner's rule in its variable.
         """
         full = {}
         for name in self.ctx.names:
             if name in images:
                 img = images[name]
-                if img.ctx != target:
+                if img.ctx is not target and img.ctx != target:
                     raise ValueError("image of %r lives in the wrong context" % name)
                 full[name] = img
-            else:
-                full[name] = target.var(name)
+        name = next((n for n, img in full.items() if not img.is_scalar()), None)
+        if name is None:
+            return self._move(full, target)
+        # coefficient_of empties the variable's slot, so any image serves
+        rest = {**full, name: target.zero()}
         result = target.zero()
-        cache: Dict[Tuple[str, int], MultiPoly] = {}
-
-        def power(name, k):
-            key = (name, k)
-            if key not in cache:
-                cache[key] = full[name] ** k
-            return cache[key]
-
-        for exp, coeff in self.terms.items():
-            term = target.scalar(coeff)
-            for name, e in zip(self.ctx.names, exp):
-                if e:
-                    term = term * power(name, e)
-            result = result + term
+        for e in range(self.max_power(name), -1, -1):
+            result = result * full[name] + \
+                self.coefficient_of(name, e).substitute(rest, target)
         return result
 
+    def _move(self, values: Mapping[str, "MultiPoly"],
+              target: VarContext) -> "MultiPoly":
+        """`substitute` with scalar images, on keys: each kept exponent field
+        shifts to its slot in `target`, and a value a/b of x turns n x^e / d
+        into n a^e b^(m - e) / (d b^m), m the top power of x, then reduces."""
+        if not self.nums:
+            return target.zero()
+        src, den, moves, scales = self.ctx, self.den, [], []
+        for name, s in zip(src.names, src.shifts):
+            v = values.get(name)
+            if v is None:
+                moves.append((s, target.shifts[target.index[name]]))
+            elif v.nums.get(0) != v.den:
+                m = max((k >> s) & MASK for k in self.nums) if v.den != 1 else 0
+                scales.append((s, v.nums.get(0, 0), v.den, m))
+                den *= v.den ** m
+        truncated = target.truncates if target.truncation else None
+        if not (values or truncated) and all(s == t for s, t in moves):
+            return self.from_numerators(target, self.nums, den, self.bound)
+        nums: Dict[int, int] = {}
+        for k, n in self.nums.items():
+            key = 0
+            for s, t in moves:
+                key |= ((k >> s) & MASK) << t
+            for s, a, b, m in scales:
+                e = (k >> s) & MASK
+                n *= a ** e if b == 1 else a ** e * b ** (m - e)
+            if n and not (truncated and truncated(key)):
+                nums[key] = nums.get(key, 0) + n
+        g = math.gcd(den, *nums.values())
+        return self.from_numerators(target, {k: n // g for k, n in nums.items()
+                                             if n}, den // g, self.bound)
+
     def evaluate(self, values: Mapping[str, object]):
-        """Full evaluation at scalar values."""
+        """Full evaluation at scalar values, as a move that keeps no field."""
         missing = [n for n in self.ctx.names if n not in values]
         if missing:
             raise ValueError("missing values for %s" % ", ".join(missing))
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for name, e in zip(self.ctx.names, exp):
-                if e:
-                    val = val * (values[name] ** e)
-            total = total + val
-        return total
+        ctx = self.ctx
+        return self._move({n: ctx.scalar(values[n]) for n in ctx.names},
+                          ctx).scalar_value()
 
     # -- display ----------------------------------------------------------
 

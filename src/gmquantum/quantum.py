@@ -463,9 +463,9 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
 
     Builds the table with symbolic unknowns in place of J11 and J2,
     collects the affine route residuals plus Frobenius residuals, solves
-    the resulting exact linear system, then builds the numeric ring on
-    the solution and checks every associativity triple of it.  That ring
-    is returned on the report.
+    the resulting exact linear system, then specialises the symbolic
+    table at the solution and checks every associativity triple of that
+    numeric ring.  That ring is returned on the report.
     """
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
@@ -494,8 +494,12 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     if sol is None:
         raise ValueError("inconsistent associativity system")
     j11, j2 = sol
-    final = QuantumRing(amb, product_table(counts, amb, j11, j2,
-                                           quantum_context()))
+    # the table is affine in the unknowns, so the solution specialises it
+    plain = quantum_context()
+    at_sol = {"uJ11": plain.scalar(j11), "uJ2": plain.scalar(j2)}
+    final = QuantumRing(amb, {
+        ij: tuple(p.substitute(at_sol, plain) for p in vec)
+        for ij, vec in ring.table.items()})
     bad = associativity_failures(final)
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)

@@ -217,15 +217,12 @@ def proj_push(p: MultiPoly, name: str, rank: int,
 
 
 def _project(p: MultiPoly, target: VarContext) -> MultiPoly:
-    """Rebuild p in a smaller context; dropped variables must not occur."""
-    keep = [p.ctx.index[name] for name in target.names]
-    drop = [i for i in range(p.ctx.nvars) if p.ctx.names[i] not in target.index]
-    terms = {}
-    for exp, coeff in p.terms.items():
-        if any(exp[i] for i in drop):
-            raise ValueError("class still involves fiber variables after pushforward")
-        terms[tuple(exp[i] for i in keep)] = coeff
-    return MultiPoly(target, terms)
+    """Rebuild p in a smaller context; dropped variables must not occur, so
+    sending them to 1 moves p's keys and leaves its coefficients alone."""
+    drop = [name for name in p.ctx.names if name not in target.index]
+    if any(p.max_power(name) for name in drop):
+        raise ValueError("class still involves fiber variables after pushforward")
+    return p.substitute({name: target.one() for name in drop}, target)
 
 
 def grassmann_push(p: MultiPoly, h: str, a: str,

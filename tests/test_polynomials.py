@@ -1,14 +1,16 @@
 """Exact multivariate polynomial arithmetic and graded structure."""
 
+import abc
 import contextlib
 import io
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmquantum import groebner
+from gmquantum import groebner, linalg
 from gmquantum.cli import main
 from gmquantum.groebner import PolyIdeal
 from gmquantum.poly import MultiPoly, VarContext
@@ -159,6 +161,42 @@ def test_order_matches_an_uncached_key_in_interleaved_contexts(term_sets):
                 p.terms, key=key, reverse=True)
 
 
+def test_kernel_stays_off_its_slow_paths():
+    """Over a cold verify-all no frame of `poly` enters
+    `ABCMeta.__instancecheck__`, which an isinstance test against Fraction
+    does, and neither `at_q_one` nor an embedding `substitute` reads the
+    `.terms` view: both move keys."""
+    abc_check = abc.ABCMeta.__instancecheck__.__code__
+    view = MultiPoly.terms.fget.__code__
+    kernel = view.co_filename
+    moves = (linalg.at_q_one.__code__, MultiPoly.substitute.__code__)
+    slow = []
+
+    def record(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is abc_check and \
+                frame.f_back.f_code.co_filename == kernel:
+            slow.append("isinstance in " + frame.f_back.f_code.co_name)
+        elif frame.f_code is view:
+            caller = frame.f_back
+            while caller is not None:
+                if caller.f_code in moves and (
+                        caller.f_code is moves[0]
+                        or not caller.f_locals["images"]):
+                    slow.append(".terms in " + caller.f_code.co_name)
+                caller = caller.f_back
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["verify-all", "--seed", "0", "--no-timestamp"])
+    finally:
+        sys.setprofile(previous)
+    assert sorted(set(slow)) == []
+
+
 def test_nilpotent_context_truncates_everywhere():
     tctx = VarContext(("q", "t"), (2, -1), nilpotent={"t": 2})
     q, t = tctx.var("q"), tctx.var("t")
@@ -250,14 +288,50 @@ def plain_evaluate(ctx, p, values):
     return total
 
 
+def plain_pow(ctx, p, k):
+    out = {(0,) * ctx.nvars: Fraction(1)}
+    for _ in range(k):
+        out = plain_mul(ctx, out, p)
+    return out
+
+
+def plain_substitute(ctx, target, p, images):
+    """p with each variable named in `images` sent to its plain image in
+    `target`, and every other variable to the variable of its name."""
+    out = {}
+    for e, c in p.items():
+        term = {(0,) * target.nvars: c}
+        for name, k in zip(ctx.names, e):
+            if name in images:
+                term = plain_mul(target, term,
+                                 plain_pow(target, images[name], k))
+            else:
+                term = plain_mul(target, term, {tuple(
+                    k if n == name else 0 for n in target.names): 1})
+        out = plain_combine(target, out, term, 1)
+    return out
+
+
+def stored_ok(r):
+    """The stored form: int numerators, none of them zero, over a positive
+    int denominator."""
+    return type(r.den) is int and r.den > 0 and all(
+        type(n) is int and n for n in r.nums.values())
+
+
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# the values a specialization sends a variable to: 0 and 1 are common
+values_at = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), rationals)
 
 
 @st.composite
-def plain_polys(draw, ctx):
+def plain_polys(draw, ctx, coefficients=rationals):
     exps = st.tuples(*(st.integers(0, 2 if name in ctx.nilpotent else 3)
                        for name in ctx.names))
-    return draw(st.dictionaries(exps, rationals, max_size=5))
+    # zero and one-term operands are the commonest the kernel sees
+    size = draw(st.sampled_from((0, 1, 5)))
+    return draw(st.dictionaries(exps, coefficients, min_size=min(size, 1),
+                                max_size=size))
 
 
 @st.composite
@@ -265,13 +339,17 @@ def arithmetic_cases(draw):
     ctx = draw(st.sampled_from(ARITHMETIC_CONTEXTS))
     return (ctx, draw(plain_polys(ctx)), draw(plain_polys(ctx)),
             draw(rationals), draw(st.integers(2, 6)),
-            {name: draw(rationals) for name in ctx.names})
+            {name: draw(rationals) for name in ctx.names},
+            draw(st.integers(-4, 4)),
+            draw(plain_polys(ctx, st.integers(-30, 30))),
+            {name: draw(values_at) for name in draw(
+                st.sets(st.sampled_from(ctx.names)))})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(arithmetic_cases())
 def test_arithmetic_matches_plain_dicts(case):
-    ctx, a, b, lam, m, values = case
+    ctx, a, b, lam, m, values, k, ints, at = case
     p, q = MultiPoly(ctx, a), MultiPoly(ctx, b)
     a, b = plain_truncated(ctx, a), plain_truncated(ctx, b)
     assert dict(p.terms) == a and dict(q.terms) == b
@@ -281,8 +359,32 @@ def test_arithmetic_matches_plain_dicts(case):
     assert dict((lam * p).terms) == dict((p * lam).terms) == \
         plain_combine(ctx, {}, a, lam)
     assert (p == q) == (a == b) and (p != q) == (a != b)
+    # int scalars, 0 and negative ones included, on either side
+    assert dict((k * p).terms) == dict((p * k).terms) == \
+        plain_combine(ctx, {}, a, k)
+    assert dict((p + k).terms) == dict((k + p).terms) == \
+        plain_combine(ctx, a, {(0,) * ctx.nvars: k}, 1)
+    assert dict((p - k).terms) == plain_combine(
+        ctx, a, {(0,) * ctx.nvars: k}, -1)
+    assert dict((k - p).terms) == plain_combine(
+        ctx, {(0,) * ctx.nvars: k}, a, -1)
+    assert ctx.scalar(k) == k and (ctx.scalar(k) == p) == (
+        a == plain_truncated(ctx, {(0,) * ctx.nvars: k}))
+    # an operand over p's own denominator, and p against itself
+    same = MultiPoly.from_numerators(ctx, {
+        ctx.key(e): n for e, n in plain_truncated(ctx, ints).items()},
+        p.den, 3)
+    c = {e: Fraction(n, p.den) for e, n in plain_truncated(ctx, ints).items()}
+    assert dict((p + same).terms) == plain_combine(ctx, a, c, 1)
+    assert dict((same - p).terms) == plain_combine(ctx, c, a, -1)
+    assert (p - p).is_zero() and dict((p + p).terms) == \
+        plain_combine(ctx, a, a, 1)
+    results = [p, q, p + q, p - q, q - p, p * q, q * p, lam * p, k * p,
+               p * k, p + k, k - p, ctx.scalar(k), p + same, same - p,
+               p - p, p + p, p * same]
+    assert all(stored_ok(r) for r in results)
     # products come back in lowest terms, so chains of them stay small
-    for r in (p * q, lam * p, p * q * lam):
+    for r in (p * q, lam * p, p * q * lam, k * p, p * same):
         assert math.gcd(r.den, *r.nums.values()) == 1
     assert str(p) == plain_str(ctx, a) and str(p * q) == plain_str(
         ctx, plain_mul(ctx, a, b))
@@ -298,6 +400,40 @@ def test_arithmetic_matches_plain_dicts(case):
         assert str(over) == str(r) and dict(over.terms) == dict(r.terms)
         assert over.evaluate(values) == r.evaluate(values)
         assert (over == ctx.zero()) == (not dict(r.terms))
+    # context moves: embeddings into an appended context, into one that
+    # truncates a kept variable, and into one that shifts every field;
+    # then a map with a polynomial image, which multiplies
+    for target in (ctx.extended(("z",), (1,)),
+                   VarContext(ctx.names + ("w",), ctx.degrees + (-1,),
+                              nilpotent={"q": 2, "w": 2}),
+                   VarContext(("z",) + ctx.names, (1,) + ctx.degrees,
+                              nilpotent=ctx.nilpotent)):
+        for r, plain in ((p, a), (p - q, plain_combine(ctx, a, b, -1))):
+            moved = r.substitute({}, target)
+            assert moved.ctx is target and stored_ok(moved)
+            assert dict(moved.terms) == plain_substitute(ctx, target, plain, {})
+    image = ctx.var(ctx.names[-1]) + lam
+    assert dict(p.substitute({"q": image}, ctx).terms) == plain_substitute(
+        ctx, ctx, a, {"q": dict(image.terms)})
+    # scalar images: the specialized variables leave the context
+    rest = ctx
+    for name in at:
+        rest = rest.without(name)
+    scalars = {name: rest.scalar(v) for name, v in at.items()}
+    for r, plain in ((p, a), (p * q, plain_mul(ctx, a, b))):
+        moved = r.substitute(scalars, rest)
+        assert moved.ctx is rest and stored_ok(moved)
+        assert dict(moved.terms) == plain_substitute(ctx, rest, plain, {
+            name: {(0,) * rest.nvars: v} for name, v in at.items()})
+    # at q = 1, on a graded part of p
+    if a:
+        d = ctx.weighted_degree(next(iter(a)))
+        part = {e: c for e, c in a.items() if ctx.weighted_degree(e) == d}
+        one = linalg.at_q_one(p.graded_part(d), d, "part")
+        rest = ctx.without("q")
+        assert stored_ok(one) and one.ctx is rest
+        assert dict(one.terms) == plain_substitute(
+            ctx, rest, part, {"q": {(0,) * rest.nvars: 1}})
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ def test_solver_tracks_its_inputs():
     rep2 = solve_three_point_invariants(
         dataclasses.replace(counts, J12=counts.J12 + 1))
     assert (rep2.j11, rep2.j2) == (Fraction(23), Fraction(33))
+    # the returned ring is the symbolic table specialised at the solution:
+    # the table built afresh there, exactly, at the rational J2 too
+    for c, r in ((shifted, rep), (rep2.counts, rep2)):
+        assert dict(r.ring.table) == product_table(
+            c, r.ring.amb, r.j11, r.j2, quantum_context())
 
 
 def test_degree_two_closed_form_agrees():
