@@ -5,9 +5,11 @@ denominator: `nums` maps the int key of each monomial to a nonzero
 integer, and the value is sum_key nums[key] * monomial(key) / den.  A
 `VarContext` fixes the variable names, their (weighted) degrees, and
 optional nilpotency truncations such as t^2 = 0; polynomials from
-different contexts never mix.  The context owns the key codec: the
-exponent vector (e_0, ..., e_n-1) has key sum_v e_v 2^(64 v), so keys add
-as monomials multiply.  No field may carry into the next, so every
+different contexts never mix.  The context owns the key codec: with B =
+64 n bits for n variables, the monomial of exponents (e_0, ..., e_n-1)
+and weighted degree d has key (d << B) - sum_v e_v 2^(64 v), so keys add
+as monomials multiply, the field of variable v is (-key >> 64 v) & MASK,
+and d is -(-key >> B).  No field may carry into the next, so every
 exponent lies in [0, 2^64) and each polynomial records a `bound` on its
 exponents; a product whose bounds add up to 2^64 raises ValueError.
 Products reduce the denominator against the gcd of the numerators.  Sums
@@ -23,17 +25,17 @@ operand or equal denominators.  An int never becomes a Fraction, and an
 operand's kind is read by `type(...) is`, never by an isinstance test
 against the abstract Fraction.  A context move whose images are all
 scalars (an embedding has none; q = 1 is one) runs on keys, each kept
-exponent field shifting to its slot in the target: no `.terms` view and
-no product.
+exponent field multiplying its variable's key in the target: no `.terms`
+view and no product.
 
 Variable degrees may be negative (a deformation parameter of degree -1 is
-used downstream), so the weighted degree of a monomial is an integer of
-either sign.  Every monomial comparison (leading terms, Groebner bases,
-printing) uses `weighted_grevlex_key`: weighted degree first, then
-reverse lexicographic order in the context's declared variable order.
-Each context memoises that key per monomial key.  The same weights decide
-the homogeneity checks.  Only a context with nilpotent variables runs the
-truncation test, once per term it builds.
+used downstream), so a weighted degree, and a key, is an integer of
+either sign.  The packed exponents stay below 2^B, so keys order
+monomials in weighted grevlex: degree first, then the smaller exponent of
+the last variable, then of the one before, and so on.  Every monomial
+comparison (leading terms, Groebner bases, printing) is thus one integer
+comparison.  Only a context with nilpotent variables runs the truncation
+test, once per term it builds.
 """
 
 from __future__ import annotations
@@ -54,15 +56,6 @@ def _rational(value):
     """An int as it is, any other rational as a Fraction."""
     return value if type(value) is int or type(value) is Fraction \
         else Fraction(value)
-
-
-def weighted_grevlex_key(ctx: "VarContext", expvec: Exponent):
-    """Grevlex graded by the declared variable degrees, not raw totals.
-
-    Monomials compare by weighted degree first, so homogeneous ideals in
-    rings with degree 2 generators reduce within a single graded piece.
-    """
-    return ctx.order_key(ctx.key(expvec))
 
 
 class VarContext:
@@ -88,12 +81,14 @@ class VarContext:
         for n in self.nilpotent:
             if n not in self.index:
                 raise ValueError("nilpotent truncation for unknown variable %r" % n)
-        self.shifts = tuple(range(0, FIELD * len(names), FIELD))
+        self.bits = FIELD * len(names)
+        self.shifts = tuple(range(0, self.bits, FIELD))
+        self.var_keys = tuple((d << self.bits) - (1 << s)
+                              for d, s in zip(degrees, self.shifts))
         self.truncation = tuple((self.shifts[self.index[n]], order)
                                 for n, order in self.nilpotent.items())
         self._keys: Dict[Exponent, int] = {}
         self._exponents: Dict[int, Exponent] = {}
-        self._order: Dict[int, tuple] = {}
         self._without: Dict[str, VarContext] = {}
 
     @property
@@ -112,13 +107,13 @@ class VarContext:
             if any(e < 0 or e >> FIELD for e in expvec):
                 raise ValueError("exponent %r would carry" % (expvec,))
             key = self._keys[expvec] = sum(
-                e << s for e, s in zip(expvec, self.shifts))
+                e * v for e, v in zip(expvec, self.var_keys))
         return key
 
     def exponent(self, key: int) -> Exponent:
         exp = self._exponents.get(key)
         if exp is None:
-            exp = self._exponents[key] = tuple((key >> s) & MASK
+            exp = self._exponents[key] = tuple((-key >> s) & MASK
                                                for s in self.shifts)
         return exp
 
@@ -128,17 +123,12 @@ class VarContext:
             raise ValueError("exponent bound %d would carry" % bound)
         return bound
 
-    def order_key(self, key: int) -> tuple:
-        """weighted_grevlex_key of the monomial with this key, memoised."""
-        order = self._order.get(key)
-        if order is None:
-            exp = self.exponent(key)
-            order = self._order[key] = (self.weighted_degree(exp),
-                                        tuple(-e for e in reversed(exp)))
-        return order
+    def degree(self, key: int) -> int:
+        """The weighted degree of the monomial with this key."""
+        return -(-key >> self.bits)
 
     def truncates(self, key: int) -> bool:
-        return any((key >> s) & MASK >= order for s, order in self.truncation)
+        return any((-key >> s) & MASK >= order for s, order in self.truncation)
 
     # -- constructors -----------------------------------------------------
 
@@ -155,7 +145,7 @@ class VarContext:
 
     def var(self, name: str) -> "MultiPoly":
         return MultiPoly.from_numerators(
-            self, {1 << self.shifts[self.index[name]]: 1}, 1, 1)
+            self, {self.var_keys[self.index[name]]: 1}, 1, 1)
 
     def monomial(self, expvec: Exponent, coeff=1) -> "MultiPoly":
         return MultiPoly(self, {tuple(expvec): coeff})
@@ -216,9 +206,9 @@ class MultiPoly:
     @classmethod
     def from_numerators(cls, ctx: VarContext, nums: Dict[int, int], den: int,
                         bound: int) -> "MultiPoly":
-        """The polynomial nums / den as stored, not reduced: `nums` maps keys
-        of untruncated monomials to nonzero ints, den > 0, and `bound` is at
-        least every exponent that occurs."""
+        """The polynomial nums / den as stored, not reduced: `nums` maps the
+        key (`VarContext.key`) of each untruncated monomial to a nonzero int,
+        den > 0, and `bound` is at least every exponent that occurs."""
         p = _new(cls)
         p.ctx, p.nums, p.den, p.bound = ctx, nums, den, bound
         return p
@@ -364,37 +354,39 @@ class MultiPoly:
         """(exponent, coeff) of the weighted-grevlex-largest monomial."""
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self.nums, key=self.ctx.order_key)
+        key = max(self.nums)
         return self.ctx.exponent(key), Fraction(self.nums[key], self.den)
 
     def is_homogeneous(self, degree=None) -> bool:
-        degs = {self.ctx.order_key(k)[0] for k in self.nums}
+        degs = set(map(self.ctx.degree, self.nums))
         return len(degs) < 2 and (degree is None or degs <= {degree})
 
     def graded_part(self, degree: int) -> "MultiPoly":
-        order_key = self.ctx.order_key
+        key_degree = self.ctx.degree
         return self.from_numerators(self.ctx, {k: n for k, n in self.nums.items()
-                                               if order_key(k)[0] == degree},
+                                               if key_degree(k) == degree},
                                     self.den, self.bound)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name^power, as a polynomial with that slot zeroed."""
-        shift = self.ctx.shifts[self.ctx.index[name]]
-        return self.from_numerators(self.ctx, {k - (power << shift): n
+        i = self.ctx.index[name]
+        shift, var = self.ctx.shifts[i], self.ctx.var_keys[i]
+        return self.from_numerators(self.ctx, {k - power * var: n
                                                for k, n in self.nums.items()
-                                               if (k >> shift) & MASK == power},
+                                               if (-k >> shift) & MASK == power},
                                     self.den, self.bound)
 
     def max_power(self, name: str) -> int:
         shift = self.ctx.shifts[self.ctx.index[name]]
-        return max(((k >> shift) & MASK for k in self.nums), default=0)
+        return max(((-k >> shift) & MASK for k in self.nums), default=0)
 
     def derivative(self, name: str) -> "MultiPoly":
-        shift = self.ctx.shifts[self.ctx.index[name]]
+        i = self.ctx.index[name]
+        shift, var = self.ctx.shifts[i], self.ctx.var_keys[i]
         return self.from_numerators(self.ctx,
-                                    {k - (1 << shift): n * ((k >> shift) & MASK)
+                                    {k - var: n * ((-k >> shift) & MASK)
                                      for k, n in self.nums.items()
-                                     if (k >> shift) & MASK},
+                                     if (-k >> shift) & MASK},
                                     self.den, self.bound)
 
     def substitute(self, images: Mapping[str, "MultiPoly"], target: VarContext) -> "MultiPoly":
@@ -426,29 +418,28 @@ class MultiPoly:
     def _move(self, values: Mapping[str, "MultiPoly"],
               target: VarContext) -> "MultiPoly":
         """`substitute` with scalar images, on keys: each kept exponent field
-        shifts to its slot in `target`, and a value a/b of x turns n x^e / d
-        into n a^e b^(m - e) / (d b^m), m the top power of x, then reduces."""
+        multiplies its variable's key in `target`, and a value a/b of x turns
+        n x^e / d into n a^e b^(m - e) / (d b^m), m the top power of x, then
+        reduces."""
         if not self.nums:
             return target.zero()
         src, den, moves, scales = self.ctx, self.den, [], []
         for name, s in zip(src.names, src.shifts):
             v = values.get(name)
             if v is None:
-                moves.append((s, target.shifts[target.index[name]]))
+                moves.append((s, target.var_keys[target.index[name]]))
             elif v.nums.get(0) != v.den:
-                m = max((k >> s) & MASK for k in self.nums) if v.den != 1 else 0
+                m = max((-k >> s) & MASK for k in self.nums) if v.den != 1 else 0
                 scales.append((s, v.nums.get(0, 0), v.den, m))
                 den *= v.den ** m
         truncated = target.truncates if target.truncation else None
-        if not (values or truncated) and all(s == t for s, t in moves):
-            return self.from_numerators(target, self.nums, den, self.bound)
         nums: Dict[int, int] = {}
         for k, n in self.nums.items():
             key = 0
             for s, t in moves:
-                key |= ((k >> s) & MASK) << t
+                key += ((-k >> s) & MASK) * t
             for s, a, b, m in scales:
-                e = (k >> s) & MASK
+                e = (-k >> s) & MASK
                 n *= a ** e if b == 1 else a ** e * b ** (m - e)
             if n and not (truncated and truncated(key)):
                 nums[key] = nums.get(key, 0) + n
@@ -468,9 +459,10 @@ class MultiPoly:
     # -- display ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: weighted_grevlex_key(self.ctx, t[0]),
-                      reverse=True)
+        """(exponent, coefficient) pairs, the largest monomial first."""
+        exponent, den = self.ctx.exponent, self.den
+        return [(exponent(k), Fraction(self.nums[k], den))
+                for k in sorted(self.nums, reverse=True)]
 
     def __str__(self):
         if not self.nums:

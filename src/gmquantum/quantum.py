@@ -23,12 +23,13 @@ c_ijk is a polynomial whose monomials the grading fixes (a single power
 q^((deg i + deg j - deg k)/2) on the standard ring).  A `StructureTensor`
 holds their integer numerators, keyed by monomial as in `poly`, over one
 denominator, and contracts two vectors of `MultiPoly` into a vector of
-`MultiPoly` with Python int products and sums alone.  On the standard ring
-the key is the q exponent, and the solver's symbolic (q, uJ11, uJ2) ring
-runs through the same code.  Only `star` and `pairing` contract the
-tensors, which `QuantumRing` keeps private.  Every check multiplies and
-pairs through them (the scans read a*b and b*c from the table) and
-compares unreduced results by cross-multiplying.
+`MultiPoly` with Python int products and sums alone.  Keys add as
+monomials multiply in any context, so the standard ring Q[q] and the
+solver's symbolic (q, uJ11, uJ2) ring run through the same code.  Only
+`star` and `pairing` contract the tensors, which `QuantumRing` keeps
+private.  Every check multiplies and pairs through them (the scans read
+a*b and b*c from the table) and compares unreduced results by
+cross-multiplying.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class StructureTensor:
 
     `images[(i, j)]` is the image of (e_i, e_j), `width` polynomials; a
     missing pair maps to zero.  rows[i][j] lists its nonzero coefficients
-    as (k, key, numerator) over one denominator `den`.
+    as (k, key, numerator) over one denominator `den`, with the monomial
+    keys of `poly`: a product's key is the sum of its factors' keys.
     """
 
     def __init__(self, ctx: VarContext, width: int,
@@ -131,7 +133,11 @@ class StructureTensor:
         polys = [p for image in images.values() for p in image]
         self.den = math.lcm(*(p.den for p in polys))
         self.bound = max((p.bound for p in polys), default=0)
-        self.rows = [[[(k, key, n * (self.den // p.den))
+        # keys outgrow the small-int cache: sharing one object per key, and
+        # adding nothing to it for a constant input term, lets `contract`
+        # find keys by identity and build no int for constant vectors
+        keys: Dict[int, int] = {}
+        self.rows = [[[(k, keys.setdefault(key, key), n * (self.den // p.den))
                        for k, p in enumerate(images.get((i, j), ()))
                        for key, n in p.nums.items()]
                       for j in range(DIM)] for i in range(DIM)]
@@ -157,8 +163,8 @@ class StructureTensor:
                     for ey, ny in yj:
                         e, n = ex + ey, nx * ny
                         for k, et, c in entries:
-                            slot = acc[k]
-                            slot[e + et] = slot.get(e + et, 0) + n * c
+                            slot, key = acc[k], e + et if e else et
+                            slot[key] = slot.get(key, 0) + n * c
         den, make = dx * dy * self.den, MultiPoly.from_numerators
         return tuple([make(self.ctx, slot if all(slot.values()) else
                            {e: n for e, n in slot.items() if n}, den, bound)

@@ -400,6 +400,26 @@ def test_arithmetic_matches_plain_dicts(case):
         assert str(over) == str(r) and dict(over.terms) == dict(r.terms)
         assert over.evaluate(values) == r.evaluate(values)
         assert (over == ctx.zero()) == (not dict(r.terms))
+    # structure reads on keys, whose signs differ across the contexts
+    for r, plain in ((p, a), (p * q, plain_mul(ctx, a, b))):
+        if plain:
+            top = max(plain, key=lambda e: reference_key(ctx.degrees, e))
+            assert r.leading() == (top, plain[top])
+        degrees = {ctx.weighted_degree(e) for e in plain}
+        assert r.is_homogeneous() == (len(degrees) < 2)
+        for d in degrees | {k}:
+            assert r.is_homogeneous(d) == (degrees <= {d})
+            assert dict(r.graded_part(d).terms) == {
+                e: c for e, c in plain.items() if ctx.weighted_degree(e) == d}
+        for i, name in enumerate(ctx.names):
+            assert r.max_power(name) == max((e[i] for e in plain), default=0)
+            assert dict(r.derivative(name).terms) == {
+                e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
+                for e, c in plain.items() if e[i]}
+            for power in range(4):
+                assert dict(r.coefficient_of(name, power).terms) == {
+                    e[:i] + (0,) + e[i + 1:]: c
+                    for e, c in plain.items() if e[i] == power}
     # context moves: embeddings into an appended context, into one that
     # truncates a kept variable, and into one that shifts every field;
     # then a map with a polynomial image, which multiplies
@@ -455,6 +475,16 @@ def test_infinite_quotient_has_no_dimension():
     assert ideal.quotient_dimension() is None
     with pytest.raises(ValueError, match="infinite"):
         ideal.standard_monomials()
+
+
+def test_ideal_refuses_exponents_that_would_carry():
+    # division never raises the weighted degree, so a generator or a
+    # dividend whose degree could reach 2^64 is refused before it runs
+    x, y = CTX.var("x"), CTX.var("y")
+    with pytest.raises(ValueError, match="would carry"):
+        PolyIdeal([x ** 2 - y, y ** 3]).reduce(x ** (2 ** 63))
+    with pytest.raises(ValueError, match="would carry"):
+        PolyIdeal([x ** (2 ** 63) - y])
 
 
 @pytest.mark.parametrize("degree", [-1, 0])
