@@ -27,9 +27,12 @@ denominator, and contracts two vectors of `MultiPoly` into a vector of
 monomials multiply in any context, so the standard ring Q[q] and the
 solver's symbolic (q, uJ11, uJ2) ring run through the same code.  Only
 `star` and `pairing` contract the tensors, which `QuantumRing` keeps
-private.  Every check multiplies and pairs through them (the scans read
-a*b and b*c from the table) and compares unreduced results by
-cross-multiplying.
+private; products of vectors go through them and compare unreduced
+results by cross-multiplying.  The checks on basis classes need no
+vector: the commutativity scan compares the tensor's entries, and the
+associativity and Frobenius scans compose the structure constants of
+a*b and b*c with those of the product or the pairing, comparing integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
     Matrix, at_q_one, char_poly, matmul, matrix_at_q_one,
-    matvec, nullspace_field, rank_field, scalar_matrix,
-    solve_field, squarefree_profile, vector_at_q_one,
+    matvec, nullspace_field, rank_field, rref, scalar_matrix,
+    squarefree_profile, vector_at_q_one,
 )
 from .poly import Exponent, MultiPoly, VarContext
 from .gwcounts import CountSet
@@ -332,6 +335,15 @@ def grading_failures(ring: QuantumRing) -> List[str]:
     return bad
 
 
+def commutativity_failures(ring: QuantumRing) -> List[str]:
+    """The 36 ordered basis pairs "a*b" whose image under the product
+    tensor differs from that of "b*a"."""
+    rows = ring._product_tensor.rows
+    return ["%s*%s" % (BASIS_NAMES[i], BASIS_NAMES[j])
+            for i, j in product(range(DIM), repeat=2)
+            if sorted(rows[i][j]) != sorted(rows[j][i])]
+
+
 def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """All unordered basis triples where (a*b)*c differs from a*(b*c).
 
@@ -343,39 +355,62 @@ def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     return list(ring._associativity)
 
 
-# the basis triples each scan compares, reading a*b and b*c from the
-# table and contracting them with the third class by `star` or `pairing`
+# the basis triples each scan compares, composing the structure constants
+# of a*b and b*c with those of the product or the pairing
 ASSOCIATIVITY_TRIPLES = math.comb(DIM + 2, 3)
 FROBENIUS_TRIPLES = DIM ** 3
 
 
-def _table_sides(ring: QuantumRing, triples, op):
-    """(names, op(e_i*e_j, e_k), op(e_i, e_j*e_k)) for each index triple
-    (i, j, k) of `triples`, with both products read from the table and each
-    distinct side contracted once."""
-    basis = [ring.basis_element(name) for name in BASIS_NAMES]
+def _compose(entries, images, width: int) -> List[Dict[int, int]]:
+    """sum over (m, key, n) of `entries` of n x^key images[m], as one
+    {key: numerator} map per slot with no zero numerator."""
+    acc: List[Dict[int, int]] = [{} for _ in range(width)]
+    for m, key, n in entries:
+        for s, et, c in images[m]:
+            slot, e = acc[s], key + et if key else et
+            slot[e] = slot.get(e, 0) + n * c
+    return [slot if all(slot.values()) else
+            {e: n for e, n in slot.items() if n} for slot in acc]
+
+
+def _table_sides(ring: QuantumRing, triples, tensor: StructureTensor):
+    """(names, (e_i*e_j) e_k, e_i (e_j*e_k)) for each index triple (i, j, k)
+    of `triples`, where juxtaposition is the bilinear map of `tensor`.
+
+    With c_ij^m the product's structure constants, the sides are
+    sum_m c_ij^m T(e_m, e_k) and sum_m c_jk^m T(e_i, e_m): per-slot
+    {key: numerator} maps over den(product) den(tensor), so equal sides
+    are equal maps.  Each distinct side is composed once, and one guard
+    refuses exponents that could carry.
+    """
+    prod = ring._product_tensor
+    prod.ctx.guard(prod.bound + tensor.bound)
+    rows, width = prod.rows, tensor.width
+    cols = [[tensor.rows[m][k] for m in range(DIM)] for k in range(DIM)]
     left, right = {}, {}
     for i, j, k in triples:
         ab = (min(i, j), max(i, j)), k
         bc = i, (min(j, k), max(j, k))
         if ab not in left:
-            left[ab] = op(ring.table[ab[0]], basis[k])
+            left[ab] = _compose(rows[ab[0][0]][ab[0][1]], cols[k], width)
         if bc not in right:
-            right[bc] = op(basis[i], ring.table[bc[1]])
+            right[bc] = _compose(rows[bc[1][0]][bc[1][1]], tensor.rows[i],
+                                 width)
         yield ((BASIS_NAMES[i], BASIS_NAMES[j], BASIS_NAMES[k]),
                left[ab], right[bc])
 
 
 def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     return [names for names, lhs, rhs in _table_sides(
-                ring, combinations_with_replacement(range(DIM), 3), ring.star)
+                ring, combinations_with_replacement(range(DIM), 3),
+                ring._product_tensor)
             if lhs != rhs]
 
 
 def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
     """Triples where <a*b, c> differs from <a, b*c>."""
     return [names for names, lhs, rhs in _table_sides(
-                ring, product(range(DIM), repeat=3), ring.pairing)
+                ring, product(range(DIM), repeat=3), ring._gram_tensor)
             if lhs != rhs]
 
 
@@ -478,28 +513,33 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     amb = AmbientRing()
     ring = QuantumRing(amb, product_table(
         counts, amb, ctx.var("uJ11"), ctx.var("uJ2"), ctx))
+    # <a*b, c> - <a, b*c> over the scan's denominator; the scan guards
+    # the bound
+    prod, gram = ring._product_tensor, ring._gram_tensor
+    side = partial(MultiPoly.from_numerators, ctx, den=prod.den * gram.den,
+                   bound=prod.bound + gram.bound)
     residuals = _route_residuals(ring, counts) + [
-        lhs - rhs for _, lhs, rhs in _table_sides(
-            ring, combinations_with_replacement(range(DIM), 3), ring.pairing)]
-    rows, rhs = [], []
+        side(lhs) - side(rhs) for _, (lhs,), (rhs,) in _table_sides(
+            ring, combinations_with_replacement(range(DIM), 3), gram)]
+    rows = []
     for r in residuals:
         if r.is_zero():
             continue
         for _, row in sorted(_affine_split(r, unknowns).items()):
-            rows.append([row[1], row[2]])
-            rhs.append(-row[0])
+            rows.append([row[1], row[2], -row[0]])
     if not rows:
         raise ValueError("no usable equations for the three point unknowns")
-    a = Matrix(rows)
-    rank = rank_field(a)
+    # one elimination of the augmented system: its pivots left of the
+    # last column give the rank, a pivot in it an inconsistency
+    red, pivots = rref(Matrix(rows))
+    rank = len(pivots) - (2 in pivots)
     if rank < 2:
         raise ValueError("associativity does not pin both unknowns")
     # rank 2 in two unknowns: the solution is unique, and every equation
     # must agree with it
-    sol = solve_field(a, rhs)
-    if sol is None:
+    if 2 in pivots:
         raise ValueError("inconsistent associativity system")
-    j11, j2 = sol
+    j11, j2 = red.rows[0][2], red.rows[1][2]
     # the table is affine in the unknowns, so the solution specialises it
     plain = quantum_context()
     at_sol = {"uJ11": plain.scalar(j11), "uJ2": plain.scalar(j2)}

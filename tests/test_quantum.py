@@ -204,6 +204,33 @@ def test_solver_refuses_a_residual_that_is_not_affine(monkeypatch):
         solve_three_point_invariants(CountSet.from_geometry())
 
 
+def test_solver_refusals_keep_their_order(monkeypatch):
+    """One elimination of the augmented system tells the three refusals
+    apart: equations that no solution satisfies, a rank below 2 (checked
+    first, even when the equations also disagree), and no equation."""
+    counts = CountSet.from_geometry()
+    routes = quantum._route_residuals
+    monkeypatch.setattr(
+        quantum, "_route_residuals",
+        lambda ring, c: routes(ring, c) + [ring.ctx.var("uJ11") - 1000])
+    with pytest.raises(ValueError, match="inconsistent associativity"):
+        solve_three_point_invariants(counts)
+    # the n-th residual becomes uJ11 + n = 0: rank 1, and inconsistent
+    split = []
+
+    def only_j11(p, unknowns):
+        split.append(p)
+        return {0: [Fraction(len(split)), Fraction(1), Fraction(0)]}
+
+    monkeypatch.setattr(quantum, "_affine_split", only_j11)
+    with pytest.raises(ValueError, match="does not pin both unknowns"):
+        solve_three_point_invariants(counts)
+    assert len(split) > 2
+    monkeypatch.setattr(quantum, "_affine_split", lambda p, unknowns: {})
+    with pytest.raises(ValueError, match="no usable equations"):
+        solve_three_point_invariants(counts)
+
+
 def test_associativity_is_scanned_once_per_ring(monkeypatch, ring):
     scans = []
     scan = quantum._associativity_scan
@@ -608,15 +635,9 @@ def test_random_identities_match_the_multipoly_sample(ring, seed):
         assert (sampled != []) == (generic != []) == (r is broken)
 
 
-@pytest.mark.parametrize("pairs, flagged", [
-    ([(1, 2)], ["associativity", "commutativity", "frobenius"]),
-    ([(1, 2), (2, 1)], ["associativity", "frobenius"]),
-])
-def test_generic_check_fails_on_an_emptied_tensor_entry(
-        ring, monkeypatch, pairs, flagged):
-    """A product tensor that forgets the image of (e_i, e_j) fails the
-    generic check; forgetting it in both orders keeps the product
-    commutative and still breaks associativity and Frobenius."""
+def empty_product_tensor_entries(monkeypatch, pairs):
+    """Make every product tensor built from now on forget the images of
+    the ordered basis pairs `pairs`."""
     init = quantum.StructureTensor.__init__
 
     def emptied(self, ctx, width, images):
@@ -626,7 +647,66 @@ def test_generic_check_fails_on_an_emptied_tensor_entry(
                 self.rows[i][j] = []
 
     monkeypatch.setattr(quantum.StructureTensor, "__init__", emptied)
+
+
+EMPTIED_ENTRIES = [
+    ([(1, 2)], ["associativity", "commutativity", "frobenius"]),
+    ([(1, 2), (2, 1)], ["associativity", "frobenius"]),
+]
+
+
+@pytest.mark.parametrize("pairs, flagged", EMPTIED_ENTRIES)
+def test_generic_check_fails_on_an_emptied_tensor_entry(
+        ring, monkeypatch, pairs, flagged):
+    """A product tensor that forgets the image of (e_i, e_j) fails the
+    generic check; forgetting it in both orders keeps the product
+    commutative and still breaks associativity and Frobenius."""
+    empty_product_tensor_entries(monkeypatch, pairs)
     assert certificates.generic_identity_failures(ring) == flagged
+
+
+@pytest.mark.parametrize("pairs, flagged", EMPTIED_ENTRIES)
+def test_table_scans_fail_on_an_emptied_tensor_entry(
+        ring, monkeypatch, pairs, flagged):
+    """The basis scans of `table_certificates` read the product tensor,
+    not the table: an entry it forgets fails the same identities as in
+    the generic check, and the checks that read the table still pass."""
+    empty_product_tensor_entries(monkeypatch, pairs)
+    ws = certificates.Workspace()
+    ws._cache["ring"] = QuantumRing(ring.amb, ring.table)
+    status = {c.claim: c.status for c in certificates.table_certificates(ws)}
+    assert sorted(claim for claim, verdict in status.items()
+                  if verdict == certificates.FAILED) == \
+        ["table." + name for name in flagged]
+    assert status["table.control.perturbed"] == certificates.VERIFIED
+
+
+def test_table_scans_refuse_exponents_that_would_carry(ring):
+    """The composed scans guard the sum of the two tensors' exponent
+    bounds once: below 2^64 they agree with products of basis vectors,
+    and a table whose products could carry is refused."""
+    s11 = BASIS_NAMES.index("s11")
+    q = ring.ctx.var("q")
+
+    def shifted(power):
+        table = dict(ring.table)
+        table[(s11, s11)] = (table[(s11, s11)][0] + q ** power,) \
+            + table[(s11, s11)][1:]
+        return QuantumRing(ring.amb, table)
+
+    wide = shifted(2 ** 62)         # products of two entries: bound 2^63
+    assert quantum._associativity_scan(wide) == \
+        reference_associativity_failures(wide) != []
+    assert frobenius_failures(wide) == [
+        names for names, lhs, rhs in reference_frobenius_sides(
+            wide, product(range(DIM), repeat=3)) if lhs != rhs] != []
+    carrying = shifted(2 ** 63)     # two entries' bounds add up to 2^64
+    with pytest.raises(ValueError, match="would carry"):
+        associativity_failures(carrying)
+    with pytest.raises(ValueError, match="would carry"):
+        certificates.generic_identity_failures(carrying)
+    # the Gram tensor is constant, so the Frobenius scan stays in range
+    assert frobenius_failures(carrying) != []
 
 
 def basis_triples(ring, triples):
@@ -653,17 +733,20 @@ def reference_frobenius_sides(ring, triples):
             for names, (a, b, c) in basis_triples(ring, triples)]
 
 
-@pytest.mark.parametrize("kind", ["standard", "perturbed"])
+@pytest.mark.parametrize("kind", ["standard", "perturbed", "symbolic"])
 def test_table_scans_agree_with_basis_vector_products(ring, kind):
-    """The scans read a*b and b*c from the table; multiplying the basis
-    vectors instead gives the same witnesses in the same order."""
-    r = ring if kind == "standard" else perturbed_ring(ring)
+    """The scans compose structure constants; multiplying the basis
+    vectors through `star` and `pairing` instead gives the same witnesses
+    in the same order.  The symbolic ring's signed constants cancel
+    inside some sides, which must then compare as the values they are."""
+    r = {"standard": ring, "perturbed": perturbed_ring(ring),
+         "symbolic": symbolic_ring()}[kind]
     assoc = reference_associativity_failures(r)
     frob = [names for names, lhs, rhs in reference_frobenius_sides(
                 r, product(range(DIM), repeat=3)) if lhs != rhs]
     assert quantum._associativity_scan(r) == assoc
     assert frobenius_failures(r) == frob
-    assert bool(assoc) == bool(frob) == (kind == "perturbed")
+    assert bool(assoc) == bool(frob) == (kind != "standard")
 
 
 def test_solver_frobenius_residuals_agree_with_basis_vector_products(
@@ -700,9 +783,9 @@ def test_property_certificate_fails_on_a_perturbed_ring(ring):
 
 
 def test_identity_checks_stay_packed(ring, monkeypatch):
-    """The table scans multiply only through `star` and `pairing` and
-    compare integer numerators: no MultiPoly product and no Fraction view
-    of a result."""
+    """The table scans compose the structure constants as integer
+    numerators and compare those: no MultiPoly product and no Fraction
+    view of a result."""
     broken = perturbed_ring(ring)
     calls = []
     for name in ("__mul__", "__rmul__"):
@@ -725,7 +808,7 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
     `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
-    689 of them."""
+    29 of them."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -740,11 +823,12 @@ def test_only_star_and_pairing_contract(monkeypatch):
     assert set(callers) <= allowed, sorted(
         "%s:%d" % (c.co_name, c.co_firstlineno)
         for c in set(callers) - allowed)
-    # the work is deterministic: the table scans and the route residuals
-    # read products of two basis classes from the table, so code that
-    # multiplies basis vectors again shows up here
+    # the work is deterministic: the presentation's words take 20 stars
+    # and the generic identity check 7 stars and 2 pairings, while the
+    # basis scans and the solver's residuals compose structure constants,
+    # so a scan that multiplies basis vectors again shows up here
     assert {c.co_name: n for c, n in callers.items()} == {
-        "star": 323, "pairing": 366}
+        "star": 27, "pairing": 2}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):
@@ -768,9 +852,9 @@ def test_scan_sizes_count_the_scanned_triples(monkeypatch, ring):
     seen = []
     sides = quantum._table_sides
 
-    def counted(r, ijk, op):
+    def counted(r, ijk, tensor):
         seen.append(0)
-        for compared in sides(r, ijk, op):
+        for compared in sides(r, ijk, tensor):
             seen[-1] += 1
             yield compared
 
