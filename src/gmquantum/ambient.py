@@ -24,7 +24,7 @@ is s31 / 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from typing import List, Tuple
 
 from .linalg import Matrix, inverse_field
@@ -76,10 +76,13 @@ class AmbientRing:
         inv = inverse_field(self._gram, Fraction(1))
         self._duals = [tuple(inv.rows[l][k] for l in range(DIM))
                        for k in range(DIM)]
-        self.cup_table = [[tuple(sum((t * d for t, d in zip(row, dual) if t and d),
-                                     Fraction(0))
-                                 for dual in self._duals)
-                           for row in plane] for plane in self.triples]
+        # e_i e_j = sum of T_ijl (row l of the Gram inverse), l in its support
+        self.cup_table = [[(Fraction(0),) * DIM] * DIM for _ in range(DIM)]
+        for i, j, l in product(range(DIM), repeat=3):
+            t, cup = self.triples[i][j][l], self.cup_table[i]
+            if t:
+                cup[j] = tuple(v + t * x if x else v
+                               for v, x in zip(cup[j], inv.rows[l]))
 
     def gram(self) -> Matrix:
         return self._gram

@@ -24,8 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .ambient import BASIS_NAMES, DIM
 from .deformation import (
     AMBIENT, HodgeModel, PRIMITIVE_DIM, assemble_full_operator, at_t_zero,
-    atom_statistics, build_deformed_matrix, eigenvalue, homogeneity_failures,
-    irrationality_criterion, specialization_failures, verify_jordan_pair,
+    atom_statistics, build_deformed_matrix, criterion_verdict, eigenvalue,
+    homogeneity_failures, irrationality_criterion, specialization_failures,
+    verify_jordan_pair,
 )
 from .gwcounts import CountSet, EXPECTED_VALUES, all_reports
 from .linalg import scalar_matrix
@@ -542,7 +543,7 @@ def criterion_certificates(ws: Workspace) -> List[Certificate]:
         trace=("control: 2 * identity has one eigenvalue of multiplicity"
                " 6 and must fail the multiplicity bound",)))
     moved = model.without_h31()
-    deaf = irrationality_criterion(at_t_zero(ws.operator), moved)
+    deaf = criterion_verdict(rep.profile, rep.zero_multiplicity, moved)
     certs.append(make(
         "criterion.control.no-h31", deaf.satisfied, False, REDERIVED,
         inputs=(("h31", deaf.h31),),

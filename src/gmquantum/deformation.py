@@ -25,8 +25,9 @@ ambient/primitive entry, primitive block -4qt times the identity), then
 eliminates on the 6 x 6 shifted ambient block only; the 22 primitive
 classes enter as unit kernel lines of E with zero image.
 `irrationality_criterion` checks the spectral condition on the
-undeformed operator: every eigenvalue multiplicity on the ambient block
-is at most two while the model keeps h31 > 0.
+undeformed operator in one spectral pass, whose profile `criterion_verdict`
+judges: every eigenvalue multiplicity on the ambient block is at most
+two while the model keeps h31 > 0.
 
 Every entry is homogeneous (deg t = -1 included), so ranks, kernels and
 squarefree profiles over Q(q) are read at q = 1 over Q, and ranks over
@@ -48,7 +49,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
 from .linalg import (
-    Matrix, at_q_one, char_poly, mat_add, matmul,
+    Matrix, at_q_one, char_poly, matmul,
     matrix_at_q_one, matvec, nullspace_field, poly_exact_div, rank_at_points,
     rank_field, solve_field, squarefree_profile,
     vector_at_q_one,
@@ -317,11 +318,11 @@ def atom_statistics(op: Matrix, model: HodgeModel) -> AtomStatistics:
 
     # order zero eigenspace, then the first order lift:
     # (N0 + tN1)^2 kills e + tf iff N0^2 e = 0 and
-    # N0^2 f = -(N0 N1 + N1 N0) e
+    # N0^2 f = -(N0 N1 + N1 N0) e, read off (K - lambda)^2 over Q[t]/(t^2)
     n0 = amb.map(lambda e: e.coefficient_of("t", 0).scalar_value())
-    n1 = amb.map(lambda e: e.coefficient_of("t", 1).scalar_value())
-    sq = matmul(n0, n0)
-    cross = mat_add(matmul(n0, n1), matmul(n1, n0))
+    square = matmul(amb, amb)
+    sq, cross = (square.map(lambda e, k=k: e.coefficient_of("t", k)
+                            .scalar_value()) for k in (0, 1))
     t = ctx.var("t")
     columns = []
     for e in nullspace_field(sq, Fraction(1)):
@@ -412,10 +413,11 @@ class CriterionReport:
 def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     """Spectral test on the ambient block of twice the hyperplane action.
 
-    Satisfied when no eigenvalue multiplicity on the six Hodge classes
-    exceeds two and the model keeps h31 > 0.  For the
-    verified operator the spectrum is four simple nonzero branches plus
-    a two dimensional kernel.
+    One pass reads the squarefree profile and the zero multiplicity off
+    the characteristic polynomial for `criterion_verdict`, which a control
+    on another model calls again on the report's profile.  For the
+    verified operator the spectrum is four simple nonzero branches plus a
+    two dimensional kernel.
 
     A characteristic polynomial in q is read at q = 1 after the guard; a
     numeric one is read as it is.
@@ -423,10 +425,15 @@ def irrationality_criterion(m: Matrix, model: HodgeModel) -> CriterionReport:
     cp = char_poly(m, var="X")
     if "q" in cp.ctx.index:
         cp = at_q_one(cp, m.nrows, "characteristic polynomial")
-    profile = squarefree_profile(cp, "X")
-    max_mult = max(profile) if profile else 0
     zero_mult = next(k for k in range(m.nrows + 1)
                      if cp.coefficient_of("X", k))
+    return criterion_verdict(squarefree_profile(cp, "X"), zero_mult, model)
+
+
+def criterion_verdict(profile: Dict[int, int], zero_mult: int,
+                      model: HodgeModel) -> CriterionReport:
+    """Satisfied when no multiplicity in `profile` exceeds 2 and h31 > 0."""
+    max_mult = max(profile) if profile else 0
     simple_nonzero = profile.get(1, 0) - (1 if zero_mult == 1 else 0)
     h31 = model.h31()
     notes = ["eigenvalue multiplicity profile %r" % (profile,),

@@ -263,13 +263,6 @@ def matvec(a: Matrix, v: Sequence) -> List:
     return [_dot(row, v) for row in a.rows]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch")
-    return Matrix([[a.rows[i][j] + b.rows[i][j] for j in range(a.ncols)]
-                   for i in range(a.nrows)])
-
-
 # -- field elimination ------------------------------------------------------
 
 
@@ -311,12 +304,18 @@ def rank_at_points(m: Matrix, var: str) -> int:
     With D the largest degree of an entry, a nonzero r x r minor has
     degree at most r D <= min(rows, cols) D, so it vanishes at no more
     than that many of the points var = 0, 1, ..., min(rows, cols) D; the
-    rank is the largest rank over Q at them.  Each entry is read as the
-    polynomial it stores (a t^2 = 0 representative included).
+    rank is the largest rank over Q at them, and no point exceeds it, so
+    the scan stops at full rank min(rows, cols).  Each entry is read as
+    the polynomial it stores (a t^2 = 0 representative included).
     """
     degree = max(x.max_power(var) for row in m.rows for x in row)
-    return max(rank_field(m.map(lambda x: x.evaluate({var: Fraction(point)})))
-               for point in range(min(m.nrows, m.ncols) * degree + 1))
+    full, rank = min(m.nrows, m.ncols), 0
+    for point in range(full * degree + 1):
+        rank = max(rank, rank_field(m.map(
+            lambda x: x.evaluate({var: Fraction(point)}))))
+        if rank == full:
+            break
+    return rank
 
 
 def solve_field(a: Matrix, b: Sequence) -> Optional[List]:

@@ -49,7 +49,7 @@ from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
     Matrix, at_q_one, char_poly, matmul, matrix_at_q_one,
-    matvec, nullspace_field, rank_field, rref, scalar_matrix,
+    matvec, nullspace_field, rank_field, rref,
     squarefree_profile, vector_at_q_one,
 )
 from .poly import Exponent, MultiPoly, VarContext
@@ -92,11 +92,13 @@ def corrected_product(cup: Sequence[Fraction],
     cup product vector of a and b and {(name of e_k, d): <a, b, e_k>_d}."""
     duals = amb.dual_basis()
     q = ctx.var("q")
-    out = _lift(cup, ctx)
+    out = list(_lift(cup, ctx))
     for (name, d), val in invariants.items():
-        dual = _lift(duals[BASIS_NAMES.index(name)], ctx)
-        out = _vadd(out, _vscale(q ** d * val, dual))
-    return out
+        coeff = q ** d * val
+        for k, x in enumerate(duals[BASIS_NAMES.index(name)]):
+            if x:
+                out[k] = out[k] + coeff * x
+    return tuple(out)
 
 
 def star_h_matrix(counts: CountSet, amb: AmbientRing,
@@ -485,18 +487,15 @@ def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
     ctx = p.ctx
     pos = [ctx.index[u] for u in unknowns]
     qpos = ctx.index["q"]
-    rows: Dict[int, List[Fraction]] = {}
-    for exp, coeff in p.terms.items():
+    rows: Dict[int, List[int]] = {}
+    for key, num in p.nums.items():
+        exp = ctx.exponent(key)
         udeg = sum(exp[i] for i in pos)
         if udeg > 1:
             raise ValueError("residual is not affine in the unknowns: %s" % p)
-        row = rows.setdefault(exp[qpos], [Fraction(0)] * (1 + len(pos)))
-        if udeg == 0:
-            row[0] += coeff
-        else:
-            which = next(n for n, i in enumerate(pos) if exp[i])
-            row[1 + which] += coeff
-    return rows
+        row = rows.setdefault(exp[qpos], [0] * (1 + len(pos)))
+        row[next((1 + n for n, i in enumerate(pos) if exp[i]), 0)] += num
+    return {e: [Fraction(n, p.den) for n in row] for e, row in rows.items()}
 
 
 def solve_three_point_invariants(counts: CountSet) -> SolveReport:
@@ -761,7 +760,9 @@ def _presentation_ideal(rels: Mapping[str, MultiPoly]) -> List[MultiPoly]:
 def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     """Relations hold, the quotient has rank 6, and the word map is a ring
     map; R1-R3 are built once, and R3 - ((5 s11 + 2 h^2 + 6 q) R1 - 5 h R2)
-    is carried as "r3_dependence_residual"."""
+    is carried as "r3_dependence_residual".  R3 is odd in h, so R3(M) =
+    M P(M^2) for the h-matrix M, with P read off its terms; Horner's rule
+    from P's top coefficient times M^2 takes three matrix products."""
     @lru_cache(maxsize=None)
     def word(i: int, j: int) -> QVec:
         """s11^i * h^j under star, each product computed once."""
@@ -797,30 +798,34 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     images = {exp: at_one(word(*exp), exp, "image") for exp in sm}
     bijective = rank_field(Matrix([images[e] for e in sm])) == DIM
 
+    # the ring map on integer numerators, the images over one denominator
+    den = math.lcm(*(x.denominator for vec in images.values() for x in vec))
+    numerators = {ctx.key(e): [x.numerator * (den // x.denominator)
+                               for x in vec] for e, vec in images.items()}
     ring_map = True
     for gen_name, gvar in (("s11", "s11"), ("s1", "h")):
         gvec = ring.basis_element(gen_name)
         for exp in sm:
             prod = ctx.var(gvar) * ctx.monomial(exp)
-            lhs = [Fraction(0)] * DIM
-            for e, coeff in ideal.reduce(prod).terms.items():
-                lhs = [x + coeff * y for x, y in zip(lhs, images[e])]
+            form = ideal.reduce(prod)
+            lhs = [sum(n * numerators[key][k] for key, n in form.nums.items())
+                   for k in range(DIM)]
             rhs = at_one(ring.star(gvec, word(*exp)), prod.leading()[0],
                          "product")
-            if lhs != rhs:
+            if any(x * r.denominator != r.numerator * form.den * den
+                   for x, r in zip(lhs, rhs)):
                 ring_map = False
-    # minimal polynomial: R3 involves q and h only (no s11), and its
-    # terms q^a h^j evaluated at M, summed, must vanish
-    mh = ring.h_matrix
-    powers = [scalar_matrix(DIM, ring.ctx.one())]
-    resid = [[ring.ctx.zero()] * DIM for _ in range(DIM)]
+    # R3(M) = M P(M^2), P = sum of q^a c u^(j // 2) over R3's q^a h^j
+    mh, coeffs = ring.h_matrix, {}
     for (a, _, j), c in rels["R3"].terms.items():
-        while len(powers) <= j:
-            powers.append(matmul(powers[-1], mh))
-        coeff = q ** a * c
-        resid = [[r + coeff * m for r, m in zip(rrow, mrow)]
-                 for rrow, mrow in zip(resid, powers[j].rows)]
-    minimal_ok = all(c.is_zero() for row in resid for c in row)
+        coeffs[j // 2] = q ** a * c
+    sq = matmul(mh, mh)
+    acc = sq.map(coeffs[max(coeffs)].__mul__)
+    for k in range(max(coeffs) - 1, -1, -1):
+        for r in range(DIM):
+            acc.rows[r][r] += coeffs.get(k, 0)
+        acc = matmul(acc, sq) if k else acc
+    minimal_ok = not any(x for row in matmul(mh, acc).rows for x in row)
     # no proper subset of the relations presents a rank 6 quotient
     necessity = {}
     for drop, keep in (("R3", (0, 1)), ("R2", (0, 2)), ("R1", (1, 2))):

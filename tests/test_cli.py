@@ -1,8 +1,10 @@
 """End to end checks of the command line interface."""
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
 import shutil
@@ -17,7 +19,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmquantum import certificates, cli, deformation, quantum
+from gmquantum import certificates, cli, deformation, linalg, quantum
 from gmquantum.ambient import AmbientRing
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main, matrix_at, parse_at
@@ -454,8 +456,7 @@ def test_node_builders_look_up_their_function_when_run(monkeypatch):
     assert calls == [ws.ring]
 
 
-def test_criterion_command_runs_the_criterion_three_times(monkeypatch,
-                                                          capsys):
+def test_criterion_command_runs_two_spectral_passes(monkeypatch, capsys):
     calls = []
     crit = deformation.irrationality_criterion
 
@@ -465,9 +466,35 @@ def test_criterion_command_runs_the_criterion_three_times(monkeypatch,
 
     for module in (deformation, certificates, cli):
         monkeypatch.setattr(module, "irrationality_criterion", counted)
-    assert main(["criterion", "--no-timestamp"]) == 0
-    # the certified report, read by the summary too, and two controls
-    assert len(calls) == 3
+    assert main(["criterion", "--format", "json", "--no-timestamp"]) == 0
+    # the certified report, read by the summary too, and the scalar
+    # control; the Hodge model control re-judges the report's profile
+    assert len(calls) == 2
+    certs = {c["claim"]: c for c in
+             json.loads(capsys.readouterr().out)["certificates"]}
+    control = certs["criterion.control.no-h31"]
+    assert (control["status"], control["computed"]) == ("verified", False)
+
+
+def test_verify_all_counts_its_spectral_and_matrix_work(monkeypatch):
+    """A cold verify-all takes four characteristic polynomials (spectrum,
+    statistics, criterion and its scalar control) and four matrix
+    products (M^2, one Horner step and the product by M for R3, and one
+    square over Q[t]/(t^2) for the Jordan lift)."""
+    calls = Counter()
+    for name in ("char_poly", "matmul"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (linalg, deformation, quantum):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify-all", "--seed", "0", "--no-timestamp"]) == 0
+    assert calls == {"char_poly": 4, "matmul": 4}
 
 
 def test_gw_rejects_at(capsys):

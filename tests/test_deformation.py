@@ -12,7 +12,7 @@ from gmquantum.deformation import (
     specialization_failures, truncated_context, verify_jordan_pair,
 )
 from gmquantum.linalg import (
-    Matrix, RatFunc, char_poly, mat_add, matmul, matvec, nullspace_field,
+    Matrix, RatFunc, char_poly, matmul, matvec, nullspace_field,
     poly_exact_div, poly_gcd, scalar_matrix, solve_field,
 )
 from gmquantum.poly import MultiPoly
@@ -26,6 +26,14 @@ DEFORMED = (
     ("0", "-3*t", "6", "4", "10*q*t", "12*q"),
     ("0", "0", "-2*t", "-t", "2", "0"),
 )
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    """Entrywise sum of two matrices of one shape."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    return Matrix([[x + y for x, y in zip(ra, rb)]
+                   for ra, rb in zip(a.rows, b.rows)])
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import abc
 import contextlib
 import io
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from gmquantum import groebner, linalg
 from gmquantum.cli import main
 from gmquantum.groebner import PolyIdeal
 from gmquantum.poly import MultiPoly, VarContext
+from profile_hooks import profile_hook
 
 
 CTX = VarContext(("x", "y"), (1, 2))
@@ -187,13 +187,8 @@ def test_kernel_stays_off_its_slow_paths():
                     slow.append(".terms in " + caller.f_code.co_name)
                 caller = caller.f_back
 
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            main(["verify-all", "--seed", "0", "--no-timestamp"])
-    finally:
-        sys.setprofile(previous)
+    with profile_hook(record), contextlib.redirect_stdout(io.StringIO()):
+        main(["verify-all", "--seed", "0", "--no-timestamp"])
     assert sorted(set(slow)) == []
 
 

@@ -339,6 +339,21 @@ def test_presentation_report(ring):
     assert rep["r3_dependence_residual"].is_zero()
 
 
+def test_presentation_checks_fail_on_a_shifted_h_column(ring):
+    """Shifting s1*s3 by q^2 s0 changes the h-matrix M and the product, so
+    R3(M) no longer vanishes and the word map stops being multiplicative;
+    the shift keeps every entry homogeneous, so no guard refuses it."""
+    s1, s3 = BASIS_NAMES.index("s1"), BASIS_NAMES.index("s3")
+    table = dict(ring.table)
+    entry = list(table[(s1, s3)])
+    entry[0] = entry[0] + ring.ctx.var("q") ** 2
+    table[(s1, s3)] = tuple(entry)
+    rep = presentation_report(QuantumRing(ring.amb, table))
+    assert rep["minimal_polynomial_ok"] is False
+    assert rep["word_map_multiplicative"] is False
+    assert presentation_report(ring)["minimal_polynomial_ok"] is True
+
+
 def test_presentation_builds_its_relations_once(monkeypatch, ring):
     """A presentation report builds R1-R3 once, and the dependence
     certificate reads R3's cofactor residual from the report."""

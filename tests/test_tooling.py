@@ -13,6 +13,7 @@ import pytest
 
 from gmquantum.certificates import Workspace
 from gmquantum.cli import main
+from profile_hooks import profile_hook
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,16 +158,12 @@ def test_every_def_runs():
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
+    with profile_hook(record):
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 with contextlib.suppress(SystemExit):
                     main(argv + ["--no-timestamp"])
-    finally:
-        sys.setprofile(previous)
     ran = {(Path(filename).resolve(), line) for filename, line in entered}
     idle, stale = [], set()
     for path in sorted((ROOT / "src" / "gmquantum").glob("*.py")):
