@@ -1,7 +1,10 @@
 """Command line driver emitting verification certificates.
 
-Each subcommand builds one certificate group and prints it as markdown
-(default) or JSON.  `verify-all` runs every group, records its --seed in
+One parser reads the command and every option; `run` refuses, with
+exit code 2, an option the command does not take: --at belongs to the
+reports with variables, --seed to `verify-all`.  Each report command
+builds one certificate group and prints it as markdown (default) or
+JSON.  `verify-all` runs every group, records its --seed (default 0) in
 the summary (the seed changes no certificate), and exits 0 exactly when
 no certificate failed.  Output is deterministic; the timestamp is the
 only varying field and can be dropped with --no-timestamp.
@@ -333,44 +336,44 @@ def render_markdown(payload: Dict[str, object]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = {name: spec[0] for name, spec in REPORTS.items()}
+    commands["verify-all"] = "every certificate group"
     parser = argparse.ArgumentParser(
         prog="gmquantum",
         description="exact verification of the quantum multiplication"
-                    " data of the degree 10 fourfold")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{%s}" % ",".join([*REPORTS, "verify-all"]))
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("markdown", "json"),
-                       default="markdown")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp for byte identical output")
-        return p
-
-    for name, (help_text, at_vars, _, _) in REPORTS.items():
-        p = add(name, help_text)
-        if at_vars:
-            p.add_argument(
-                "--at", metavar="SPEC",
-                help="evaluate at exact rationals, e.g. %s" %
-                     ("q=1" if at_vars == ("q",) else "q=1,t=1/7"))
-    p = add("verify-all", "every certificate group")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the summary; changes no certificate")
+                    " data of the degree 10 fourfold",
+        epilog="commands:\n" + "\n".join(
+            "  %-13s %s" % kv for kv in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=list(commands),
+                        metavar="command", help="one of the commands below")
+    parser.add_argument("--format", choices=("markdown", "json"),
+                        default="markdown")
+    parser.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp for byte identical output")
+    parser.add_argument("--at", metavar="SPEC",
+                        help="matrix, table, criterion: evaluate at an exact"
+                             " rational, e.g. q=1; deform: e.g. q=1,t=1/7")
+    parser.add_argument("--seed", type=int,
+                        help="verify-all only (default 0): recorded in the"
+                             " summary; changes no certificate")
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
-    ws = Workspace()
     command = args.command
-    at = None
+    at_vars = REPORTS[command][1] if command in REPORTS else ()
+    if args.at is not None and not at_vars:
+        raise ValueError("%s does not take --at" % command)
+    if args.seed is not None and command != "verify-all":
+        raise ValueError("%s does not take --seed; only verify-all does"
+                         % command)
+    ws = Workspace()
+    at = None if args.at is None else parse_at(args.at, at_vars)
     at_report = None
-    if getattr(args, "at", None) is not None:
-        at = parse_at(args.at, REPORTS[command][1])
     if command == "verify-all":
-        certs = verify_all_certificates(ws, args.seed)
+        seed = args.seed or 0
+        certs = verify_all_certificates(ws, seed)
         by_status = {VERIFIED: 0, MODEL_AXIOM: 0, FAILED: 0}
         for c in certs:
             by_status[c.status] = by_status.get(c.status, 0) + 1
@@ -379,7 +382,7 @@ def run(args: argparse.Namespace) -> int:
             "verified": by_status[VERIFIED],
             "model_axiom": by_status[MODEL_AXIOM],
             "failed": by_status[FAILED],
-            "seed": args.seed,
+            "seed": seed,
         }
     else:
         _, _, summarize, report_at = REPORTS[command]

@@ -49,7 +49,7 @@ from .ambient import AmbientRing, BASIS_DEGREES, BASIS_NAMES, DIM
 from .groebner import PolyIdeal
 from .linalg import (
     Matrix, at_q_one, char_poly, matmul, matrix_at_q_one,
-    matvec, nullspace_field, rank_field, rref,
+    matvec, nullspace_field, rank_field,
     squarefree_profile, vector_at_q_one,
 )
 from .poly import Exponent, MultiPoly, VarContext
@@ -480,9 +480,12 @@ def _route_residuals(ring: QuantumRing, counts: CountSet) -> List[MultiPoly]:
 
 
 def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
-    """Coefficient rows of an affine polynomial; raises if it is not affine.
+    """Integer coefficient rows of an affine polynomial; raises if it is
+    not affine.
 
-    Returns {q_exponent: (constant, coeff_u1, coeff_u2, ...)}.
+    Returns {q_exponent: [constant, coeff_u1, coeff_u2, ...]}, read off
+    the numerators: each row is an equation = 0, so the polynomial's
+    shared denominator drops.
     """
     ctx = p.ctx
     pos = [ctx.index[u] for u in unknowns]
@@ -490,22 +493,50 @@ def _affine_split(p: MultiPoly, unknowns: Sequence[str]):
     rows: Dict[int, List[int]] = {}
     for key, num in p.nums.items():
         exp = ctx.exponent(key)
-        udeg = sum(exp[i] for i in pos)
+        degs = [exp[i] for i in pos]
+        udeg = sum(degs)
         if udeg > 1:
             raise ValueError("residual is not affine in the unknowns: %s" % p)
         row = rows.setdefault(exp[qpos], [0] * (1 + len(pos)))
-        row[next((1 + n for n, i in enumerate(pos) if exp[i]), 0)] += num
-    return {e: [Fraction(n, p.den) for n in row] for e, row in rows.items()}
+        row[degs.index(1) + 1 if udeg else 0] += num
+    return rows
+
+
+def _solve_affine_pair(rows: Sequence[Sequence[int]]
+                       ) -> Tuple[Fraction, Fraction]:
+    """The one (x, y) with a x + b y + c = 0 on every integer row (a, b, c).
+
+    The (a, b) part has rank 2 exactly when some 2 x 2 minor is nonzero,
+    and then one against the first nonzero (a, b) row is.  Cramer's rule
+    on that pair gives det * (x, y) in integers, and every row is checked
+    exactly.  The refusals come in this order: no rows, rank below 2
+    (even if the rows also disagree), a row the solution misses.
+    """
+    if not rows:
+        raise ValueError("no usable equations for the three point unknowns")
+    first = next((row for row in rows if row[0] or row[1]), None)
+    second = None if first is None else next(
+        (row for row in rows if first[0] * row[1] - row[0] * first[1]), None)
+    if second is None:
+        raise ValueError("associativity does not pin both unknowns")
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    det = a1 * b2 - a2 * b1
+    x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+    if any(a * x + b * y + c * det for a, b, c in rows):
+        raise ValueError("inconsistent associativity system")
+    return Fraction(x, det), Fraction(y, det)
 
 
 def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     """Determine J11 and J2 from associativity, given the geometric J12.
 
     Builds the table with symbolic unknowns in place of J11 and J2,
-    collects the affine route residuals plus Frobenius residuals, solves
-    the resulting exact linear system, then specialises the symbolic
-    table at the solution and checks every associativity triple of that
-    numeric ring.  That ring is returned on the report.
+    collects the affine route residuals plus Frobenius residuals, splits
+    each nonzero one into integer rows, one per power of q, and solves
+    that system exactly on integers (`_solve_affine_pair`).  It then
+    specialises the symbolic table at the solution and checks every
+    associativity triple of that numeric ring.  That ring is returned on
+    the report.
     """
     unknowns = ("uJ11", "uJ2")
     ctx = quantum_context(unknowns)
@@ -520,25 +551,9 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     residuals = _route_residuals(ring, counts) + [
         side(lhs) - side(rhs) for _, (lhs,), (rhs,) in _table_sides(
             ring, combinations_with_replacement(range(DIM), 3), gram)]
-    rows = []
-    for r in residuals:
-        if r.is_zero():
-            continue
-        for _, row in sorted(_affine_split(r, unknowns).items()):
-            rows.append([row[1], row[2], -row[0]])
-    if not rows:
-        raise ValueError("no usable equations for the three point unknowns")
-    # one elimination of the augmented system: its pivots left of the
-    # last column give the rank, a pivot in it an inconsistency
-    red, pivots = rref(Matrix(rows))
-    rank = len(pivots) - (2 in pivots)
-    if rank < 2:
-        raise ValueError("associativity does not pin both unknowns")
-    # rank 2 in two unknowns: the solution is unique, and every equation
-    # must agree with it
-    if 2 in pivots:
-        raise ValueError("inconsistent associativity system")
-    j11, j2 = red.rows[0][2], red.rows[1][2]
+    rows = [(a, b, c) for r in residuals if not r.is_zero()
+            for _, (c, a, b) in sorted(_affine_split(r, unknowns).items())]
+    j11, j2 = _solve_affine_pair(rows)
     # the table is affine in the unknowns, so the solution specialises it
     plain = quantum_context()
     at_sol = {"uJ11": plain.scalar(j11), "uJ2": plain.scalar(j2)}
@@ -549,7 +564,7 @@ def solve_three_point_invariants(counts: CountSet) -> SolveReport:
     if bad:
         raise ValueError("solved table still fails associativity: %r" % bad)
     return SolveReport(counts=counts, j11=j11, j2=j2, equations=len(rows),
-                       rank=rank, residuals_checked=len(final.table),
+                       rank=2, residuals_checked=len(final.table),
                        ring=final)
 
 

@@ -47,6 +47,23 @@ GOLDEN_PAYLOADS = {
     "criterion_at_q_-7_3": ["criterion", "--at", "q=-7/3"],
     "criterion_at_q_0": ["criterion", "--at", "q=0"],
 }
+# the same as markdown, `<name>.md`: half of the benchmark's report ops
+# read the markdown rendering
+GOLDEN_MARKDOWN = {
+    "verify_all": ["verify-all"],
+    "gw": ["gw"],
+    "matrix": ["matrix"],
+    "table": ["table"],
+    "presentation": ["presentation"],
+    "deform": ["deform"],
+    "criterion": ["criterion"],
+    "matrix_at_q_-7_3": ["matrix", "--at", "q=-7/3"],
+    "table_at_q_-7_3": ["table", "--at", "q=-7/3"],
+    "criterion_at_q_-7_3": ["criterion", "--at", "q=-7/3"],
+    "deform_at_q_2_t_1_3": ["deform", "--at", "q=2,t=1/3"],
+}
+GOLDENS = sorted(GOLDEN_PAYLOADS) + ["%s.md" % name
+                                    for name in sorted(GOLDEN_MARKDOWN)]
 
 
 def run_json(capsys, argv):
@@ -155,12 +172,16 @@ def test_seed_changes_only_the_summary(capsys):
     assert all(p == payloads[0] for p in payloads[1:])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_PAYLOADS))
+@pytest.mark.parametrize("name", GOLDENS)
 def test_report_matches_golden_payload(capsys, name):
-    argv = GOLDEN_PAYLOADS[name] + ["--format", "json", "--no-timestamp"]
-    assert main(argv) == 0
-    golden = (GOLDEN_DIR / ("%s.json" % name)).read_bytes()
-    assert capsys.readouterr().out.encode() == golden
+    if name.endswith(".md"):
+        argv, fmt, path = (GOLDEN_MARKDOWN[name[:-3]], "markdown",
+                           GOLDEN_DIR / name)
+    else:
+        argv, fmt, path = (GOLDEN_PAYLOADS[name], "json",
+                           GOLDEN_DIR / ("%s.json" % name))
+    assert main(argv + ["--format", fmt, "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 def test_verify_all_counts(capsys):
@@ -246,9 +267,36 @@ def test_reports_table_names_each_certificate_group():
 
 
 def test_parser_offers_the_reports_then_verify_all():
-    sub, = [action for action in cli.build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)]
-    assert list(sub.choices) == [*cli.REPORTS, "verify-all"]
+    command, = [action for action in cli.build_parser()._actions
+                if action.dest == "command"]
+    assert list(command.choices) == [*cli.REPORTS, "verify-all"]
+
+
+def test_help_lists_each_command_with_its_help_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (help_text, *_) in cli.REPORTS.items():
+        assert "  %-13s %s" % (name, help_text) in lines, name
+    assert "  %-13s every certificate group" % "verify-all" in lines
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["gw", "--seed", "1"], "--seed"),
+    (["table", "--seed", "1"], "--seed"),
+    (["verify-all", "--at", "q=1"], "--at"),
+    (["presentation", "--at", "q=1"], "--at"),
+    (["spectralize"], "spectralize"),
+    ([], "command"),
+])
+def test_usage_errors_exit_2_and_name_the_culprit(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_at_reports_take_their_variables_by_name():
@@ -480,9 +528,12 @@ def test_verify_all_counts_its_spectral_and_matrix_work(monkeypatch):
     """A cold verify-all takes four characteristic polynomials (spectrum,
     statistics, criterion and its scalar control) and four matrix
     products (M^2, one Horner step and the product by M for R3, and one
-    square over Q[t]/(t^2) for the Jordan lift)."""
+    square over Q[t]/(t^2) for the Jordan lift).  Of its 17 eliminations
+    only the Gram inverse belongs to the base every command builds: the
+    associativity solve eliminates on integers, so a cold `gw` makes
+    one.  Each cold `main()` builds one argument parser."""
     calls = Counter()
-    for name in ("char_poly", "matmul"):
+    for name in ("char_poly", "matmul", "rref"):
         original = getattr(linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -492,9 +543,21 @@ def test_verify_all_counts_its_spectral_and_matrix_work(monkeypatch):
         for module in (linalg, deformation, quantum):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    parser_init = argparse.ArgumentParser.__init__
+
+    def counted_parser(*args, **kwargs):
+        calls["ArgumentParser"] += 1
+        parser_init(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--seed", "0", "--no-timestamp"]) == 0
-    assert calls == {"char_poly": 4, "matmul": 4}
+    assert calls == {"char_poly": 4, "matmul": 4, "rref": 17,
+                     "ArgumentParser": 1}
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gw", "--no-timestamp"]) == 0
+    assert calls == {"rref": 1, "ArgumentParser": 1}
 
 
 def test_gw_rejects_at(capsys):

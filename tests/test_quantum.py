@@ -16,6 +16,7 @@ from gmquantum import certificates, gwcounts, quantum
 from gmquantum.ambient import BASIS_NAMES, DIM, AmbientRing
 from gmquantum.cli import main
 from gmquantum.gwcounts import CountSet
+from gmquantum.linalg import Matrix, rref
 from gmquantum.poly import MultiPoly, VarContext
 from gmquantum.quantum import (
     QuantumRing, associativity_failures, classical_limit_failures,
@@ -205,9 +206,9 @@ def test_solver_refuses_a_residual_that_is_not_affine(monkeypatch):
 
 
 def test_solver_refusals_keep_their_order(monkeypatch):
-    """One elimination of the augmented system tells the three refusals
-    apart: equations that no solution satisfies, a rank below 2 (checked
-    first, even when the equations also disagree), and no equation."""
+    """The solve tells the three refusals apart: equations that no
+    solution satisfies, a rank below 2 (checked first, even when the
+    equations also disagree), and no equation."""
     counts = CountSet.from_geometry()
     routes = quantum._route_residuals
     monkeypatch.setattr(
@@ -229,6 +230,56 @@ def test_solver_refusals_keep_their_order(monkeypatch):
     monkeypatch.setattr(quantum, "_affine_split", lambda p, unknowns: {})
     with pytest.raises(ValueError, match="no usable equations"):
         solve_three_point_invariants(counts)
+
+
+@pytest.fixture(scope="module")
+def live_rows():
+    """The integer rows (a, b, c), a J11 + b J2 + c = 0, that the solver
+    hands to its elimination for the geometric counts."""
+    rows = []
+    solve = quantum._solve_affine_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_solve_affine_pair",
+                   lambda r: rows.extend(r) or solve(r))
+        solve_three_point_invariants(CountSet.from_geometry())
+    return rows
+
+
+def test_integer_solve_agrees_with_rref(live_rows):
+    assert len(live_rows) == 23
+    assert all(type(x) is int for row in live_rows for x in row)
+    red, pivots = rref(Matrix([[Fraction(a), Fraction(b), Fraction(-c)]
+                               for a, b, c in live_rows]))
+    assert pivots == [0, 1]
+    assert quantum._solve_affine_pair(live_rows) == (
+        red.rows[0][2], red.rows[1][2]) == (24, 32)
+
+
+def test_integer_solve_refuses_a_rank_one_system():
+    rows = [(3 * k, 5 * k, -7 * k) for k in (1, -2, 4)]
+    with pytest.raises(ValueError, match="does not pin both unknowns"):
+        quantum._solve_affine_pair(rows)
+    # rank 1 is refused before any disagreement, and rows without an
+    # unknown add no rank
+    rows += [(6, 10, 1), (0, 0, 0), (0, 0, 9)]
+    with pytest.raises(ValueError, match="does not pin both unknowns"):
+        quantum._solve_affine_pair(rows)
+    with pytest.raises(ValueError, match="does not pin both unknowns"):
+        quantum._solve_affine_pair([(0, 0, 0), (0, 0, 5)])
+
+
+def test_integer_solve_refuses_one_shifted_constant(live_rows):
+    for n in range(len(live_rows)):
+        rows = list(live_rows)
+        a, b, c = rows[n]
+        rows[n] = (a, b, c + 1)
+        with pytest.raises(ValueError, match="inconsistent associativity"):
+            quantum._solve_affine_pair(rows)
+
+
+def test_integer_solve_refuses_an_empty_system():
+    with pytest.raises(ValueError, match="no usable equations"):
+        quantum._solve_affine_pair([])
 
 
 def test_associativity_is_scanned_once_per_ring(monkeypatch, ring):
