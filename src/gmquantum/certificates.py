@@ -292,11 +292,9 @@ def gw_certificates(ws: Workspace) -> List[Certificate]:
 
 def matrix_certificates(ws: Workspace) -> List[Certificate]:
     ring = ws.ring
-    mh = ring.h_matrix
-    rows = tuple(tuple(str(mh.rows[i][j]) for j in range(DIM))
-                 for i in range(DIM))
     certs = [make(
-        "matrix.h-action", rows, FROZEN_H_MATRIX, FROZEN,
+        "matrix.h-action", ring.h_matrix.map(str).rows, FROZEN_H_MATRIX,
+        FROZEN,
         inputs=(("basis", ", ".join(BASIS_NAMES)),),
         trace=("columns list h * e_b in the basis (s0, s1, s2, s11, s3, s31)",
                "entries come from the divisor axiom applied to the two"
@@ -438,10 +436,8 @@ def presentation_certificates(ws: Workspace) -> List[Certificate]:
 
 def deform_certificates(ws: Workspace) -> List[Certificate]:
     op = ws.operator
-    rows = tuple(tuple(str(op[i, j]) for j in range(DIM))
-                 for i in range(DIM))
     certs = [make(
-        "deform.operator", rows, FROZEN_DEFORMED, FROZEN,
+        "deform.operator", op.map(str).rows, FROZEN_DEFORMED, FROZEN,
         inputs=(("basis", AMBIENT),),
         trace=("first order deformation of the degree operator on the"
                " ambient classes: K = 2*M_h + t*D with D scaling the"

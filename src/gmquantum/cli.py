@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .ambient import BASIS_NAMES, DIM
+from .ambient import BASIS_NAMES
 from .certificates import (
     Certificate, FAILED, GROUP_BUILDERS, MODEL_AXIOM, R3_COFACTOR_IDENTITY,
     SCHEMA_VERSION, VERIFIED, Workspace, certificate_to_dict, merge,
@@ -115,9 +115,7 @@ def matrix_at(ws: Workspace, q: Fraction) -> Dict[str, object]:
     T has degree 2 = deg q, so the quadratic T^2 + a T + b at q = 1 becomes
     T^2 + a q T + b q^2, and its roots are q times the q = 1 roots.
     """
-    mh = ws.ring.h_matrix
-    rows = [[str(mh.rows[i][j].evaluate({"q": q})) for j in range(DIM)]
-            for i in range(DIM)]
+    rows = ws.ring.h_matrix.map(lambda e: str(e.evaluate({"q": q}))).rows
     sp = ws.spectrum
     a1, b1 = sp["quadratic_at_q1"]
     a, b = a1 * q, b1 * q * q
@@ -157,10 +155,8 @@ def table_at(ws: Workspace, q: Fraction) -> Dict[str, object]:
 def deform_at(ws: Workspace, q: Fraction, t: Fraction) -> Dict[str, object]:
     op = ws.operator
     vals = {"q": q, "t": t}
-    rows = [[str(op[i, j].evaluate(vals)) for j in range(DIM)]
-            for i in range(DIM)]
     return {
-        "matrix": rows,
+        "matrix": op.map(lambda e: str(e.evaluate(vals))).rows,
         "eigenvalue": str(eigenvalue(op[0, 0].ctx).evaluate(vals)),
         "note": "entries are reduced modulo t^2 before evaluation",
     }

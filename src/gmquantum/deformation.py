@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .ambient import BASIS_DEGREES, BASIS_NAMES, DIM
@@ -72,32 +73,28 @@ def at_t_zero(op: Matrix) -> Matrix:
     return op.map(lambda e: e.coefficient_of("t", 0))
 
 
+def _entry_failures(op: Matrix, check: str, fails) -> List[Tuple[int, int]]:
+    """The entries (i, j) of the ambient operator where fails(i, j, entry)
+    holds; `check` names the scan when it refuses another shape."""
+    if (op.nrows, op.ncols) != (DIM, DIM):
+        raise ValueError("%s check expects the ambient operator" % check)
+    return [(i, j) for i in range(DIM) for j in range(DIM)
+            if fails(i, j, op[i, j])]
+
+
 def homogeneity_failures(op: Matrix) -> List[Tuple[int, int]]:
     """Entries not homogeneous of degree deg(col) - deg(row) + 1."""
-    if (op.nrows, op.ncols) != (DIM, DIM):
-        raise ValueError("homogeneity check expects the ambient operator")
     degs = BASIS_DEGREES
-    bad = []
-    for i in range(DIM):
-        for j in range(DIM):
-            e = op[i, j]
-            if not e.is_zero() and not e.is_homogeneous(degs[j] - degs[i] + 1):
-                bad.append((i, j))
-    return bad
+    return _entry_failures(op, "homogeneity", lambda i, j, e: (
+        not e.is_zero() and not e.is_homogeneous(degs[j] - degs[i] + 1)))
 
 
 def specialization_failures(op: Matrix,
                             ring: QuantumRing) -> List[Tuple[int, int]]:
     """Ambient entries whose t = 0 part differs from twice the h-matrix."""
-    if (op.nrows, op.ncols) != (DIM, DIM):
-        raise ValueError("specialization check expects the ambient operator")
-    bad = []
-    for i in range(DIM):
-        for j in range(DIM):
-            want = (ring.h_matrix[i, j] * 2).substitute({}, op[i, j].ctx)
-            if op[i, j].coefficient_of("t", 0) != want:
-                bad.append((i, j))
-    return bad
+    return _entry_failures(op, "specialization", lambda i, j, e: (
+        e.coefficient_of("t", 0)
+        != (ring.h_matrix[i, j] * 2).substitute({}, e.ctx)))
 
 
 def build_deformed_matrix(ring: QuantumRing) -> Matrix:
@@ -346,24 +343,20 @@ def atom_statistics(op: Matrix, model: HodgeModel) -> AtomStatistics:
     if e_dim != multiplicity:
         raise ValueError("eigenvalue multiplicity is not 24")
 
-    image_mat = _columns_matrix(images)
-    gamma = rank_at_points(image_mat, "t")
+    gamma = rank_at_points(_columns_matrix(images), "t")
 
     # image structure: on the beta line (t beta(t) agrees with t times
     # the t = 0 part of beta modulo t^2); it stays in the ambient slots
     # because the certified off-diagonal blocks vanish.  beta has weight
-    # deg s31 = 4
+    # deg s31 = 4.  The line is constant in t, so an image column lies on
+    # it over Q(t) exactly when every 2 x 2 minor of [column, beta]
+    # vanishes as a polynomial; a zero column passes
     alpha, beta = jordan_pair(tctx)
     beta_line = [ctx.scalar(c) for c in vector_at_q_one(
         [b.coefficient_of("t", 0) for b in beta], 4, BASIS_DEGREES, "beta")]
-    on_beta_line = True
-    for j in range(image_mat.ncols):
-        col = image_mat.col(j)
-        if all(c.is_zero() for c in col):
-            continue
-        span = Matrix([[col[i], beta_line[i]] for i in range(DIM)])
-        if rank_at_points(span, "t") != 1:
-            on_beta_line = False
+    on_beta_line = all(
+        (col[i] * beta_line[k] - col[k] * beta_line[i]).is_zero()
+        for col in images for i, k in combinations(range(DIM), 2))
 
     # kernel of the restriction: the primitive slots and the beta line
     beta_killed = all(c.is_zero() for c in matvec(shifted, beta))

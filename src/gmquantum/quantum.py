@@ -64,14 +64,6 @@ def quantum_context(extra: Sequence[str] = ()) -> VarContext:
     return VarContext(("q",) + tuple(extra), (2,) + (0,) * len(extra))
 
 
-def _lift(vec: Sequence[Fraction], ctx: VarContext) -> QVec:
-    return tuple(map(ctx.scalar, vec))
-
-
-def _vadd(x: QVec, y: QVec) -> QVec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def _vsub(x: QVec, y: QVec) -> QVec:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -92,7 +84,7 @@ def corrected_product(cup: Sequence[Fraction],
     cup product vector of a and b and {(name of e_k, d): <a, b, e_k>_d}."""
     duals = amb.dual_basis()
     q = ctx.var("q")
-    out = list(_lift(cup, ctx))
+    out = list(map(ctx.scalar, cup))
     for (name, d), val in invariants.items():
         coeff = q ** d * val
         for k, x in enumerate(duals[BASIS_NAMES.index(name)]):
@@ -216,7 +208,7 @@ def product_table(counts: CountSet, amb: AmbientRing, j11, j2,
 
     star_h = partial(matvec, h_matrix)
     for j, name in enumerate(BASIS_NAMES):
-        put("s0", name, _lift(amb.cup_table[0][j], ctx))
+        put("s0", name, map(ctx.scalar, amb.cup_table[0][j]))
         put("s1", name, h_matrix.col(j))
     # dual(s31) = s0 / 2, so the degree 2 count 2 J2 puts J2 on s0
     s11 = idx["s11"]
@@ -322,19 +314,21 @@ class QuantumRing:
 # ---------------------------------------------------------------------------
 
 
+def _component_failures(ring: QuantumRing, fails) -> List[str]:
+    """"a*b component c" for each component c of a table product a*b,
+    i.e. (i, j, k, entry), where `fails` holds."""
+    return ["%s*%s component %s" % (BASIS_NAMES[i], BASIS_NAMES[j],
+                                    BASIS_NAMES[k])
+            for (i, j), vec in sorted(ring.table.items())
+            for k, comp in enumerate(vec) if fails(i, j, k, comp)]
+
+
 def grading_failures(ring: QuantumRing) -> List[str]:
-    """Entries whose components are not homogeneous of the right degree."""
-    bad = []
-    for (i, j), vec in sorted(ring.table.items()):
-        want = BASIS_DEGREES[i] + BASIS_DEGREES[j]
-        for k in range(DIM):
-            comp = vec[k]
-            if comp.is_zero():
-                continue
-            if not comp.is_homogeneous(want - BASIS_DEGREES[k]):
-                bad.append("%s*%s component %s" %
-                           (BASIS_NAMES[i], BASIS_NAMES[j], BASIS_NAMES[k]))
-    return bad
+    """Components not homogeneous of degree deg a + deg b - deg c."""
+    degs = BASIS_DEGREES
+    return _component_failures(ring, lambda i, j, k, comp: (
+        not comp.is_zero()
+        and not comp.is_homogeneous(degs[i] + degs[j] - degs[k])))
 
 
 def commutativity_failures(ring: QuantumRing) -> List[str]:
@@ -417,16 +411,11 @@ def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:
-    """Products whose q = 0 specialization differs from the cup product."""
-    bad = []
-    for (i, j), vec in sorted(ring.table.items()):
-        cup = ring.amb.cup_table[i][j]
-        for k in range(DIM):
-            if vec[k].coefficient_of("q", 0) != ring.ctx.scalar(cup[k]):
-                bad.append("%s*%s component %s" %
-                           (BASIS_NAMES[i], BASIS_NAMES[j], BASIS_NAMES[k]))
-                break
-    return bad
+    """Components whose q = 0 part differs from that of the cup product;
+    every failing component of a product is listed."""
+    cup, scalar = ring.amb.cup_table, ring.ctx.scalar
+    return _component_failures(ring, lambda i, j, k, comp: (
+        comp.coefficient_of("q", 0) != scalar(cup[i][j][k])))
 
 
 def perturbed_ring(ring: QuantumRing) -> QuantumRing:
@@ -717,7 +706,9 @@ def kernel_pair(q: MultiPoly) -> Tuple[Dict[str, MultiPoly],
 
 def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
     """The kernel pair of `kernel_pair` as ring elements, with checks that
-    h * (-) kills both and that they span its nullspace."""
+    h * (-) kills both and that they span its nullspace.  The span is one
+    rank of alpha, beta and the null basis stacked, which reads 2 outside
+    span(alpha, beta) only when `independent` is false."""
     alpha, beta = (ring.element(coeffs)
                    for coeffs in kernel_pair(ring.ctx.var("q")))
     killed = (_is_zero_vec(ring.star_h(alpha))
@@ -730,11 +721,7 @@ def kernel_basis(ring: QuantumRing) -> Dict[str, object]:
     mh1 = matrix_at_q_one(ring.h_matrix, 1, BASIS_DEGREES,
                           "h matrix").map(MultiPoly.scalar_value)
     null = nullspace_field(mh1, Fraction(1))
-    spans = len(null) == 2
-    for vec in null:
-        stacked = Matrix(list(rmat.rows) + [list(vec)])
-        if rank_field(stacked) != 2:
-            spans = False
+    spans = len(null) == 2 and rank_field(Matrix(rmat.rows + null)) == 2
     return {
         "alpha": alpha,
         "beta": beta,
@@ -794,7 +781,8 @@ def presentation_report(ring: QuantumRing) -> Dict[str, object]:
     for name, rel in rels.items():
         vec = ring.zero()
         for (a, i, j), c in rel.terms.items():
-            vec = _vadd(vec, _vscale(q ** a * c, word(i, j)))
+            term = _vscale(q ** a * c, word(i, j))
+            vec = tuple(x + y for x, y in zip(vec, term))
         vanish[name] = _is_zero_vec(vec)
     gens = _presentation_ideal(rels)
     ctx = gens[0].ctx

@@ -73,6 +73,27 @@ def test_operator_is_homogeneous(operator):
     assert specialization_failures(operator, standard_ring()) == []
 
 
+def shifted_operator(operator, row, col, delta):
+    """`operator` with `delta` added to its (row, col) entry."""
+    rows = operator.copy_rows()
+    rows[row][col] += delta
+    return Matrix(rows)
+
+
+def test_homogeneity_scan_names_an_off_degree_entry(operator, ring):
+    # entry (s1, s2) has degree 2; a bare t has degree -1 and no t = 0 part
+    bad = shifted_operator(operator, 1, 2, operator[0, 0].ctx.var("t"))
+    assert homogeneity_failures(bad) == [(1, 2)]
+    assert specialization_failures(bad, ring) == []
+
+
+def test_specialization_scan_names_a_changed_t_free_entry(operator, ring):
+    # q has the degree of entry (s1, s2) but moves its t = 0 part
+    bad = shifted_operator(operator, 1, 2, operator[0, 0].ctx.var("q"))
+    assert homogeneity_failures(bad) == []
+    assert specialization_failures(bad, ring) == [(1, 2)]
+
+
 def test_homogeneity_check_refuses_the_full_operator(operator):
     full = assemble_full_operator(operator)
     with pytest.raises(ValueError, match="ambient operator"):
@@ -177,6 +198,18 @@ def test_atom_statistics(operator):
     assert d["ambient_kernel_dim_t0"] == 2
     assert d["beta_in_kernel"] is True
     assert d["alpha_has_nonzero_image"] is True
+
+
+def test_atom_statistics_detects_an_image_off_the_beta_line(operator):
+    # q t on (s2, s2) keeps every degree and the t = 0 part, but gives a
+    # second size-two block whose image leaves the beta line
+    ctx = operator[0, 0].ctx
+    bad = shifted_operator(operator, 2, 2, ctx.var("q") * ctx.var("t"))
+    stats = atom_statistics(assemble_full_operator(bad),
+                            HodgeModel.standard())
+    assert stats.gamma == 2
+    assert stats.details["image_on_beta_line"] is False
+    assert stats.details["beta_in_kernel"] is False
 
 
 # ---------------------------------------------------------------------------

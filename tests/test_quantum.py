@@ -100,6 +100,36 @@ def test_structural_scanners_empty(ring):
     assert classical_limit_failures(ring) == []
 
 
+def shifted_ring(ring, a, b, c, delta):
+    """`ring` with `delta` added to the c component of the table's a*b."""
+    i, j = sorted((BASIS_NAMES.index(a), BASIS_NAMES.index(b)))
+    table = dict(ring.table)
+    vec = list(table[(i, j)])
+    vec[BASIS_NAMES.index(c)] += delta
+    table[(i, j)] = tuple(vec)
+    return QuantumRing(ring.amb, table)
+
+
+def test_grading_scan_names_an_off_degree_component(ring):
+    # a degree 0 term where s1*s2 owes its s1 component degree 2
+    bad = shifted_ring(ring, "s1", "s2", "s1", ring.ctx.one())
+    assert grading_failures(bad) == ["s1*s2 component s1"]
+
+
+def test_classical_limit_scan_names_a_changed_cup_component(ring):
+    # a degree 0 s3 term is in grade but moves the q^0 part of s1*s2
+    bad = shifted_ring(ring, "s1", "s2", "s3", ring.ctx.one())
+    assert grading_failures(bad) == []
+    assert classical_limit_failures(bad) == ["s1*s2 component s3"]
+
+
+def test_classical_limit_scan_lists_every_component_of_a_product(ring):
+    bad = shifted_ring(shifted_ring(ring, "s1", "s2", "s3", ring.ctx.one()),
+                       "s1", "s2", "s31", ring.ctx.one())
+    assert classical_limit_failures(bad) == ["s1*s2 component s3",
+                                             "s1*s2 component s31"]
+
+
 def test_solver_recovers_both_unknowns():
     counts = CountSet.from_geometry()
     rep = solve_three_point_invariants(counts)
@@ -373,6 +403,14 @@ def test_kernel_basis_exact(ring):
     for vec in (rep["alpha"], rep["beta"]):
         image = ring.star_h(list(vec))
         assert all(e.is_zero() for e in image)
+
+
+def test_kernel_basis_detects_a_moved_nullspace(ring):
+    # h * s2 gains an s3 term: the pair is no longer killed, and the
+    # nullspace, still two dimensional, leaves span(alpha, beta)
+    rep = kernel_basis(shifted_ring(ring, "s1", "s2", "s3", ring.ctx.one()))
+    assert (rep["killed"], rep["independent"], rep["dimension"],
+            rep["spans_nullspace"]) == (False, True, 2, False)
 
 
 def test_presentation_report(ring):
