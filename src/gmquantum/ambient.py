@@ -11,8 +11,11 @@ class in G(2, 5) is twice the square of the hyperplane class, and
 
 In the Chern classes (H, A) of the dual tautological sub, sigma_{a,b} =
 A^b c_{a-b}(Q) with c(Q) = 1 + H + (H^2 - A) + (H^3 - 2HA).  Only the
-seven triples i <= j <= l with degrees summing to 4 can be nonzero; each
-top monomial H^a A^b they use is integrated once by `grassmann_push`.
+seven triples i <= j <= l with degrees summing to 4 can be nonzero, and
+the factor sigma_1^2 = H^2 leaves them three top monomials H^(6-2b) A^b,
+b = 0, 1, 2.  One `grassmann_push` integrates all three, each tagged by
+w^b for a variable w of degree 0, and int H^(6-2b) A^b is the
+coefficient of w^b in the result.
 The rest is read off T: the Gram matrix is T_ij0 (e_0 = 1), and pairing
 e_i e_j against the dual basis class dual_k gives the cup table
 e_i e_j = sum_k (sum_l T_ijl (dual_k)_l) e_k.
@@ -50,25 +53,26 @@ class AmbientRing:
     """
 
     def __init__(self):
-        ctx = VarContext(("H", "A"), (1, 2))
-        H, A = ctx.var("H"), ctx.var("A")
+        ctx = VarContext(("H", "A", "w"), (1, 2, 0))
+        H, A, w = (ctx.var(name) for name in ctx.names)
         quotient = [ctx.one(), H, H ** 2 - A, H ** 3 - 2 * H * A]
         sigma = [A ** b * quotient[a - b] for a, b in LIFT_PARTITIONS]
-        trivial = [ctx.one()] + [ctx.zero()] * 5
-        top = {}
+        pushed = grassmann_push(sum((H ** (6 - 2 * b) * (w * A) ** b
+                                     for b in range(3)), ctx.zero()),
+                                "H", "A", [ctx.one()] + [ctx.zero()] * 5)
+        # int 2 H^2 x, x of degree 4, weighs x's coefficients of H^(4-2b) A^b
+        weight = {ctx.key((4 - 2 * b, b, 0)):
+                  2 * pushed.coefficient_of("w", b).scalar_value()
+                  for b in range(3)}
         self.triples = [[[Fraction(0)] * DIM for _ in range(DIM)]
                         for _ in range(DIM)]
         for ijl in combinations_with_replacement(range(DIM), 3):
             if sum(BASIS_DEGREES[i] for i in ijl) != 4:
                 continue
             i, j, l = ijl
-            integrand = 2 * H ** 2 * sigma[i] * sigma[j] * sigma[l]
-            value = Fraction(0)
-            for exp, coeff in integrand.terms.items():
-                if exp not in top:
-                    top[exp] = grassmann_push(ctx.monomial(exp), "H", "A",
-                                              trivial).scalar_value()
-                value += coeff * top[exp]
+            x = sigma[i] * sigma[j] * sigma[l]
+            value = Fraction(sum(n * weight[k] for k, n in x.nums.items()),
+                             x.den)
             for a, b, c in permutations(ijl):
                 self.triples[a][b][c] = value
         self._gram = Matrix([[self.triples[i][j][0] for j in range(DIM)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import MultiPoly, VarContext
+from .poly import MultiPoly, VarContext, sum_of_products
 
 # ---------------------------------------------------------------------------
 # polynomials in one variable
@@ -232,16 +232,17 @@ def scalar_matrix(n: int, value) -> Matrix:
 def _dot(row: Sequence, col: Sequence):
     """sum_k row[k] * col[k], skipping every product with a zero factor.
 
-    A sum with no product left is 0 in the type the products would have
-    had: `ctx.zero()` when an entry is a `MultiPoly`.
+    When every product left has two `MultiPoly` factors the sum runs on
+    their integer numerators (`sum_of_products`); other entries multiply
+    and add as they are.  A sum with no product left is 0 in the type the
+    products would have had: `ctx.zero()` when an entry is a `MultiPoly`.
     """
-    acc = None
-    for x, y in zip(row, col):
-        if x and y:
-            term = x * y
-            acc = term if acc is None else acc + term
-    if acc is not None:
-        return acc
+    pairs = [(x, y) for x, y in zip(row, col) if x and y]
+    if pairs and all(type(x) is MultiPoly and type(y) is MultiPoly
+                     for x, y in pairs):
+        return sum_of_products(pairs[0][0].ctx, pairs)
+    if pairs:
+        return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
     for z in (*row, *col):
         if isinstance(z, MultiPoly):
             return z.ctx.zero()
@@ -267,7 +268,8 @@ def matvec(a: Matrix, v: Sequence) -> List:
 
 
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form over a field; returns (rref, pivot columns)."""
+    """Reduced row echelon form over a field; returns (rref, pivot columns).
+    Row operations skip the zero entries of the pivot row."""
     rows = m.copy_rows()
     nr, nc = m.nrows, m.ncols
     pivots = []
@@ -282,11 +284,12 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:

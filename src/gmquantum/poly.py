@@ -16,7 +16,11 @@ Products reduce the denominator against the gcd of the numerators.  Sums
 keep the lcm of their denominators, and a contraction in `quantum` the
 product of its factors' denominators, unreduced, because `==`
 cross-multiplies; `str`, `hash` and the read-only `.terms` view
-({exponent tuple: Fraction}) reduce.
+({exponent tuple: Fraction}) reduce.  A sum of products
+(`sum_of_products`: a matrix entry, a substitution with polynomial
+images, a Segre or twisted Chern class, a projective pushforward)
+multiplies and adds numerators only, over the product of the lcms of
+the two sides' denominators, and reduces once.
 
 The polynomials every layer sends here have a few terms, so per-call costs
 decide the speed, and three rules keep them low.  No stored numerator is
@@ -394,8 +398,12 @@ class MultiPoly:
 
         Variables absent from `images` must exist in `target` under the same
         name and are sent to themselves.  Coefficients pass through unchanged.
-        Scalar images run on keys (`_move`); a polynomial image is expanded
-        by Horner's rule in its variable.
+        Scalar images run on keys (`_move`).  Otherwise the terms are grouped
+        by their exponents of the mapped variables; each image's powers are
+        built up by one product each, each group's product of powers is
+        formed once, and the groups, their other variables moved on keys,
+        are multiplied by their products and summed on integer numerators
+        (`sum_of_products`).
         """
         full = {}
         for name in self.ctx.names:
@@ -404,16 +412,29 @@ class MultiPoly:
                 if img.ctx is not target and img.ctx != target:
                     raise ValueError("image of %r lives in the wrong context" % name)
                 full[name] = img
-        name = next((n for n, img in full.items() if not img.is_scalar()), None)
-        if name is None:
+        if all(img.is_scalar() for img in full.values()):
             return self._move(full, target)
-        # coefficient_of empties the variable's slot, so any image serves
-        rest = {**full, name: target.zero()}
-        result = target.zero()
-        for e in range(self.max_power(name), -1, -1):
-            result = result * full[name] + \
-                self.coefficient_of(name, e).substitute(rest, target)
-        return result
+        src = self.ctx
+        mapped = [(s, full[n])
+                  for n, s in zip(src.names, src.shifts) if n in full]
+        moves = [(s, target.var_keys[target.index[n]])
+                 for n, s in zip(src.names, src.shifts) if n not in full]
+        groups: Dict[Exponent, Dict[int, int]] = {}
+        for k, n in self.nums.items():
+            exp = tuple((-k >> s) & MASK for s, _ in mapped)
+            moved = sum(((-k >> s) & MASK) * t for s, t in moves)
+            groups.setdefault(exp, {})[moved] = n
+        powers = [[target.one(), img] for _, img in mapped]
+        pairs = []
+        for exp, nums in groups.items():
+            for (_, img), pw, e in zip(mapped, powers, exp):
+                while len(pw) <= e:
+                    pw.append(pw[-1] * img)
+            factors = [pw[e] for pw, e in zip(powers, exp) if e] \
+                or [target.one()]
+            rest = self.from_numerators(target, nums, self.den, self.bound)
+            pairs.append((rest, math.prod(factors[1:], start=factors[0])))
+        return sum_of_products(target, pairs)
 
     def _move(self, values: Mapping[str, "MultiPoly"],
               target: VarContext) -> "MultiPoly":
@@ -492,3 +513,31 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(%s)" % self
+
+
+def sum_of_products(ctx: VarContext, pairs) -> MultiPoly:
+    """sum of x * y over `pairs` of polynomials in `ctx`.  Only integer
+    numerators are multiplied and added, over the product of the lcms of
+    the left and the right denominators; truncated terms drop, each
+    product passes the carry guard, and one gcd reduces the sum."""
+    dx = math.lcm(*(x.den for x, _ in pairs))
+    dy = math.lcm(*(y.den for _, y in pairs))
+    acc: Dict[int, int] = {}
+    bound = 0
+    for x, y in pairs:
+        for z in (x, y):
+            if z.ctx is not ctx and z.ctx != ctx:
+                raise ValueError("mismatched variable contexts: %r vs %r"
+                                 % (z.ctx, ctx))
+        bound = max(bound, ctx.guard(x.bound + y.bound))
+        f = dx // x.den * (dy // y.den)
+        for k1, n1 in x.nums.items():
+            n1 *= f
+            for k2, n2 in y.nums.items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + n1 * n2
+    truncated = ctx.truncates if ctx.truncation else None
+    nums = {k: n for k, n in acc.items()
+            if n and not (truncated and truncated(k))}
+    g = math.gcd(dx * dy, *nums.values())
+    return MultiPoly.from_numerators(ctx, {k: n // g for k, n in nums.items()},
+                                     dx * dy // g, bound)

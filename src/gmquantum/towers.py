@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import PolyIdeal
-from .poly import MultiPoly, VarContext
+from .poly import MultiPoly, VarContext, sum_of_products
 
 Divisor = Tuple[Tuple[str, Fraction], ...]
 
@@ -191,12 +191,12 @@ def _dual(chern: List[MultiPoly]) -> List[MultiPoly]:
 def segre_from_chern(chern: List[MultiPoly], upto: int) -> List[MultiPoly]:
     """s(E) = 1/c(E) as graded classes s0..s_upto."""
     ctx = chern[0].ctx
+    minus = [-c for c in chern]
     segre = [ctx.one()]
     for k in range(1, upto + 1):
-        acc = ctx.zero()
-        for i in range(1, min(k, len(chern) - 1) + 1):
-            acc = acc - chern[i] * segre[k - i]
-        segre.append(acc)
+        segre.append(sum_of_products(ctx, [
+            (minus[i], segre[k - i])
+            for i in range(1, min(k, len(chern) - 1) + 1)]))
     return segre
 
 
@@ -205,15 +205,9 @@ def proj_push(p: MultiPoly, name: str, rank: int,
     """Pushforward along P(E) -> base: z^(rank-1+k) |-> s_k(E)."""
     top = p.max_power(name)
     segre = segre_from_chern(chern, max(0, top - rank + 1))
-    out = p.ctx.zero()
-    for m in range(top + 1):
-        k = m - (rank - 1)
-        if k < 0:
-            continue
-        layer = p.coefficient_of(name, m)
-        if not layer.is_zero():
-            out = out + layer * segre[k]
-    return out
+    return sum_of_products(p.ctx, [
+        (p.coefficient_of(name, m), segre[m - rank + 1])
+        for m in range(rank - 1, top + 1)])
 
 
 def _project(p: MultiPoly, target: VarContext) -> MultiPoly:
@@ -239,10 +233,10 @@ def grassmann_push(p: MultiPoly, h: str, a: str,
     u, v = flag.var("u_"), flag.var("v_")
     p = p.substitute({h: u + v, a: u * v}, flag) * u
     chern_flag = [c.substitute({}, flag) for c in chern]
-    # rank r-1 quotient E/L1 with c = c(E)/(1-u), read up to degree r-1
-    cq_total = total_class(chern_flag) * sum(
-        (u ** k for k in range(1, r)), flag.one())
-    cq = [cq_total.graded_part(k) for k in range(r)]
+    # rank r-1 quotient E/L1: c(E) = c(E/L1)(1 - u), so cq_k = c_k + u cq_(k-1)
+    cq = [flag.one()]
+    for k in range(1, r):
+        cq.append(chern_flag[k] + u * cq[-1])
     p = proj_push(p, "v_", r - 1, cq)
     p = proj_push(p, "u_", r, chern_flag)
     return _project(p, ctx)
@@ -424,13 +418,12 @@ def _chern_raw(expr, tower: Tower) -> Tuple[int, List[MultiPoly]]:
         if r > 3:
             raise ValueError("line twists are limited to bundles of rank <= 3")
         lam = _divisor_class(expr.divisor, ctx)
-        out = [ctx.one()]
-        for k in range(1, r + 1):
-            ck = ctx.zero()
-            for i in range(k + 1):
-                ck = ck + math.comb(r - i, k - i) * total[i] * lam ** (k - i)
-            out.append(ck)
-        return r, out
+        powers = [ctx.one(), lam]
+        while len(powers) <= r:
+            powers.append(powers[-1] * lam)
+        return r, [ctx.one()] + [sum_of_products(ctx, [
+            (math.comb(r - i, k - i) * total[i], powers[k - i])
+            for i in range(k + 1)]) for k in range(1, r + 1)]
     if isinstance(expr, Sym2):
         r, total = _chern_raw(expr.inner, tower)
         if r not in (2, 3):

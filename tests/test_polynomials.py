@@ -451,6 +451,30 @@ def test_arithmetic_matches_plain_dicts(case):
             ctx, rest, part, {"q": {(0,) * rest.nvars: 1}})
 
 
+FLAG_BASE = VarContext(("h", "H", "A"), (1, 1, 2))
+FLAG = FLAG_BASE.extended(("u_", "v_"), (1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_polys(FLAG_BASE), rationals)
+def test_flag_pullback_passes_other_variables_through(terms, lam):
+    """H -> u + v, A -> u v, as the Grassmann pushforward pulls back, on
+    classes that also carry a base variable h (J12's stage): h is sent to
+    itself, the zero class to zero, and an image over a denominator
+    scales every term it enters."""
+    u, v = FLAG.var("u_"), FLAG.var("v_")
+    p = MultiPoly(FLAG_BASE, terms)
+    for images in ({"H": u + v, "A": u * v},
+                   {"H": lam * (u + v), "A": u * v * Fraction(1, 3)}):
+        for r, plain in ((p, terms), (FLAG_BASE.zero(), {})):
+            moved = r.substitute(images, FLAG)
+            assert moved.ctx is FLAG and stored_ok(moved)
+            assert dict(moved.terms) == plain_substitute(
+                FLAG_BASE, FLAG, plain_truncated(FLAG_BASE, plain),
+                {name: dict(img.terms) for name, img in images.items()})
+    assert FLAG_BASE.var("h").substitute({"H": u + v}, FLAG) == FLAG.var("h")
+
+
 # ---------------------------------------------------------------------------
 # Groebner quotients
 # ---------------------------------------------------------------------------

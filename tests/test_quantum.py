@@ -853,6 +853,39 @@ def test_table_scans_agree_with_basis_vector_products(ring, kind):
     assert bool(assoc) == bool(frob) == (kind != "standard")
 
 
+def blind_spot_ring(amb):
+    """A commutative table that every sorted basis triple finds
+    associative although it is not: s0 s1 = s11, s1 s2 = s3,
+    s2 s11 = s31, s0 s3 = s31 and every other product 0, so
+    (s0 s2) s1 = 0 while s0 (s2 s1) = s31."""
+    ctx = quantum_context()
+    idx = {name: i for i, name in enumerate(BASIS_NAMES)}
+    table = {(i, j): tuple(ctx.zero() for _ in range(DIM))
+             for i, j in combinations_with_replacement(range(DIM), 2)}
+    for a, b, c in (("s0", "s1", "s11"), ("s1", "s2", "s3"),
+                    ("s2", "s11", "s31"), ("s0", "s3", "s31")):
+        table[(idx[a], idx[b])] = tuple(
+            ctx.scalar(int(k == idx[c])) for k in range(DIM))
+    return QuantumRing(amb, table)
+
+
+def test_generic_check_flags_the_blind_spot_table(ring):
+    r = blind_spot_ring(ring.amb)
+    s0, s1, s2 = (r.basis_element(name) for name in ("s0", "s1", "s2"))
+    assert r.star(r.star(s0, s2), s1) == r.zero()
+    assert r.star(s0, r.star(s2, s1)) == r.basis_element("s31")
+    assert certificates.generic_identity_failures(r) == \
+        ["associativity", "frobenius"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the scan compares (e_i e_j) e_k with e_i (e_j e_k) on sorted triples"
+    " i <= j <= k only: one of the two independent associators of three"
+    " distinct classes"))
+def test_associativity_scan_flags_the_blind_spot_table(ring):
+    assert associativity_failures(blind_spot_ring(ring.amb)) != []
+
+
 def test_solver_frobenius_residuals_agree_with_basis_vector_products(
         monkeypatch):
     """Every nonzero residual the solver splits into equations, in order:
