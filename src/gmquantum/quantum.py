@@ -41,7 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, product
+from itertools import (
+    chain, combinations, combinations_with_replacement, product)
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -263,8 +264,8 @@ class QuantumRing:
         self._gram_tensor = StructureTensor(self.ctx, 1, {
             (i, j): (self.ctx.scalar(gram.rows[i][j]),)
             for i in range(DIM) for j in range(DIM)})
-        # filled by the first associativity_failures(self)
-        self._associativity: Optional[List[Tuple[str, str, str]]] = None
+        # each basis scan's failures, filled by its first call on this ring
+        self._scans: Dict[str, list] = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -331,29 +332,45 @@ def grading_failures(ring: QuantumRing) -> List[str]:
         and not comp.is_homogeneous(degs[i] + degs[j] - degs[k])))
 
 
+def _scanned(ring: QuantumRing, name: str, scan) -> list:
+    """A copy of scan(), run once per ring and `name`: the table is fixed."""
+    if name not in ring._scans:
+        ring._scans[name] = scan()
+    return list(ring._scans[name])
+
+
 def commutativity_failures(ring: QuantumRing) -> List[str]:
     """The 36 ordered basis pairs "a*b" whose image under the product
     tensor differs from that of "b*a"."""
     rows = ring._product_tensor.rows
-    return ["%s*%s" % (BASIS_NAMES[i], BASIS_NAMES[j])
-            for i, j in product(range(DIM), repeat=2)
-            if sorted(rows[i][j]) != sorted(rows[j][i])]
+    return _scanned(ring, "commutativity", lambda: [
+        "%s*%s" % (BASIS_NAMES[i], BASIS_NAMES[j])
+        for i, j in product(range(DIM), repeat=2)
+        if sorted(rows[i][j]) != sorted(rows[j][i])])
 
 
 def associativity_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    """All unordered basis triples where (a*b)*c differs from a*(b*c).
+    """Basis triples where (a*b)*c differs from a*(b*c), on every associator
+    of a commutative table: the sorted i <= j <= k, then (i, k, j) for
+    i < j < k, the second associator of three distinct classes."""
+    triples = chain(combinations_with_replacement(range(DIM), 3),
+                    ((i, k, j) for i, j, k in combinations(range(DIM), 3)))
+    return _scanned(ring, "associativity", lambda: [
+        names for names, lhs, rhs in _table_sides(
+            ring, triples, ring._product_tensor) if lhs != rhs])
 
-    The table is read-only, so the 56 triples are scanned once per ring
-    and every later call returns a copy of that result.
-    """
-    if ring._associativity is None:
-        ring._associativity = _associativity_scan(ring)
-    return list(ring._associativity)
+
+def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
+    """The ordered basis triples where <a*b, c> differs from <a, b*c>."""
+    return _scanned(ring, "frobenius", lambda: [
+        names for names, lhs, rhs in _table_sides(
+            ring, product(range(DIM), repeat=3), ring._gram_tensor)
+        if lhs != rhs])
 
 
 # the basis triples each scan compares, composing the structure constants
 # of a*b and b*c with those of the product or the pairing
-ASSOCIATIVITY_TRIPLES = math.comb(DIM + 2, 3)
+ASSOCIATIVITY_TRIPLES = math.comb(DIM + 2, 3) + math.comb(DIM, 3)
 FROBENIUS_TRIPLES = DIM ** 3
 
 
@@ -394,20 +411,6 @@ def _table_sides(ring: QuantumRing, triples, tensor: StructureTensor):
                                  width)
         yield ((BASIS_NAMES[i], BASIS_NAMES[j], BASIS_NAMES[k]),
                left[ab], right[bc])
-
-
-def _associativity_scan(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    return [names for names, lhs, rhs in _table_sides(
-                ring, combinations_with_replacement(range(DIM), 3),
-                ring._product_tensor)
-            if lhs != rhs]
-
-
-def frobenius_failures(ring: QuantumRing) -> List[Tuple[str, str, str]]:
-    """Triples where <a*b, c> differs from <a, b*c>."""
-    return [names for names, lhs, rhs in _table_sides(
-                ring, product(range(DIM), repeat=3), ring._gram_tensor)
-            if lhs != rhs]
 
 
 def classical_limit_failures(ring: QuantumRing) -> List[str]:

@@ -217,5 +217,5 @@ def test_verify_all_builds_one_ambient_ring(monkeypatch):
     monkeypatch.setattr(AmbientRing, "__init__", counted_init)
     monkeypatch.setattr(towers, "grassmann_push", counted_push)
     monkeypatch.setattr(ambient, "grassmann_push", counted_push)
-    assert len(verify_all_certificates(Workspace(), 0)) == 42
+    assert len(verify_all_certificates(Workspace())) == 42
     assert made == {"ambient": 1, "push": 3}

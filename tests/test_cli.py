@@ -25,42 +25,17 @@ from gmquantum.certificates import Workspace
 from gmquantum.cli import main, matrix_at, parse_at
 from gmquantum.gwcounts import CountSet
 from gmquantum.quantum import QuantumRing, product_table, quantum_context
+from regen_goldens import (
+    GOLDEN_DIR, GOLDEN_MARKDOWN, GOLDEN_PAYLOADS, golden_files, render,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "certificate.schema.json").read_text())
 
 # `gmquantum <argv> --format json --no-timestamp` of a verified build, one
-# file per command line: a change that moves a byte of one changes
-# certified content or a report
-GOLDEN_DIR = ROOT / "tests" / "data"
+# file per command line (tests/regen_goldens.py writes them): a change
+# that moves a byte of one changes certified content or a report
 GOLDEN_VERIFY_ALL = GOLDEN_DIR / "verify_all.json"
-GOLDEN_PAYLOADS = {
-    "gw": ["gw"],
-    "matrix": ["matrix"],
-    "table": ["table"],
-    "presentation": ["presentation"],
-    "deform": ["deform"],
-    "criterion": ["criterion"],
-    "matrix_at_q_3_2": ["matrix", "--at", "q=3/2"],
-    "deform_at_q_2_t_1_3": ["deform", "--at", "q=2,t=1/3"],
-    "criterion_at_q_-7_3": ["criterion", "--at", "q=-7/3"],
-    "criterion_at_q_0": ["criterion", "--at", "q=0"],
-}
-# the same as markdown, `<name>.md`: half of the benchmark's report ops
-# read the markdown rendering
-GOLDEN_MARKDOWN = {
-    "verify_all": ["verify-all"],
-    "gw": ["gw"],
-    "matrix": ["matrix"],
-    "table": ["table"],
-    "presentation": ["presentation"],
-    "deform": ["deform"],
-    "criterion": ["criterion"],
-    "matrix_at_q_-7_3": ["matrix", "--at", "q=-7/3"],
-    "table_at_q_-7_3": ["table", "--at", "q=-7/3"],
-    "criterion_at_q_-7_3": ["criterion", "--at", "q=-7/3"],
-    "deform_at_q_2_t_1_3": ["deform", "--at", "q=2,t=1/3"],
-}
 GOLDENS = sorted(GOLDEN_PAYLOADS) + ["%s.md" % name
                                     for name in sorted(GOLDEN_MARKDOWN)]
 
@@ -170,15 +145,26 @@ def test_seed_changes_only_the_summary(capsys):
 
 
 @pytest.mark.parametrize("name", GOLDENS)
-def test_report_matches_golden_payload(capsys, name):
+def test_report_matches_golden_payload(name):
+    """Each golden holds the bytes that tests/regen_goldens.py renders for
+    it, so the helper leaves a clean tree unchanged."""
     if name.endswith(".md"):
         argv, fmt, path = (GOLDEN_MARKDOWN[name[:-3]], "markdown",
                            GOLDEN_DIR / name)
     else:
         argv, fmt, path = (GOLDEN_PAYLOADS[name], "json",
                            GOLDEN_DIR / ("%s.json" % name))
-    assert main(argv + ["--format", fmt, "--no-timestamp"]) == 0
-    assert capsys.readouterr().out.encode() == path.read_bytes()
+    assert render(argv, fmt) == path.read_bytes()
+
+
+def test_goldens_are_the_files_under_tests_data():
+    """tests/regen_goldens.py writes every file under tests/data, and the
+    golden tests read each one it writes."""
+    written = [name for name, _, _ in golden_files()]
+    assert sorted(written) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    assert written[0] == GOLDEN_VERIFY_ALL.name
+    assert sorted(written[1:]) == sorted(
+        name if name.endswith(".md") else name + ".json" for name in GOLDENS)
 
 
 def test_verify_all_counts(capsys):
@@ -429,17 +415,19 @@ NODE_NAMES = ("reports", "counts", "solve", "ring", "spectrum", "presentation",
 
 def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
     made = Counter()
+    passes = []
     workspaces = []
     init = QuantumRing.__init__
-    scan = quantum._associativity_scan
+    sides = quantum._table_sides
 
     def counted_init(self, *args, **kwargs):
         made["rings"] += 1
         init(self, *args, **kwargs)
 
-    def counted_scan(ring):
-        made["scans"] += 1
-        return scan(ring)
+    def counted_sides(ring, triples, tensor):
+        passes.append((ring, "frobenius" if tensor is ring._gram_tensor
+                       else "associativity"))
+        return sides(ring, triples, tensor)
 
     class Recorded(Workspace):
         def __init__(self):
@@ -454,17 +442,23 @@ def test_verify_all_builds_each_ring_and_scan_once(monkeypatch, capsys):
 
         monkeypatch.setitem(certificates.NODES, name, (inputs, counted_build))
     monkeypatch.setattr(QuantumRing, "__init__", counted_init)
-    monkeypatch.setattr(quantum, "_associativity_scan", counted_scan)
+    monkeypatch.setattr(quantum, "_table_sides", counted_sides)
     monkeypatch.setattr(cli, "Workspace", Recorded)
     assert main(["verify-all", "--no-timestamp"]) == 0
-    # the solver's symbolic and solved rings, the perturbed control and
-    # the generic ring of the property check; the solved ring's scan
-    # serves the solver, the table and the operator
-    assert made == {"rings": 4, "scans": 2}
-    # a cold verify-all reads every node and builds each one once
-    assert built == dict.fromkeys(NODE_NAMES, 1)
+    # the solver's symbolic and solved rings and the perturbed control
+    assert made == {"rings": 3}
     ws, = workspaces
     assert ws.solve.ring is ws.ring
+    # each scan runs once per ring: the solved ring's associativity scan
+    # serves the solver, the operator and the table and property groups,
+    # its Frobenius scan the two groups; the symbolic ring's pass yields
+    # the solver's residuals, and the control has a scan of its own
+    (symbolic, _), _, _, (control, _) = passes
+    assert passes == [(symbolic, "frobenius"), (ws.ring, "associativity"),
+                      (ws.ring, "frobenius"), (control, "associativity")]
+    assert len({id(symbolic), id(ws.ring), id(control)}) == 3
+    # a cold verify-all reads every node and builds each one once
+    assert built == dict.fromkeys(NODE_NAMES, 1)
 
 
 def test_node_table_is_an_acyclic_graph():

@@ -63,7 +63,7 @@ def test_at_q_one_derives_each_context_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(VarContext, "__init__", counted)
-    assert len(verify_all_certificates(Workspace(), 0)) == 42
+    assert len(verify_all_certificates(Workspace())) == 42
     assert made["contexts"] <= 60
 
 
@@ -136,7 +136,7 @@ def test_no_command_builds_a_rational_function(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RatFunc, "__init__", counted)
-    certs = verify_all_certificates(Workspace(), 0)
+    certs = verify_all_certificates(Workspace())
     assert len(certs) == 42
     for argv in (["gw"], ["matrix"], ["table"], ["presentation"], ["deform"],
                  ["criterion"], ["criterion", "--at", "q=0"],

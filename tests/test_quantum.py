@@ -7,7 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gmquantum import certificates, gwcounts, quantum
 from gmquantum.ambient import BASIS_NAMES, DIM, AmbientRing
 from gmquantum.cli import main
+from gmquantum.deformation import build_deformed_matrix
 from gmquantum.gwcounts import CountSet
 from gmquantum.linalg import Matrix, rref
 from gmquantum.poly import MultiPoly, VarContext
@@ -313,17 +314,25 @@ def test_integer_solve_refuses_an_empty_system():
 
 
 def test_associativity_is_scanned_once_per_ring(monkeypatch, ring):
-    scans = []
-    scan = quantum._associativity_scan
-    monkeypatch.setattr(quantum, "_associativity_scan",
-                        lambda r: scans.append(r) or scan(r))
+    """The associativity and Frobenius scans each compose the ring's
+    structure constants on the first call only; every call returns a
+    copy of the failures.  The commutativity scan is stored alike."""
+    passes = []
+    sides = quantum._table_sides
+    monkeypatch.setattr(quantum, "_table_sides", lambda r, ijk, tensor: (
+        passes.append((r, tensor)) or sides(r, ijk, tensor)))
     broken = perturbed_ring(ring)
-    first = associativity_failures(broken)
-    assert first and associativity_failures(broken) == first
-    # callers get a copy; the stored result cannot be edited through one
-    first.clear()
-    assert associativity_failures(broken) != []
-    assert scans == [broken]
+    for scan in (associativity_failures, frobenius_failures):
+        first = scan(broken)
+        assert first and scan(broken) == first
+        # the stored result cannot be edited through a copy
+        first.clear()
+        assert scan(broken) != []
+    assert passes == [(broken, broken._product_tensor),
+                      (broken, broken._gram_tensor)]
+    assert quantum.commutativity_failures(broken) == []
+    assert sorted(broken._scans) == [
+        "associativity", "commutativity", "frobenius"]
 
 
 def test_workspace_ring_reuses_counts_and_solve(monkeypatch):
@@ -701,7 +710,7 @@ def random_rational(rng):
 
 
 def reference_random_identity_failures(ring, rng, samples):
-    """The ring identities of `certificates.generic_identity_failures` on
+    """The ring identities of `generic_identity_failures` on
     seeded random triples of rational vectors, with MultiPoly products and
     comparisons; each failure reads "sample <n>: <identity>"."""
     bad = []
@@ -734,7 +743,7 @@ def test_random_identities_match_the_multipoly_sample(ring, seed):
     for r in (ring, broken):
         sampled = reference_random_identity_failures(r, random.Random(seed),
                                                      100)
-        generic = certificates.generic_identity_failures(r)
+        generic = generic_identity_failures(r)
         assert {bad.split(": ")[1] for bad in sampled} <= set(generic)
         assert (sampled != []) == (generic != []) == (r is broken)
 
@@ -766,7 +775,7 @@ def test_generic_check_fails_on_an_emptied_tensor_entry(
     generic check; forgetting it in both orders keeps the product
     commutative and still breaks associativity and Frobenius."""
     empty_product_tensor_entries(monkeypatch, pairs)
-    assert certificates.generic_identity_failures(ring) == flagged
+    assert generic_identity_failures(ring) == flagged
 
 
 @pytest.mark.parametrize("pairs, flagged", EMPTIED_ENTRIES)
@@ -799,7 +808,7 @@ def test_table_scans_refuse_exponents_that_would_carry(ring):
         return QuantumRing(ring.amb, table)
 
     wide = shifted(2 ** 62)         # products of two entries: bound 2^63
-    assert quantum._associativity_scan(wide) == \
+    assert associativity_failures(wide) == \
         reference_associativity_failures(wide) != []
     assert frobenius_failures(wide) == [
         names for names, lhs, rhs in reference_frobenius_sides(
@@ -808,7 +817,7 @@ def test_table_scans_refuse_exponents_that_would_carry(ring):
     with pytest.raises(ValueError, match="would carry"):
         associativity_failures(carrying)
     with pytest.raises(ValueError, match="would carry"):
-        certificates.generic_identity_failures(carrying)
+        generic_identity_failures(carrying)
     # the Gram tensor is constant, so the Frobenius scan stays in range
     assert frobenius_failures(carrying) != []
 
@@ -821,12 +830,18 @@ def basis_triples(ring, triples):
                tuple(basis[i] for i in ijk))
 
 
+# every associator of a commutative table, in the scan's order: the
+# sorted triples, then the second associator (i, k, j) of three distinct
+# classes i < j < k
+ASSOCIATORS = list(combinations_with_replacement(range(DIM), 3)) + [
+    (i, k, j) for i, j, k in combinations(range(DIM), 3)]
+
+
 def reference_associativity_failures(ring):
     """The associativity scan with every product of basis vectors made
     through `star`."""
     star = ring.star
-    return [names for names, (a, b, c) in basis_triples(
-                ring, combinations_with_replacement(range(DIM), 3))
+    return [names for names, (a, b, c) in basis_triples(ring, ASSOCIATORS)
             if star(star(a, b), c) != star(a, star(b, c))]
 
 
@@ -848,7 +863,7 @@ def test_table_scans_agree_with_basis_vector_products(ring, kind):
     assoc = reference_associativity_failures(r)
     frob = [names for names, lhs, rhs in reference_frobenius_sides(
                 r, product(range(DIM), repeat=3)) if lhs != rhs]
-    assert quantum._associativity_scan(r) == assoc
+    assert associativity_failures(r) == assoc
     assert frobenius_failures(r) == frob
     assert bool(assoc) == bool(frob) == (kind != "standard")
 
@@ -869,21 +884,107 @@ def blind_spot_ring(amb):
     return QuantumRing(amb, table)
 
 
+# the indeterminate coordinates of generic elements a, b, c and scalar lam
+GENERIC = tuple("%s%d" % (v, k) for v in "abc" for k in range(DIM)) + ("lam",)
+
+
+def generic_identity_failures(ring):
+    """Which of associativity, commutativity, Frobenius and linearity fail
+    for `ring`'s product.  Each is multilinear in (a, b, c, lam), so one
+    comparison through `star` and `pairing` at the indeterminates GENERIC,
+    of degree 0, settles it for all vectors.  This lifts the whole table
+    into Q[q, a0..c5, lam]: an oracle for the basis scans that reaches
+    the product along a second path, `StructureTensor.contract`."""
+    ext = ring.ctx.extended(GENERIC, (0,) * len(GENERIC))
+    gen = QuantumRing(ring.amb, {
+        ij: tuple(p.substitute({}, ext) for p in vec)
+        for ij, vec in ring.table.items()})
+    star, pairing, var = gen.star, gen.pairing, ext.var
+    a, b, c = (tuple(var("%s%d" % (v, k)) for k in range(DIM)) for v in "abc")
+    scaled = tuple(var("lam") * x for x in c)
+    ab, bc = star(a, b), star(b, c)
+    sides = (("associativity", star(ab, c), star(a, bc)),
+             ("commutativity", ab, star(b, a)),
+             ("frobenius", pairing(ab, c), pairing(a, bc)),
+             ("linearity", star(a, tuple(map(sum, zip(b, scaled)))),
+              tuple(map(sum, zip(ab, star(a, scaled))))))
+    return [name for name, lhs, rhs in sides if lhs != rhs]
+
+
 def test_generic_check_flags_the_blind_spot_table(ring):
     r = blind_spot_ring(ring.amb)
     s0, s1, s2 = (r.basis_element(name) for name in ("s0", "s1", "s2"))
     assert r.star(r.star(s0, s2), s1) == r.zero()
     assert r.star(s0, r.star(s2, s1)) == r.basis_element("s31")
-    assert certificates.generic_identity_failures(r) == \
-        ["associativity", "frobenius"]
+    assert generic_identity_failures(r) == ["associativity", "frobenius"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the scan compares (e_i e_j) e_k with e_i (e_j e_k) on sorted triples"
-    " i <= j <= k only: one of the two independent associators of three"
-    " distinct classes"))
 def test_associativity_scan_flags_the_blind_spot_table(ring):
-    assert associativity_failures(blind_spot_ring(ring.amb)) != []
+    """The sorted triple (s0, s1, s2) compares s31 with s31; its second
+    associator (s0, s2, s1) compares 0 with s31."""
+    assert associativity_failures(blind_spot_ring(ring.amb)) == [
+        ("s0", "s2", "s1")]
+
+
+def test_deformation_refuses_the_blind_spot_table(ring):
+    with pytest.raises(ValueError, match="must be associative"):
+        build_deformed_matrix(blind_spot_ring(ring.amb))
+
+
+def test_solver_refuses_a_blind_spot_table(monkeypatch):
+    """A table whose every residual vanishes at (J11, J2) = (24, 32) and
+    whose solved form, s0 s31 = s2, s2 s2 = s2 - s11 and every other
+    product 0, passes every sorted triple: only the second associator
+    (s0, s31, s2) shows that (s0 s31) s2 = s2 - s11 is not
+    s0 (s31 s2) = 0."""
+    idx = {name: i for i, name in enumerate(BASIS_NAMES)}
+
+    def table(counts, amb, j11, j2, ctx):
+        t = {(i, j): tuple(ctx.zero() for _ in range(DIM))
+             for i, j in combinations_with_replacement(range(DIM), 2)}
+        for (a, b), vec in ((("s0", "s31"), {"s2": ctx.one()}),
+                            (("s2", "s2"), {"s2": ctx.one(),
+                                            "s11": -ctx.one()}),
+                            (("s11", "s3"), {"s1": j11 - 24}),
+                            (("s3", "s31"), {"s1": j2 - 32})):
+            t[(idx[a], idx[b])] = tuple(vec.get(name, ctx.zero())
+                                        for name in BASIS_NAMES)
+        return t
+
+    monkeypatch.setattr(quantum, "product_table", table)
+    with pytest.raises(ValueError, match=r"still fails associativity: "
+                       r"\[\('s0', 's31', 's2'\)\]"):
+        solve_three_point_invariants(CountSet.from_geometry())
+
+
+SPARSE_ENTRY = st.tuples(
+    st.sampled_from(list(combinations_with_replacement(range(DIM), 2))),
+    st.integers(0, DIM - 1), st.integers(-3, 3), st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.lists(SPARSE_ENTRY, max_size=4))
+def test_scans_flag_what_the_generic_check_flags(ring, standard, entries):
+    """On a sparse commutative table over Q[q], on its own or added to the
+    standard table, the generic route and the three basis scans flag the
+    same identities, and the property certificate lists them."""
+    ctx = ring.ctx
+    table = {ij: vec if standard else tuple(ctx.zero() for _ in vec)
+             for ij, vec in ring.table.items()}
+    for ij, k, c, d in entries:
+        vec = list(table[ij])
+        vec[k] += c * ctx.var("q") ** d
+        table[ij] = tuple(vec)
+    r = QuantumRing(ring.amb, table)
+    flagged = generic_identity_failures(r)
+    assert [name for name, failures in (
+        ("associativity", associativity_failures(r)),
+        ("commutativity", quantum.commutativity_failures(r)),
+        ("frobenius", frobenius_failures(r))) if failures] == flagged
+    ws = certificates.Workspace()
+    ws._cache["ring"] = r
+    [cert] = certificates.property_certificates(ws)
+    assert (cert.witness or "") == "; ".join(flagged)
 
 
 def test_solver_frobenius_residuals_agree_with_basis_vector_products(
@@ -913,7 +1014,7 @@ def test_solver_frobenius_residuals_agree_with_basis_vector_products(
 def test_property_certificate_fails_on_a_perturbed_ring(ring):
     ws = certificates.Workspace()
     ws._cache["ring"] = perturbed_ring(ring)
-    [cert] = certificates.property_certificates(ws, 0)
+    [cert] = certificates.property_certificates(ws)
     assert cert.status == certificates.FAILED
     assert cert.computed == 2
     assert cert.witness == "associativity; frobenius"
@@ -923,7 +1024,7 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
     """The table scans compose the structure constants as integer
     numerators and compare those: no MultiPoly product and no Fraction
     view of a result."""
-    broken = perturbed_ring(ring)
+    fresh, broken = QuantumRing(ring.amb, ring.table), perturbed_ring(ring)
     calls = []
     for name in ("__mul__", "__rmul__"):
         original = getattr(MultiPoly, name)
@@ -936,16 +1037,18 @@ def test_identity_checks_stay_packed(ring, monkeypatch):
     view = MultiPoly.terms
     monkeypatch.setattr(MultiPoly, "terms", property(
         lambda self: calls.append("terms") or view.fget(self)))
-    quantum.frobenius_failures(ring)
-    quantum.frobenius_failures(broken)
-    quantum._associativity_scan(broken)
+    frobenius_failures(fresh)
+    frobenius_failures(broken)
+    associativity_failures(broken)
     assert calls == []
 
 
 def test_only_star_and_pairing_contract(monkeypatch):
     """In a cold verify-all every structure-tensor contraction is made by
     `QuantumRing.star` or `QuantumRing.pairing`, and there are exactly
-    29 of them."""
+    23 of them, all `star`.  The ring identities are read off the basis
+    scans, which compose structure constants, so no pairing is left: the
+    property check takes 3 stars for its one bilinearity comparison."""
     callers = Counter()
     contract = quantum.StructureTensor.contract
 
@@ -961,11 +1064,10 @@ def test_only_star_and_pairing_contract(monkeypatch):
         "%s:%d" % (c.co_name, c.co_firstlineno)
         for c in set(callers) - allowed)
     # the work is deterministic: the presentation's words take 20 stars
-    # and the generic identity check 7 stars and 2 pairings, while the
-    # basis scans and the solver's residuals compose structure constants,
-    # so a scan that multiplies basis vectors again shows up here
-    assert {c.co_name: n for c, n in callers.items()} == {
-        "star": 27, "pairing": 2}
+    # and the property check's bilinearity 3, while the basis scans and
+    # the solver's residuals compose structure constants, so a scan that
+    # multiplies basis vectors again shows up here
+    assert {c.co_name: n for c, n in callers.items()} == {"star": 23}
 
 
 def test_j12_moves_sigma11_square_by_its_dual(ring):
@@ -996,7 +1098,8 @@ def test_scan_sizes_count_the_scanned_triples(monkeypatch, ring):
             yield compared
 
     monkeypatch.setattr(quantum, "_table_sides", counted)
-    quantum._associativity_scan(ring)
-    frobenius_failures(ring)
+    fresh = QuantumRing(ring.amb, ring.table)
+    associativity_failures(fresh)
+    frobenius_failures(fresh)
     assert seen == [quantum.ASSOCIATIVITY_TRIPLES, quantum.FROBENIUS_TRIPLES]
-    assert seen == [56, 216]
+    assert seen == [56 + 20, 216]

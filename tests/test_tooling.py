@@ -94,6 +94,9 @@ RUN_EXEMPT = {
         "bench/spans.py hooks RatFunc.__mul__; the tests' Q(q) oracle",
     ("quantum.py", "standard_ring"):
         "bench/ builds its ring with it and bench/spans.py hooks it",
+    ("quantum.py", "QuantumRing.pairing"):
+        "the ring-products workload of bench/ pairs with it and"
+        " bench/spans.py hooks it; the ring identities read the scans",
     ("gwcounts.py", "CountSet.from_geometry"):
         "standard_ring's counts",
 }
